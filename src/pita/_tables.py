@@ -19,10 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import finskel
+from .finskel import finmap_to_json
 from .errors import IntegrityError
-
-_mj = finskel.finmap_to_json
-
 
 class MapTable:
     def __init__(self, inst, bound, compose_cache=None, fm_cache=None):
@@ -197,14 +195,14 @@ class MapTable:
                 report.add(
                     "iterated-fibre-map",
                     {
-                        "h": _mj(self.maps[h]),
-                        "g": _mj(self.maps[g]),
-                        "f": _mj(self.maps[f]),
+                        "h": finmap_to_json(self.maps[h]),
+                        "g": finmap_to_json(self.maps[g]),
+                        "f": finmap_to_json(self.maps[f]),
                         "i": i,
                         "j": j,
                     },
-                    _mj(self.maps[lhs]) if lhs >= 0 else None,
-                    _mj(self.maps[rhs]) if rhs >= 0 else None,
+                    finmap_to_json(self.maps[lhs]) if lhs >= 0 else None,
+                    finmap_to_json(self.maps[rhs]) if rhs >= 0 else None,
                 )
 
     # ------------------------------------------- splitting pairwise sweep
@@ -226,9 +224,9 @@ class MapTable:
             for k in np.flatnonzero(bad)[:10]:
                 report.add(
                     tag,
-                    {"f": _mj(maps[int(k)])},
-                    _mj(maps[int(lhs[k])]),
-                    _mj(maps[int(rhs[k])]),
+                    {"f": finmap_to_json(maps[int(k)])},
+                    finmap_to_json(maps[int(lhs[k])]),
+                    finmap_to_json(maps[int(rhs[k])]),
                 )
 
         emit_unary(
@@ -261,9 +259,12 @@ class MapTable:
             for p in np.flatnonzero(bad)[:10]:
                 report.add(
                     tag,
-                    {"f": _mj(maps[int(pa[p])]), "g": _mj(maps[int(pb[p])])},
-                    _mj(maps[int(lhs[p])]),
-                    _mj(maps[int(rhs[p])]),
+                    {
+                        "f": finmap_to_json(maps[int(pa[p])]),
+                        "g": finmap_to_json(maps[int(pb[p])]),
+                    },
+                    finmap_to_json(maps[int(lhs[p])]),
+                    finmap_to_json(maps[int(rhs[p])]),
                 )
 
         emit_pair(
@@ -322,7 +323,10 @@ class MapTable:
         for p in np.flatnonzero(~fop.all(axis=1))[:10]:
             report.add(
                 "unit-square-not-fop",
-                {"f": _mj(maps[int(pa[p])]), "g": _mj(maps[int(pb[p])])},
+                {
+                    "f": finmap_to_json(maps[int(pa[p])]),
+                    "g": finmap_to_json(maps[int(pb[p])]),
+                },
                 "a non-order-preserving fibre map",
                 "an order-preserving fibre map",
             )
@@ -364,10 +368,10 @@ class MapTable:
                 report.add(
                     "relative-part-cocycle",
                     {
-                        "f": _mj(self.maps[f]),
-                        "g": _mj(self.maps[g]),
-                        "h": _mj(self.maps[h]),
+                        "f": finmap_to_json(self.maps[f]),
+                        "g": finmap_to_json(self.maps[g]),
+                        "h": finmap_to_json(self.maps[h]),
                     },
-                    _mj(self.maps[lhs]),
-                    _mj(self.maps[rhs]),
+                    finmap_to_json(self.maps[lhs]),
+                    finmap_to_json(self.maps[rhs]),
                 )

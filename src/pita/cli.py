@@ -92,10 +92,15 @@ def _add_common(sub, instance_default: str, with_maxlen: bool = False):
     sub.add_argument("--bound", type=_natural, default=3)
     if with_maxlen:
         sub.add_argument("--maxlen", type=_natural, default=4)
+    sub.add_argument("--json", action="store_true")
+
+
+def _add_mode(sub):
+    """The splitting route of the map that factor splits, or of the
+    worked example that all starts with."""
     sub.add_argument(
         "--mode", choices=("production", "oracle"), default="production"
     )
-    sub.add_argument("--json", action="store_true")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -109,6 +114,7 @@ def _parser() -> argparse.ArgumentParser:
     factor.add_argument("--map", required=True, metavar="JSON_LIST")
     factor.add_argument("--cod", type=_natural, required=True)
     _add_common(factor, "fin")
+    _add_mode(factor)
 
     axioms = subs.add_parser(
         "axioms", help="category axioms and the splitting calculus"
@@ -133,9 +139,7 @@ def _parser() -> argparse.ArgumentParser:
     everything = subs.add_parser("all", help="the full default suite")
     everything.add_argument("--bound", type=_natural, default=3)
     everything.add_argument("--maxlen", type=_natural, default=4)
-    everything.add_argument(
-        "--mode", choices=("production", "oracle"), default="production"
-    )
+    _add_mode(everything)
     everything.add_argument("--json", action="store_true")
 
     return parser

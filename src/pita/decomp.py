@@ -10,39 +10,51 @@ classical composition coefficients drop the k! and the two tables
 already disagree in degree 2, which keeps the routes distinguishable.
 
 The decomposition-space part compares two fibres of the composition
-face. Over a locally order-preserving 2-chain (f, then bottom) the fibre
-C_1 consists of all factorisations (h, e) of f with compose(e, bottom)
-order-preserving, with a morphism x -> y for every middle
-quasibijection sigma satisfying both factorisation triangles whose
-square over (e_x, e_y) is fibrewise order-preserving. The fibre C_2 over
-the reflected 1-chain consists of factorisations of the op part of f
-with order-preserving second leg, and is discrete. The comparison
-functors land exactly:
+face over a locally order-preserving chain (f, middle, bottom), f first.
+The fibre C_1 consists of the factorisations (g, e) of f with
+compose(e, compose(middle, bottom)) order-preserving, with a morphism
+x -> y for every middle quasibijection sigma satisfying both
+factorisation triangles whose square over (e_x, e_y) followed by middle
+is fibrewise order-preserving. The fibre C_2 over the reflected chain
+consists of the factorisations (h, h2) of eta_rel(f, middle) with
+compose(h2, eta(middle)) order-preserving, and is discrete. The
+comparison functors land exactly:
 
-    F(h, e) = (eta_rel(h, e), eta(e))        G(h, e) = (compose(pi(f), h), e)
+    F(g, e) = (eta_rel(g, compose(e, middle)), eta_rel(e, middle))
+    G(h, h2) = (compose(pi(compose(f, middle)), h),
+                compose(h2, inverse(pi(middle))))
 
-with F after G the identity and the unit at (h, e) the quasibijection
-pi(e). verify_decomposition_fibres checks all of this by enumeration,
-plus the analogue one level up where the 2-chain grows to a 3-chain and
-eta_rel replaces eta throughout.
+with F after G the identity and the unit at (g, e) the quasibijection
+pi(compose(e, middle)). With middle the identity this is the comparison
+over the 2-chain (f, bottom), where F(g, e) = (eta_rel(g, e), eta(e))
+and G(h, e) = (compose(pi(f), h), e); with a proper middle map it is the
+same comparison one chain level up. verify_decomposition_fibres checks
+all of this by enumeration at both levels.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
 
 from . import finskel
 from .errors import ShapeError, UnsupportedInstanceError
 from .factorisation import eta_rel, pita_general
-from .finskel import FinMap, compose, identity, inverse, ordinal_sum
+from .finskel import (
+    FinMap,
+    compose,
+    finmap_to_json,
+    identity,
+    inverse,
+    ordinal_sum,
+)
 from .opcat import (
     OperadicInstance,
     Report,
+    equivalence_classes,
     is_fop_square,
-    is_op_morphism,
     quasibijections,
 )
 
@@ -52,12 +64,6 @@ IsoClassLabel = tuple[int, ...]
 def label(f: FinMap) -> IsoClassLabel:
     """Fibre sizes of f, weakly decreasing. Classifies f up to iso."""
     return tuple(sorted(Counter(f.values).values(), reverse=True))
-
-
-def connected_label(n: int) -> IsoClassLabel:
-    if n < 1:
-        raise ShapeError(f"connected classes start at cardinality 1, got {n}")
-    return (n,)
 
 
 def _require_surjection_instance(inst: OperadicInstance):
@@ -211,7 +217,7 @@ def comult_composition_form(n: int) -> CoalgebraElement:
     return out
 
 
-def _terminal_surjection(inst: OperadicInstance, n: int) -> FinMap:
+def _terminal_surjection(n: int) -> FinMap:
     return FinMap(n, 1, (1,) * n)
 
 
@@ -246,7 +252,7 @@ def verify_coassociativity(
     def generator(part: int) -> CoalgebraElement:
         if part not in cache:
             if table == "incidence":
-                cache[part] = comult(inst, _terminal_surjection(inst, part))
+                cache[part] = comult(inst, _terminal_surjection(part))
             else:
                 cache[part] = comult_composition_form(part)
         return cache[part]
@@ -289,11 +295,11 @@ def verify_coassociativity(
                     )
                     rep.add(
                         "coassociativity",
-                        {"f": _mj(f), "differing_slots": diff},
+                        {"f": finmap_to_json(f), "differing_slots": diff},
                         {str(k): v for k, v in sorted(lhs.items())},
                         {str(k): v for k, v in sorted(rhs.items())},
                     )
-                    if len(rep.violations) >= max_violations:
+                    if rep.full:
                         return rep
     return rep
 
@@ -330,11 +336,11 @@ def verify_bialgebra(
             if lhs != rhs:
                 rep.add(
                     "bialgebra-multiplicativity",
-                    {"f": _mj(f), "g": _mj(g)},
+                    {"f": finmap_to_json(f), "g": finmap_to_json(g)},
                     lhs.to_json(),
                     rhs.to_json(),
                 )
-                if len(rep.violations) >= max_violations:
+                if rep.full:
                     return rep
     return rep
 
@@ -360,347 +366,242 @@ def verify_counit(
                     if right == (1,) * len(right)
                 ]
                 if picked != [(label(f), 1)]:
-                    rep.add("counit", _mj(f), picked, [(label(f), 1)])
-                    if len(rep.violations) >= max_violations:
+                    rep.add("counit", finmap_to_json(f), picked, [(label(f), 1)])
+                    if rep.full:
                         return rep
     return rep
 
 
-_mj = finskel.finmap_to_json
-
-
 @dataclass
 class FactorisationGroupoid:
-    """Both fibres of the composition face over a 2-chain (f, bottom).
+    """Both fibres of the composition face over a locally order-preserving
+    chain (f, middle, bottom), where f runs first.
 
-    C_1 objects are the factorisations (h, e) of f that keep the
-    extended 3-chain locally order-preserving, so compose(e, bottom)
-    must be op. C_2 objects are the factorisations of eta(f) with op
-    second leg. Morphisms of C_1 are middle quasibijections; C_2 is
-    checked to be discrete rather than assumed.
+    The middle map defaults to the identity on cod(f), which gives the
+    comparison over the 2-chain (f, bottom); a proper middle map gives
+    the same comparison one chain level up. C_1 objects are the
+    factorisations (g, e) of f that keep the extended chain locally
+    order-preserving, so compose(e, compose(middle, bottom)) must be op.
+    C_2 objects are the factorisations (h, h2) of eta_rel(f, middle)
+    with compose(h2, eta(middle)) op. A morphism x -> y is a middle
+    quasibijection satisfying both factorisation triangles whose square
+    over the second legs followed by middle (by eta(middle) in C_2) is
+    fibrewise order-preserving; C_2 is checked to be discrete rather
+    than assumed.
     """
 
     inst: OperadicInstance
     f: FinMap
     bottom: FinMap
+    middle: FinMap | None = None
 
     def __post_init__(self):
-        if self.bottom.dom != self.f.cod:
+        if self.middle is None:
+            self.middle = identity(self.f.cod)
+        if self.middle.dom != self.f.cod or self.bottom.dom != self.middle.cod:
             raise ShapeError(
-                f"bottom map must start at cod(f) = {self.f.cod}, "
-                f"got dom {self.bottom.dom}"
+                f"the chain {self.f}, {self.middle}, {self.bottom} "
+                "is not composable"
             )
-        if not finskel.is_order_preserving(compose(self.f, self.bottom)):
-            raise ShapeError("the chain (f, bottom) is not locally order-preserving")
-        if not finskel.is_order_preserving(self.bottom):
-            raise ShapeError("the chain (f, bottom) is not locally order-preserving")
+        lower = compose(self.middle, self.bottom)
+        if not all(
+            finskel.is_order_preserving(d)
+            for d in (self.bottom, lower, compose(self.f, lower))
+        ):
+            raise ShapeError("the chain is not locally order-preserving")
 
-    @property
+    @cached_property
     def c1_objects(self) -> list[tuple[FinMap, FinMap]]:
+        lower = compose(self.middle, self.bottom)
         return [
-            (h, e)
-            for h, e in factorisations(self.f)
-            if finskel.is_order_preserving(compose(e, self.bottom))
+            (g, e)
+            for g, e in factorisations(self.f)
+            if finskel.is_order_preserving(compose(e, lower))
         ]
 
-    @property
+    @cached_property
+    def _split_middle(self):
+        return pita_general(self.inst, self.middle)
+
+    @cached_property
     def c2_objects(self) -> list[tuple[FinMap, FinMap]]:
-        target = pita_general(self.inst, self.f).eta
+        eta_middle = self._split_middle.eta
         return [
-            (h, e)
-            for h, e in factorisations(target)
-            if finskel.is_order_preserving(e)
+            (h, h2)
+            for h, h2 in factorisations(eta_rel(self.inst, self.f, self.middle))
+            if finskel.is_order_preserving(compose(h2, eta_middle))
         ]
 
-    def is_c1_morphism(self, sigma: FinMap, x, y) -> bool:
-        """Do the two triangles commute and the square over (e_x, e_y) lie fop?"""
-        h1, e1 = x
-        h2, e2 = y
+    def _morphisms(self, x, y, below: FinMap):
+        """Quasibijections x -> y whose square over compose(e, below) is
+        fop, e the second leg of the object."""
+        mid = x[1].dom
+        if y[1].dom != mid:
+            return
+        for sigma in quasibijections(self.inst, mid, mid):
+            if self._is_morphism(sigma, x, y, below):
+                yield sigma
+
+    def _is_morphism(self, sigma: FinMap, x, y, below: FinMap) -> bool:
+        g1, e1 = x
+        g2, e2 = y
         if sigma.dom != e1.dom or sigma.cod != e2.dom:
             return False
-        if compose(h1, sigma) != h2 or compose(sigma, e2) != e1:
+        if compose(g1, sigma) != g2 or compose(sigma, e2) != e1:
             return False
         try:
             return is_fop_square(
-                sigma, identity(self.f.cod), e1, e2, self.inst
+                sigma,
+                identity(below.cod),
+                compose(e1, below),
+                compose(e2, below),
+                self.inst,
             )
         except ShapeError:
             return False
 
-    def c1_morphisms(self, x, y):
-        h1, e1 = x
-        h2, e2 = y
-        if e1.dom != e2.dom:
-            return []
-        return [
-            sigma
-            for sigma in quasibijections(self.inst, e1.dom, e2.dom)
-            if self.is_c1_morphism(sigma, x, y)
-        ]
+    def is_c1_morphism(self, sigma: FinMap, x, y) -> bool:
+        """Do the two triangles commute and the square lie fop?"""
+        return self._is_morphism(sigma, x, y, self.middle)
+
+    def c1_morphisms(self, x, y) -> list[FinMap]:
+        return list(self._morphisms(x, y, self.middle))
 
     def c1_iso_classes(self) -> list[list[tuple[FinMap, FinMap]]]:
-        objs = self.c1_objects
-        parent = list(range(len(objs)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(len(objs)):
-            for j in range(i + 1, len(objs)):
-                if find(i) == find(j):
-                    continue
-                if self.c1_morphisms(objs[i], objs[j]):
-                    parent[find(i)] = find(j)
-        classes: dict[int, list] = {}
-        for i, obj in enumerate(objs):
-            classes.setdefault(find(i), []).append(obj)
-        return list(classes.values())
+        return equivalence_classes(
+            self.c1_objects,
+            lambda x, y: any(self._morphisms(x, y, self.middle)),
+        )
 
     def c2_is_discrete(self) -> bool:
         objs = self.c2_objects
-        eta_f = pita_general(self.inst, self.f).eta
-        for x in objs:
-            for y in objs:
-                h1, e1 = x
-                h2, e2 = y
-                if e1.dom != e2.dom:
-                    continue
-                for sigma in quasibijections(self.inst, e1.dom, e2.dom):
-                    if compose(h1, sigma) != h2 or compose(sigma, e2) != e1:
-                        continue
-                    if not is_fop_square(
-                        sigma, identity(eta_f.cod), e1, e2, self.inst
-                    ):
-                        continue
-                    if x != y or not finskel.is_identity(sigma):
-                        return False
-        return True
+        eta_middle = self._split_middle.eta
+        return all(
+            x == y and finskel.is_identity(sigma)
+            for x in objs
+            for y in objs
+            for sigma in self._morphisms(x, y, eta_middle)
+        )
 
     def forward(self, x) -> tuple[FinMap, FinMap]:
-        """C_1 -> C_2, the top face: relative op part over the op part."""
-        h, e = x
-        return (eta_rel(self.inst, h, e), pita_general(self.inst, e).eta)
+        """C_1 -> C_2, the top face: relative op parts over the middle."""
+        g, e = x
+        return (
+            eta_rel(self.inst, g, compose(e, self.middle)),
+            eta_rel(self.inst, e, self.middle),
+        )
+
+    @cached_property
+    def _backward_legs(self) -> tuple[FinMap, FinMap]:
+        top = pita_general(self.inst, compose(self.f, self.middle)).pi
+        return top, inverse(self._split_middle.pi)
 
     def backward(self, y) -> tuple[FinMap, FinMap]:
-        """C_2 -> C_1, precompose with the permutation part of f."""
-        h, e = y
-        return (compose(pita_general(self.inst, self.f).pi, h), e)
+        """C_2 -> C_1: precompose with the quasibijection part of
+        compose(f, middle), undo the one of middle."""
+        h, h2 = y
+        top, undo = self._backward_legs
+        return compose(top, h), compose(h2, undo)
 
     def unit_at(self, x) -> FinMap:
         """The C_1 morphism x -> backward(forward(x))."""
         _, e = x
-        return pita_general(self.inst, e).pi
+        return pita_general(self.inst, compose(e, self.middle)).pi
 
 
-def _verify_fibre_pair(rep, groupoid, where, max_violations):
-    """Shared n = 0 checks: F after G, unit, discreteness, class count."""
-    inst = groupoid.inst
+def _verify_fibre_pair(rep: Report, groupoid: FactorisationGroupoid, tag: str):
+    """Compare the two fibres: backward lands in C_1 and forward undoes
+    it, C_2 is discrete, the unit is an invertible C_1 morphism, and the
+    iso classes of C_1 match the objects of C_2 one for one."""
+    where = {
+        "f": finmap_to_json(groupoid.f),
+        "middle": finmap_to_json(groupoid.middle),
+        "bottom": finmap_to_json(groupoid.bottom),
+    }
+
+    def legs(obj):
+        return [finmap_to_json(m) for m in obj]
+
+    def at(obj):
+        return {**where, "object": legs(obj)}
+
+    c1 = groupoid.c1_objects
     c2 = groupoid.c2_objects
+    members = set(c1)
     for y in c2:
         rep.checks += 1
         back = groupoid.backward(y)
-        if groupoid.forward(back) != y:
+        there = groupoid.forward(back)
+        if there != y:
             rep.add(
-                "fibre-retraction",
-                {**where, "object": [_mj(y[0]), _mj(y[1])]},
-                [_mj(m) for m in groupoid.forward(back)],
-                [_mj(m) for m in y],
+                f"{tag}-retraction",
+                at(y),
+                legs(there),
+                legs(y),
             )
-            if len(rep.violations) >= max_violations:
+            if rep.full:
                 return
-        if not finskel.is_order_preserving(
-            compose(back[1], groupoid.bottom)
-        ):
+        if back not in members:
             rep.add(
-                "fibre-backward-leaves-fibre",
-                {**where, "object": [_mj(y[0]), _mj(y[1])]},
-                _mj(back[1]),
-                "compose(e, bottom) op",
+                f"{tag}-backward-leaves-fibre",
+                at(y),
+                legs(back),
+                "a C_1 object",
             )
-            if len(rep.violations) >= max_violations:
+            if rep.full:
                 return
     rep.checks += 1
     if not groupoid.c2_is_discrete():
-        rep.add("fibre-c2-not-discrete", where, "morphisms found", "discrete")
-        if len(rep.violations) >= max_violations:
+        rep.add(f"{tag}-c2-not-discrete", where, "morphisms found", "discrete")
+        if rep.full:
             return
-    objs = groupoid.c1_objects
-    for x in objs:
+    for x in c1:
         rep.checks += 1
         unit = groupoid.unit_at(x)
         target = groupoid.backward(groupoid.forward(x))
         if not groupoid.is_c1_morphism(unit, x, target):
             rep.add(
-                "fibre-unit-not-a-morphism",
-                {**where, "object": [_mj(x[0]), _mj(x[1])]},
-                _mj(unit),
+                f"{tag}-unit-not-a-morphism",
+                at(x),
+                finmap_to_json(unit),
                 "a C_1 morphism to backward(forward(x))",
             )
-            if len(rep.violations) >= max_violations:
+            if rep.full:
                 return
         if not finskel.is_bijective(unit) or not groupoid.is_c1_morphism(
             inverse(unit), target, x
         ):
             rep.add(
-                "fibre-unit-not-invertible",
-                {**where, "object": [_mj(x[0]), _mj(x[1])]},
-                _mj(unit),
+                f"{tag}-unit-not-invertible",
+                at(x),
+                finmap_to_json(unit),
                 "invertible",
             )
-            if len(rep.violations) >= max_violations:
+            if rep.full:
                 return
     rep.checks += 1
     classes = groupoid.c1_iso_classes()
     if len(classes) != len(c2):
-        rep.add("fibre-class-count", where, len(classes), len(c2))
+        rep.add(f"{tag}-class-count", where, len(classes), len(c2))
 
 
-def _chain_fibre_objects(inst, p3, p2, p1):
-    """Factorisations of p3 keeping the extended 4-chain locally op."""
-    lower = compose(p2, p1)
-    return [
-        (g4, g3)
-        for g4, g3 in factorisations(p3)
-        if finskel.is_order_preserving(compose(g3, lower))
-    ]
+def _op_chains(length: int, bound: int):
+    """Locally order-preserving chains of surjections, as map tuples top
+    first, with every object at least as large as the one below it and
+    at most the bound. Enumerated from the bottom object up."""
 
-
-def _chain_cofibre_objects(inst, p3, p2):
-    """Factorisations of eta_rel(p3, p2) with compose(h2, eta(p2)) op."""
-    rel = eta_rel(inst, p3, p2)
-    eta_p2 = pita_general(inst, p2).eta
-    return [
-        (h3, h2)
-        for h3, h2 in factorisations(rel)
-        if finskel.is_order_preserving(compose(h2, eta_p2))
-    ]
-
-
-def _verify_chain_fibre(rep, inst, p3, p2, p1, where, max_violations):
-    """The n = 1 analogue: the same comparison one chain level up.
-
-    Morphism squares run over the composites down to the second object
-    from the bottom (the second leg followed by p2), the exact depth at
-    which the reflected comparison chain still lives; one level deeper
-    the bottom map folds the fibres together and the unit stops being a
-    morphism, one level shallower distinct comparison classes merge.
-    """
-    top = compose(p3, p2)
-    pi_top = pita_general(inst, top).pi
-    eta_p2 = pita_general(inst, p2).eta
-    pi_p2 = pita_general(inst, p2).pi
-
-    def forward(x):
-        g4, g3 = x
-        return (
-            eta_rel(inst, g4, compose(g3, p2)),
-            eta_rel(inst, g3, p2),
-        )
-
-    def backward(y):
-        h3, h2 = y
-        return (compose(pi_top, h3), compose(h2, inverse(pi_p2)))
-
-    def is_morphism(sigma, x, y):
-        g4a, g3a = x
-        g4b, g3b = y
-        if sigma.dom != g3a.dom or sigma.cod != g3b.dom:
-            return False
-        if compose(g4a, sigma) != g4b or compose(sigma, g3b) != g3a:
-            return False
-        try:
-            return is_fop_square(
-                sigma,
-                identity(p2.cod),
-                compose(g3a, p2),
-                compose(g3b, p2),
-                inst,
-            )
-        except ShapeError:
-            return False
-
-    c1 = _chain_fibre_objects(inst, p3, p2, p1)
-    c2 = _chain_cofibre_objects(inst, p3, p2)
-
-    rep.checks += 1
-    discrete = True
-    for x in c2:
-        for y in c2:
-            h3a, h2a = x
-            h3b, h2b = y
-            if h2a.dom != h2b.dom:
-                continue
-            for sigma in quasibijections(inst, h2a.dom, h2b.dom):
-                if compose(h3a, sigma) != h3b or compose(sigma, h2b) != h2a:
-                    continue
-                if not is_fop_square(
-                    sigma,
-                    identity(eta_p2.cod),
-                    compose(h2a, eta_p2),
-                    compose(h2b, eta_p2),
-                    inst,
-                ):
-                    continue
-                if x != y or not finskel.is_identity(sigma):
-                    discrete = False
-    if not discrete:
-        rep.add("chain-fibre-c2-not-discrete", where, "morphisms found", "discrete")
-        if len(rep.violations) >= max_violations:
+    def grow(maps, top, down):
+        if len(maps) == length:
+            yield maps
             return
+        for t in range(top, bound + 1):
+            for p in finskel.enumerate_surjections(t, top):
+                below = compose(p, down)
+                if finskel.is_order_preserving(below):
+                    yield from grow((p,) + maps, t, below)
 
-    for y in c2:
-        rep.checks += 1
-        back = backward(y)
-        if compose(back[0], back[1]) != p3 or forward(back) != y:
-            rep.add(
-                "chain-fibre-retraction",
-                {**where, "object": [_mj(y[0]), _mj(y[1])]},
-                [_mj(m) for m in forward(back)],
-                [_mj(m) for m in y],
-            )
-            if len(rep.violations) >= max_violations:
-                return
-
-    parent = list(range(len(c1)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, x in enumerate(c1):
-        rep.checks += 1
-        unit = pita_general(inst, compose(x[1], p2)).pi
-        target = backward(forward(x))
-        if not is_morphism(unit, x, target) or not finskel.is_bijective(unit):
-            rep.add(
-                "chain-fibre-unit",
-                {**where, "object": [_mj(x[0]), _mj(x[1])]},
-                _mj(unit),
-                "an invertible morphism to backward(forward(x))",
-            )
-            if len(rep.violations) >= max_violations:
-                return
-        for j in range(i + 1, len(c1)):
-            if find(i) == find(j):
-                continue
-            g3a, g3b = x[1], c1[j][1]
-            if g3a.dom != g3b.dom:
-                continue
-            if any(
-                is_morphism(sigma, x, c1[j])
-                for sigma in quasibijections(inst, g3a.dom, g3b.dom)
-            ):
-                parent[find(i)] = find(j)
-
-    rep.checks += 1
-    n_classes = len({find(i) for i in range(len(c1))})
-    if n_classes != len(c2):
-        rep.add("chain-fibre-class-count", where, n_classes, len(c2))
+    for t0 in range(1, bound + 1):
+        yield from grow((), t0, identity(t0))
 
 
 def verify_decomposition_fibres(
@@ -708,61 +609,27 @@ def verify_decomposition_fibres(
 ) -> Report:
     """Fibre comparison across all desk-scale chains.
 
-    Runs the n = 0 check on every locally order-preserving 2-chain with
-    objects up to the bound and on every fold m -> 1 with m <= bound,
-    then the n = 1 analogue on every locally order-preserving 3-chain
-    with objects up to min(bound, 3).
+    Compares the fibres over every fold m -> 1 with m <= bound and every
+    locally order-preserving 2-chain (f, bottom) with objects up to
+    min(bound, 3), tagging violations fibre-*; then over every locally
+    order-preserving 3-chain (f, middle, bottom) with objects up to
+    min(bound, 3), tagging them chain-fibre-*.
     """
     _require_surjection_instance(inst)
     rep = Report(
         f"decomposition-fibres[{inst.name}, bound={bound}]",
         max_violations=max_violations,
     )
-
-    seen = set()
-    for m in range(1, bound + 1):
-        seen.add((_terminal_surjection(inst, m), identity(1)))
-    two_chain_bound = min(bound, 3)
-    for t1 in range(1, two_chain_bound + 1):
-        for t0 in range(1, t1 + 1):
-            for btm in finskel.enumerate_surjections(t1, t0):
-                if not finskel.is_order_preserving(btm):
-                    continue
-                for t2 in range(t1, two_chain_bound + 1):
-                    for f in finskel.enumerate_surjections(t2, t1):
-                        if finskel.is_order_preserving(compose(f, btm)):
-                            seen.add((f, btm))
-    for f, btm in sorted(seen, key=lambda p: (p[0].dom, p[0].values, p[1].values)):
-        where = {"f": _mj(f), "bottom": _mj(btm)}
-        groupoid = FactorisationGroupoid(inst, f, btm)
-        _verify_fibre_pair(rep, groupoid, where, max_violations)
-        if len(rep.violations) >= max_violations:
-            return rep
-
     chain_bound = min(bound, 3)
-    for t0 in range(1, chain_bound + 1):
-        for t1 in range(t0, chain_bound + 1):
-            for p1 in finskel.enumerate_surjections(t1, t0):
-                if not finskel.is_order_preserving(p1):
-                    continue
-                for t2 in range(t1, chain_bound + 1):
-                    for p2 in finskel.enumerate_surjections(t2, t1):
-                        if not finskel.is_order_preserving(compose(p2, p1)):
-                            continue
-                        for t3 in range(t2, chain_bound + 1):
-                            for p3 in finskel.enumerate_surjections(t3, t2):
-                                if not finskel.is_order_preserving(
-                                    compose(p3, compose(p2, p1))
-                                ):
-                                    continue
-                                where = {
-                                    "p3": _mj(p3),
-                                    "p2": _mj(p2),
-                                    "p1": _mj(p1),
-                                }
-                                _verify_chain_fibre(
-                                    rep, inst, p3, p2, p1, where, max_violations
-                                )
-                                if len(rep.violations) >= max_violations:
-                                    return rep
+    seen = {(_terminal_surjection(m), identity(1)) for m in range(1, bound + 1)}
+    seen.update(_op_chains(2, chain_bound))
+    for f, btm in sorted(seen, key=lambda p: (p[0].dom, p[0].values, p[1].values)):
+        _verify_fibre_pair(rep, FactorisationGroupoid(inst, f, btm), "fibre")
+        if rep.full:
+            return rep
+    for f, middle, btm in _op_chains(3, chain_bound):
+        groupoid = FactorisationGroupoid(inst, f, btm, middle=middle)
+        _verify_fibre_pair(rep, groupoid, "chain-fibre")
+        if rep.full:
+            return rep
     return rep

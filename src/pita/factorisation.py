@@ -27,7 +27,7 @@ from .errors import (
     ShapeError,
     UnsupportedInstanceError,
 )
-from .finskel import FinMap
+from .finskel import FinMap, finmap_to_json
 from .opcat import (
     _TRIPLE_LOOP_CUTOFF,
     OperadicInstance,
@@ -36,9 +36,6 @@ from .opcat import (
     is_op_morphism,
     is_quasibijection,
 )
-
-_mj = finskel.finmap_to_json
-
 
 @dataclass(frozen=True)
 class PitaFactorisation:
@@ -228,21 +225,20 @@ def reflect_chain(inst: OperadicInstance, chain):
 def _pair_checks(rep, inst, f, g, fg, splits, er):
     """Shared per-pair assertions of the loop route."""
     s_f, s_g, s_fg = splits[f], splits[g], splits[fg]
+
+    def bad(tag, lhs, rhs):
+        where = {"f": finmap_to_json(f), "g": finmap_to_json(g)}
+        rep.add(tag, where, finmap_to_json(lhs), finmap_to_json(rhs))
+
     rep.checks += 1
     lhs = inst.compose(er, s_g.eta)
     if lhs != s_fg.eta:
-        rep.add(
-            "relative-part-left-triangle",
-            {"f": _mj(f), "g": _mj(g)}, _mj(lhs), _mj(s_fg.eta),
-        )
+        bad("relative-part-left-triangle", lhs, s_fg.eta)
     rep.checks += 1
     lhs = inst.compose(s_fg.pi, er)
     rhs = inst.compose(f, s_g.pi)
     if lhs != rhs:
-        rep.add(
-            "relative-part-defining-square",
-            {"f": _mj(f), "g": _mj(g)}, _mj(lhs), _mj(rhs),
-        )
+        bad("relative-part-defining-square", lhs, rhs)
     rep.checks += 1
     mid = inst.compose(s_f.eta, s_g.pi)
     lhs = inst.compose(
@@ -250,39 +246,27 @@ def _pair_checks(rep, inst, f, g, fg, splits, er):
         s_g.eta,
     )
     if lhs != s_fg.eta:
-        rep.add(
-            "op-part-composition",
-            {"f": _mj(f), "g": _mj(g)}, _mj(lhs), _mj(s_fg.eta),
-        )
+        bad("op-part-composition", lhs, s_fg.eta)
     if finskel.is_identity(inst.cardinality(g)):
         rep.checks += 1
         if er != s_f.eta:
-            rep.add(
-                "relative-part-over-identity",
-                {"f": _mj(f), "g": _mj(g)}, _mj(er), _mj(s_f.eta),
-            )
+            bad("relative-part-over-identity", er, s_f.eta)
     if finskel.is_identity(inst.cardinality(f)):
         rep.checks += 1
         if er != f:
-            rep.add(
-                "relative-part-of-identity",
-                {"f": _mj(f), "g": _mj(g)}, _mj(er), _mj(f),
-            )
+            bad("relative-part-of-identity", er, f)
     if is_op_morphism(g, inst) and is_op_morphism(fg, inst):
         rep.checks += 1
         if er != f:
-            rep.add(
-                "relative-part-op-pair",
-                {"f": _mj(f), "g": _mj(g)}, _mj(er), _mj(f),
-            )
+            bad("relative-part-op-pair", er, f)
     for i in range(1, inst.cardinality(er).cod + 1):
         rep.checks += 1
         fm = inst.fibre_morphism(s_fg.pi, er, i)
         if not is_op_morphism(fm, inst):
             rep.add(
                 "unit-square-not-fop",
-                {"f": _mj(f), "g": _mj(g), "i": i},
-                _mj(fm), "an order-preserving fibre map",
+                {"f": finmap_to_json(f), "g": finmap_to_json(g), "i": i},
+                finmap_to_json(fm), "an order-preserving fibre map",
             )
 
 
@@ -330,20 +314,21 @@ def verify_eta_identities(
     splits = {f: pita_general(inst, f) for f in all_maps}
     for f in all_maps:
         s = splits[f]
+        where = {"f": finmap_to_json(f)}
         rep.checks += 4
         again = finskel.pita(inst.cardinality(s.pi))[0]
         if again != s.pi:
-            rep.add("pi-of-pi", {"f": _mj(f)}, _mj(again), _mj(s.pi))
+            rep.add("pi-of-pi", where, finmap_to_json(again), finmap_to_json(s.pi))
         again = finskel.pita(inst.cardinality(s.eta))[1]
         if again != s.eta:
-            rep.add("eta-of-eta", {"f": _mj(f)}, _mj(again), _mj(s.eta))
+            rep.add("eta-of-eta", where, finmap_to_json(again), finmap_to_json(s.eta))
         one = inst.identity(inst.cardinality(f).dom)
         again = finskel.pita(inst.cardinality(s.eta))[0]
         if again != one:
-            rep.add("pi-of-eta", {"f": _mj(f)}, _mj(again), _mj(one))
+            rep.add("pi-of-eta", where, finmap_to_json(again), finmap_to_json(one))
         again = finskel.pita(inst.cardinality(s.pi))[1]
         if again != one:
-            rep.add("eta-of-pi", {"f": _mj(f)}, _mj(again), _mj(one))
+            rep.add("eta-of-pi", where, finmap_to_json(again), finmap_to_json(one))
         rep.checks += 1
         if (
             is_op_morphism(f, inst)
@@ -352,7 +337,7 @@ def verify_eta_identities(
         ):
             rep.add(
                 "op-quasibijection-not-identity",
-                {"f": _mj(f)}, _mj(f), _mj(one),
+                where, finmap_to_json(f), finmap_to_json(one),
             )
 
     composite = {}
@@ -380,7 +365,11 @@ def verify_eta_identities(
             if lhs != rhs:
                 rep.add(
                     "relative-part-cocycle",
-                    {"f": _mj(f), "g": _mj(g), "h": _mj(h)},
-                    _mj(lhs), _mj(rhs),
+                    {
+                        "f": finmap_to_json(f),
+                        "g": finmap_to_json(g),
+                        "h": finmap_to_json(h),
+                    },
+                    finmap_to_json(lhs), finmap_to_json(rhs),
                 )
     return rep

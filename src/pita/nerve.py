@@ -31,7 +31,7 @@ from functools import cached_property
 from . import finskel
 from .errors import IntegrityError, PitaError, ShapeError
 from .factorisation import eta_rel, pita_general, reflect_chain
-from .finskel import FinMap
+from .finskel import FinMap, finmap_to_json
 from .opcat import (
     OperadicInstance,
     Report,
@@ -40,9 +40,6 @@ from .opcat import (
     is_quasibijection,
     quasibijections,
 )
-
-_mj = finskel.finmap_to_json
-
 
 @dataclass(frozen=True)
 class Chain:
@@ -95,7 +92,7 @@ class Chain:
 def chain_to_json(chain: Chain) -> dict:
     return {
         "objects": [int(X) for X in chain.objects],
-        "maps": [_mj(f) for f in chain.maps],
+        "maps": [finmap_to_json(f) for f in chain.maps],
     }
 
 
@@ -432,26 +429,12 @@ def verify_strict_identities(
             if unit.source != c or unit.target != rc or not unit.is_valid():
                 bad("reflection-unit-invalid", c)
             perms = [quasibijections(inst, X, X) for X in c.objects]
-            for sig in itertools.product(*perms):
-                maps2 = []
-                ok = True
-                for j in range(n):
-                    g = inst.compose(
-                        finskel.inverse(sig[j]),
-                        inst.compose(c.maps[j], sig[j + 1]),
-                    )
-                    if g not in inst.hom(c.objects[j], c.objects[j + 1]):
-                        ok = False
-                        break
-                    maps2.append(g)
-                if not ok:
-                    continue
-                c2 = Chain(inst, c.objects, tuple(maps2))
-                ladder = FopDiagram(c, c2, sig)
+            for ladder in _conjugate_ladders(c, perms):
                 if not ladder.is_valid():
                     continue
                 rep.checks += 1
-                rc2, unit2 = reflect_chain(inst, c2)
+                sig = ladder.horizontals
+                rc2, unit2 = reflect_chain(inst, ladder.target)
                 lifted = opfibration_lift(rc, sig[-1])
                 mismatch = lifted.target != rc2
                 for j in range(n + 1):
@@ -463,7 +446,7 @@ def verify_strict_identities(
                     bad(
                         "reflection-naturality",
                         c,
-                        {"horizontals": [_mj(s) for s in sig]},
+                        {"horizontals": [finmap_to_json(s) for s in sig]},
                     )
     return rep
 
@@ -510,7 +493,10 @@ def verify_beta_coherence(
             ).pi,
         )
         if direct_l != direct_r:
-            rep.add("coherence-0-direct", w(c), _mj(direct_l), _mj(direct_r))
+            rep.add(
+                "coherence-0-direct", w(c),
+                finmap_to_json(direct_l), finmap_to_json(direct_r),
+            )
         rep.checks += 1
         try:
             lhs = compose_ladders(
@@ -526,7 +512,10 @@ def verify_beta_coherence(
         if lhs != rhs:
             rep.add("coherence-0", w(c), "differs", "equal ladders")
         elif lhs.horizontals[0] != direct_l:
-            rep.add("coherence-0-cross", w(c), _mj(lhs.horizontals[0]), _mj(direct_l))
+            rep.add(
+                "coherence-0-cross", w(c),
+                finmap_to_json(lhs.horizontals[0]), finmap_to_json(direct_l),
+            )
 
     for c in enumerate_p(inst, 4, bound):
         rep.checks += 1
@@ -575,7 +564,7 @@ def verify_opfibration(
         for sigma0 in quasibijections(inst, T0, T0):
             rep.checks += 1
             witness = {
-                "chain": chain_to_json(chain), "sigma0": _mj(sigma0),
+                "chain": chain_to_json(chain), "sigma0": finmap_to_json(sigma0),
             }
             lift = opfibration_lift(chain, sigma0)
             if not lift.is_valid() or not lift.target.locally_op:
@@ -594,37 +583,34 @@ def verify_opfibration(
     return rep
 
 
-def _lift_candidates(chain: Chain, sigma0: FinMap):
-    """All valid ladders out of the chain with the given bottom, by brute
-    force over quasibijection tuples (targets are determined by
-    conjugation)."""
+def _conjugate_ladders(chain: Chain, perms):
+    """Every ladder out of the chain whose horizontals are drawn from
+    perms, one list per object: each map of the target chain is the
+    conjugate of the source map by the two horizontals at its ends.
+    Tuples with a conjugate outside the instance's homs are skipped;
+    validity of the ladder is left to the caller."""
     inst = chain.inst
-    n = chain.length
-    perms = [quasibijections(inst, X, X) for X in chain.objects[:-1]]
-    out = []
-    for upper in itertools.product(*perms):
-        sig = upper + (sigma0,)
-        maps2 = []
-        ok = True
-        for j in range(n):
+    for sig in itertools.product(*perms):
+        maps = []
+        for j, f in enumerate(chain.maps):
             g = inst.compose(
-                finskel.inverse(sig[j]),
-                inst.compose(chain.maps[j], sig[j + 1]),
+                finskel.inverse(sig[j]), inst.compose(f, sig[j + 1])
             )
             if g not in inst.hom(chain.objects[j], chain.objects[j + 1]):
-                ok = False
                 break
-            maps2.append(g)
-        if not ok:
-            continue
-        target = Chain(
-            inst,
-            chain.objects[:-1] + (inst.cardinality(sigma0).cod,),
-            tuple(maps2),
-        )
-        if not target.locally_op:
-            continue
-        ladder = FopDiagram(chain, target, sig)
-        if ladder.is_valid():
-            out.append(ladder)
-    return out
+            maps.append(g)
+        else:
+            objects = chain.objects[:-1] + (inst.cardinality(sig[-1]).cod,)
+            yield FopDiagram(chain, Chain(inst, objects, tuple(maps)), sig)
+
+
+def _lift_candidates(chain: Chain, sigma0: FinMap):
+    """All valid ladders out of the chain with the given bottom, by brute
+    force over quasibijection tuples."""
+    inst = chain.inst
+    perms = [quasibijections(inst, X, X) for X in chain.objects[:-1]]
+    return [
+        ladder
+        for ladder in _conjugate_ladders(chain, perms + [[sigma0]])
+        if ladder.target.locally_op and ladder.is_valid()
+    ]

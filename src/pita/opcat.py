@@ -16,8 +16,8 @@ import os
 from dataclasses import dataclass, field
 
 from . import finskel
-from .errors import IntegrityError, ShapeError
-from .finskel import FinMap
+from .errors import ShapeError
+from .finskel import FinMap, finmap_to_json
 
 # Above this many composable triples the iterated-fibre-map sweep switches
 # to the vectorised table engine (only available for instances whose
@@ -83,8 +83,13 @@ class Report:
     def ok(self) -> bool:
         return not self.violations and not self.truncated
 
+    @property
+    def full(self) -> bool:
+        """True once the violation list has reached its cap."""
+        return len(self.violations) >= self.max_violations
+
     def add(self, axiom: str, witness, lhs, rhs):
-        if len(self.violations) >= self.max_violations:
+        if self.full:
             self.truncated = True
             return
         self.violations.append(
@@ -115,10 +120,6 @@ class Report:
         state = "ok" if self.ok else f"{len(self.violations)} violations"
         extra = " (list truncated)" if self.truncated else ""
         return f"{self.title}: {self.checks} checks, {state}{extra}"
-
-
-def _mj(f: FinMap) -> dict:
-    return finskel.finmap_to_json(f)
 
 
 # ------------------------------------------------------------- predicates
@@ -184,23 +185,30 @@ def quasibijections(inst: OperadicInstance, X: int, Y: int):
 # ------------------------------------------------------------ the verifier
 
 
-def _component_table(inst, objs, homs):
-    """Union-find over the zigzag relation induced by nonempty homs."""
-    parent = {X: X for X in objs}
+def equivalence_classes(items: list, related) -> list[list]:
+    """Classes of the equivalence relation generated by related(a, b).
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    related is asked once for each pair with a listed before b, and only
+    while a and b are not yet known to be equivalent, so an expensive
+    relation is consulted as little as possible. Classes come out in
+    order of their first member, members in list order.
+    """
+    parent = list(range(len(items)))
 
-    for X in objs:
-        for Y in objs:
-            if homs[(X, Y)]:
-                rx, ry = find(X), find(Y)
-                if rx != ry:
-                    parent[rx] = ry
-    return {X: find(X) for X in objs}
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            if find(i) != find(j) and related(items[i], items[j]):
+                parent[find(i)] = find(j)
+    classes: dict[int, list] = {}
+    for i, item in enumerate(items):
+        classes.setdefault(find(i), []).append(item)
+    return list(classes.values())
 
 
 def default_threads() -> int:
@@ -233,7 +241,11 @@ def verify_axioms(
     )
     objs = list(inst.objects(bound))
     homs = {(X, Y): list(inst.hom(X, Y)) for X in objs for Y in objs}
-    comp_of = _component_table(inst, objs, homs)
+    # connected components of the zigzag relation induced by nonempty homs
+    components = equivalence_classes(
+        objs, lambda X, Y: bool(homs[(X, Y)] or homs[(Y, X)])
+    )
+    comp_of = {X: k for k, members in enumerate(components) for X in members}
 
     # chosen local terminals
     for X in objs:
@@ -246,15 +258,16 @@ def verify_axioms(
             )
         if tau not in homs.get((X, U), []):
             rep.add(
-                "terminal-map-missing", {"object": X, "map": _mj(tau)},
+                "terminal-map-missing",
+                {"object": X, "map": finmap_to_json(tau)},
                 "not a morphism", f"hom({X}, {U})",
             )
         U2, tau2 = inst.chosen_terminal(U)
         if U2 != U or tau2 != inst.identity(U):
             rep.add(
                 "terminal-idempotence", {"object": X, "terminal": U},
-                {"object": U2, "map": _mj(tau2)},
-                {"object": U, "map": _mj(inst.identity(U))},
+                {"object": U2, "map": finmap_to_json(tau2)},
+                {"object": U, "map": finmap_to_json(inst.identity(U))},
             )
         if U in comp_of and comp_of.get(X) != comp_of.get(U):
             rep.add(
@@ -300,7 +313,8 @@ def verify_axioms(
             back = inst.fibre_morphism(f, tauY, 1)
             if back != f:
                 rep.add(
-                    "terminal-fibre-morphism", {"f": _mj(f)}, _mj(back), _mj(f)
+                    "terminal-fibre-morphism", {"f": finmap_to_json(f)},
+                    finmap_to_json(back), finmap_to_json(f),
                 )
 
     # pair sweep: cardinality compatibility and fibres of fibre maps,
@@ -324,8 +338,9 @@ def verify_axioms(
         card_gf = finskel.compose(card_g, card_f)
         if inst.cardinality(gf) != card_gf:
             rep.add(
-                "cardinality-not-functorial", {"g": _mj(g), "f": _mj(f)},
-                _mj(inst.cardinality(gf)), _mj(card_gf),
+                "cardinality-not-functorial",
+                {"g": finmap_to_json(g), "f": finmap_to_json(f)},
+                finmap_to_json(inst.cardinality(gf)), finmap_to_json(card_gf),
             )
         for i in range(1, card_f.cod + 1):
             rep.checks += 1
@@ -333,7 +348,7 @@ def verify_axioms(
             F = inst.fibre(f, i)
             if inst.cardinality(F) != size:
                 rep.add(
-                    "cardinality-fibre-size", {"f": _mj(f), "i": i},
+                    "cardinality-fibre-size", {"f": finmap_to_json(f), "i": i},
                     inst.cardinality(F), size,
                 )
             fm = inst.fibre_morphism(g, f, i)
@@ -342,8 +357,8 @@ def verify_axioms(
             if inst.cardinality(fm) != expected:
                 rep.add(
                     "fibre-map-cardinality",
-                    {"g": _mj(g), "f": _mj(f), "i": i},
-                    _mj(inst.cardinality(fm)), _mj(expected),
+                    {"g": finmap_to_json(g), "f": finmap_to_json(f), "i": i},
+                    finmap_to_json(inst.cardinality(fm)), finmap_to_json(expected),
                 )
                 continue
             # fibres of the fibre map match fibres of g along the inclusion
@@ -355,7 +370,10 @@ def verify_axioms(
                 if lhs != rhs:
                     rep.add(
                         "fibre-of-fibre-map",
-                        {"g": _mj(g), "f": _mj(f), "i": i, "j": j},
+                        {
+                            "g": finmap_to_json(g), "f": finmap_to_json(f),
+                            "i": i, "j": j,
+                        },
                         lhs, rhs,
                     )
 
@@ -392,9 +410,11 @@ def verify_axioms(
                             rep.add(
                                 "iterated-fibre-map",
                                 {
-                                    "h": _mj(h), "g": _mj(g), "f": _mj(f),
+                                    "h": finmap_to_json(h),
+                                    "g": finmap_to_json(g),
+                                    "f": finmap_to_json(f),
                                     "i": i, "j": j,
                                 },
-                                _mj(lhs), _mj(rhs),
+                                finmap_to_json(lhs), finmap_to_json(rhs),
                             )
     return rep

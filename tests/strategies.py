@@ -6,8 +6,10 @@ from pita.finskel import FinMap
 
 
 @st.composite
-def finmaps(draw, max_card=5, min_dom=0, surjective=False):
-    dom = draw(st.integers(min_value=min_dom, max_value=max_card))
+def finmaps(draw, max_card=5, min_dom=0, surjective=False, dom=None):
+    """A map with domain up to max_card, or exactly dom when given."""
+    if dom is None:
+        dom = draw(st.integers(min_value=min_dom, max_value=max_card))
     if dom == 0:
         cod = 0 if surjective else draw(st.integers(0, max_card))
         return FinMap(0, cod, ())
@@ -26,30 +28,10 @@ def finmaps(draw, max_card=5, min_dom=0, surjective=False):
 
 
 @st.composite
-def _extend(draw, g, max_card, surjective):
-    """A map whose domain is g.cod, so that (g, then-map) is composable."""
-    dom = g.cod
-    if dom == 0:
-        cod = 0 if surjective else draw(st.integers(0, max_card))
-        return FinMap(0, cod, ())
-    if surjective:
-        cod = draw(st.integers(1, dom))
-        base = list(range(1, cod + 1))
-        extra = draw(
-            st.lists(st.integers(1, cod), min_size=dom - cod, max_size=dom - cod)
-        )
-        values = draw(st.permutations(base + extra))
-        return FinMap(dom, cod, tuple(values))
-    cod = draw(st.integers(1, max_card))
-    values = draw(st.lists(st.integers(1, cod), min_size=dom, max_size=dom))
-    return FinMap(dom, cod, tuple(values))
-
-
-@st.composite
 def composable_pairs(draw, max_card=5, surjective=False):
     """(g, f) with g.cod == f.dom, i.e. g runs first."""
     g = draw(finmaps(max_card=max_card, surjective=surjective))
-    f = draw(_extend(g, max_card, surjective))
+    f = draw(finmaps(max_card, dom=g.cod, surjective=surjective))
     return g, f
 
 
@@ -57,6 +39,6 @@ def composable_pairs(draw, max_card=5, surjective=False):
 def composable_triples(draw, max_card=4, surjective=False):
     """(h, g, f) with h.cod == g.dom and g.cod == f.dom."""
     h = draw(finmaps(max_card=max_card, surjective=surjective))
-    g = draw(_extend(h, max_card, surjective))
-    f = draw(_extend(g, max_card, surjective))
+    g = draw(finmaps(max_card, dom=h.cod, surjective=surjective))
+    f = draw(finmaps(max_card, dom=g.cod, surjective=surjective))
     return h, g, f

@@ -186,6 +186,12 @@ def test_bad_map_json_is_a_usage_error(capsys):
     assert code == 2
 
 
+def test_mode_is_only_offered_where_it_is_used(capsys):
+    code, _, err = _run(capsys, ["axioms", "--mode", "oracle"])
+    assert code == 2
+    assert "unrecognized arguments" in err
+
+
 def test_bound_must_be_positive(capsys):
     code, _, _ = _run(capsys, ["axioms", "--bound", "0"])
     assert code == 2

@@ -21,6 +21,7 @@ from pita.decomp import (
     verify_decomposition_fibres,
 )
 from pita.errors import ShapeError, UnsupportedInstanceError
+from pita.factorisation import eta_rel
 from pita.finskel import (
     FinMap,
     compose,
@@ -33,6 +34,8 @@ from pita.finskel import (
     pita,
 )
 from pita.instances import make_fin, make_fin_surj
+
+from helpers import CorruptFibre, CorruptFibreMap
 
 SURJ = make_fin_surj()
 FIN = make_fin()
@@ -260,6 +263,11 @@ def test_groupoid_rejects_bad_chains():
         FactorisationGroupoid(SURJ, _fold(2), identity(2))
     with pytest.raises(ShapeError):
         FactorisationGroupoid(SURJ, FinMap(2, 2, (2, 1)), identity(2))
+    with pytest.raises(ShapeError):
+        FactorisationGroupoid(SURJ, _fold(2), identity(1), middle=_fold(2))
+    swap = FinMap(2, 2, (2, 1))
+    with pytest.raises(ShapeError):
+        FactorisationGroupoid(SURJ, swap, identity(2), middle=swap)
 
 
 def test_fold_of_two_has_three_rigid_classes():
@@ -327,7 +335,42 @@ def test_morphisms_need_the_fop_square():
 def test_fibre_suite_passes_at_bound_four():
     rep = verify_decomposition_fibres(SURJ, 4)
     assert rep.ok, rep.violations[:2]
-    assert rep.checks > 1000
+    assert rep.checks == 1570
+
+
+def test_fibre_suite_passes_at_bound_three():
+    rep = verify_decomposition_fibres(SURJ, 3)
+    assert rep.ok, rep.violations[:2]
+    assert rep.checks == 1418
+
+
+def test_middle_identity_is_the_two_chain_comparison():
+    # with the default middle the chain formulas reduce to the 2-chain
+    # ones: eta(f) for eta_rel(f, middle), eta(e) for eta_rel(e, middle)
+    f, bottom = FinMap(3, 2, (1, 1, 2)), FinMap(2, 1, (1, 1))
+    g = FactorisationGroupoid(SURJ, f, bottom)
+    assert g.middle == identity(2)
+    assert g.c2_objects == [
+        (h, e) for h, e in factorisations(pita(f)[1]) if is_order_preserving(e)
+    ]
+    for x in g.c1_objects:
+        h, e = x
+        assert g.forward(x) == (eta_rel(SURJ, h, e), pita(e)[1])
+        assert g.unit_at(x) == pita(e)[0]
+    for y in g.c2_objects:
+        assert g.backward(y) == (compose(pita(f)[0], y[0]), y[1])
+
+
+@pytest.mark.parametrize("mutant", [CorruptFibreMap, CorruptFibre])
+def test_fibre_suite_fails_on_mutants_at_both_levels(mutant):
+    # the mutants carry a suffixed name that the sweep would refuse, so
+    # they are renamed to reach the fibre comparison itself
+    inst = mutant(make_fin_surj())
+    inst.name = "fin-surj"
+    rep = verify_decomposition_fibres(inst, 3, max_violations=10_000)
+    tags = {v["axiom"] for v in rep.violations}
+    # both chain levels catch it
+    assert {"fibre-class-count", "chain-fibre-class-count"} <= tags, tags
 
 
 def test_fibre_suite_needs_the_surjection_instance():

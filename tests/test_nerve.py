@@ -224,12 +224,13 @@ def test_reflection_properties_hold_on_random_chains(pair):
 def test_strict_identities_fin_surj_bound_3():
     rep = verify_strict_identities(SURJ, 3, 4)
     assert rep.ok, rep.summary()
-    assert rep.checks > 1_000
+    assert rep.checks == 50_968
 
 
 def test_strict_identities_fin_bound_2():
     rep = verify_strict_identities(FIN, 2, 3)
     assert rep.ok, rep.summary()
+    assert rep.checks == 7_173
 
 
 # ------------------------------------------------------------- the lifts
@@ -262,11 +263,13 @@ def test_lift_shape_errors():
 
 
 def test_opfibration_uniqueness_sweeps():
-    for n in (0, 1, 2):
+    for n, checks in ((0, 9), (1, 15), (2, 37)):
         rep = verify_opfibration(SURJ, n, 3)
         assert rep.ok, rep.summary()
+        assert rep.checks == checks
     rep = verify_opfibration(FIN, 1, 2)
     assert rep.ok, rep.summary()
+    assert rep.checks == 16
 
 
 def test_composites_of_lifts_are_valid_ladders():
@@ -340,6 +343,7 @@ def test_coherence_scalar_witness():
 def test_beta_coherence_sweeps():
     rep = verify_beta_coherence(SURJ, 3)
     assert rep.ok, rep.summary()
-    assert rep.checks > 100
+    assert rep.checks == 1_093
     rep = verify_beta_coherence(FIN, 2)
     assert rep.ok, rep.summary()
+    assert rep.checks == 1_345
