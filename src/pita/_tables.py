@@ -1,15 +1,15 @@
-"""Interned map tables and vectorised sweeps.
+"""Array views of a universe, and vectorised sweeps.
 
 Private helper for the exhaustive checks whose triple loops get too large
-for the interpreter (tens of millions of cases at bound 4). Every morphism
-of an instance below the bound is interned to an integer id; composition,
-fibre maps, the permutation/order-preserving splitting and the relative
-order-preserving parts then become integer arrays, and the triple sweeps
-become chunked numpy gathers, one chunk per middle morphism.
+for the interpreter (tens of millions of cases at bound 4). A MapTable
+views the id lists of an interned Universe (see opcat) as integer arrays:
+composition, fibre maps, the permutation/order-preserving splitting and
+the relative order-preserving parts. The triple sweeps become chunked
+numpy gathers, one chunk per middle morphism.
 
-Tables are built through the instance interface (not through the raw
-finite-set functions), so a deliberately corrupted instance poisons the
-tables and the sweeps still report it.
+The universe asked the instance (not the raw finite-set functions), so a
+deliberately corrupted instance poisons the tables and the sweeps still
+report it.
 """
 
 from __future__ import annotations
@@ -22,28 +22,28 @@ from . import finskel
 from .finskel import finmap_to_json
 from .errors import IntegrityError
 
+
+def _array(values) -> np.ndarray:
+    return np.array(values, dtype=np.int32)
+
+
 class MapTable:
-    def __init__(self, inst, bound, compose_cache=None, fm_cache=None):
-        if not getattr(inst, "finmap_backed", False):
+    def __init__(self, universe):
+        if not universe.finmap_backed:
             raise IntegrityError(
                 "table engine needs FinMap-backed morphism handles"
             )
-        self.inst = inst
-        self.bound = bound
-        compose_cache = compose_cache or {}
-        fm_cache = fm_cache or {}
-
-        objs = list(inst.objects(bound))
-        maps = []
-        for X in objs:
-            for Y in objs:
-                maps.extend(inst.hom(X, Y))
-        self.maps = maps
-        self.index = {f: k for k, f in enumerate(maps)}
-        n = len(maps)
-        self.n = n
-        self.DOM = np.array([f.dom for f in maps], dtype=np.int32)
-        self.COD = np.array([f.cod for f in maps], dtype=np.int32)
+        if universe.strays:
+            raise IntegrityError(
+                f"instance produced {universe.strays} composites or fibre "
+                "maps outside its own homs"
+            )
+        self.universe = universe
+        self.bound = bound = universe.bound
+        self.maps = maps = universe.maps
+        self.n = n = universe.n
+        self.DOM = _array([f.dom for f in maps])
+        self.COD = _array([f.cod for f in maps])
         self.OP = np.array(
             [finskel.is_order_preserving(f) for f in maps], dtype=bool
         )
@@ -54,79 +54,39 @@ class MapTable:
             self.by_cod.setdefault(f.cod, []).append(k)
         for d in (self.by_dom, self.by_cod):
             for key in d:
-                d[key] = np.array(d[key], dtype=np.int32)
+                d[key] = _array(d[key])
 
         self.ID_BY_CARD = np.full(bound + 1, -1, dtype=np.int32)
-        for X in objs:
-            idX = inst.identity(X)
-            if idX in self.index:
-                self.ID_BY_CARD[X] = self.index[idX]
+        for X, k in universe.identities.items():
+            self.ID_BY_CARD[X] = k
 
         # composition table and the composable-pair index
+        self.pa = _array(universe.pair_first)
+        self.pb = _array(universe.pair_second)
+        self.pairs = len(self.pa)
+        self.PIDX = _array(universe.pair_index).reshape(n, n)
         self.C = np.full((n, n), -1, dtype=np.int32)
-        self.PIDX = np.full((n, n), -1, dtype=np.int32)
-        pa, pb = [], []
-        for a, f in enumerate(maps):
-            for b in self.by_dom.get(f.cod, ()):
-                g = maps[b]
-                comp = compose_cache.get((f, g))
-                if comp is None:
-                    comp = inst.compose(f, g)
-                self.C[a, b] = self._intern(comp)
-                self.PIDX[a, b] = len(pa)
-                pa.append(a)
-                pb.append(b)
-        self.pa = np.array(pa, dtype=np.int32)
-        self.pb = np.array(pb, dtype=np.int32)
-        self.pairs = len(pa)
+        self.C[self.pa, self.pb] = universe.composites
 
         # fibre sizes, inclusions and fibre maps
-        maxc = bound
-        self.FS = np.zeros((n, maxc), dtype=np.int16)
-        self.EPS = np.zeros((n, maxc, maxc), dtype=np.int16)
-        for k, f in enumerate(maps):
-            card = inst.cardinality(f)
-            for i in range(1, card.cod + 1):
-                fb = finskel.fibre(card, i)
-                self.FS[k, i - 1] = fb.size
-                for j, pos in enumerate(fb.epsilon.values, 1):
-                    self.EPS[k, i - 1, j - 1] = pos
-        self.FM = np.full((self.pairs, maxc), -1, dtype=np.int32)
-        for p in range(self.pairs):
-            a, b = maps[self.pa[p]], maps[self.pb[p]]
-            for i in range(1, b.cod + 1):
-                fm = fm_cache.get((a, b, i))
-                if fm is None:
-                    fm = inst.fibre_morphism(a, b, i)
-                self.FM[p, i - 1] = self._intern(fm)
+        self.FS = np.zeros((n, bound), dtype=np.int16)
+        self.EPS = np.zeros((n, bound, bound), dtype=np.int16)
+        for k, inclusions in enumerate(universe.inclusions):
+            for i, eps in enumerate(inclusions):
+                self.FS[k, i] = len(eps)
+                self.EPS[k, i, : len(eps)] = eps
+        self.FM = _array(universe.fibre_maps).reshape(self.pairs, bound)
 
         self.PI = None
         self.ETA = None
         self.INV = None
         self.ER = None
 
-    def _intern(self, f) -> int:
-        k = self.index.get(f)
-        if k is None:
-            raise IntegrityError(
-                f"instance produced a morphism outside its own homs: {f}"
-            )
-        return k
-
     def ensure_pita(self):
         """Splitting, inversion and relative order-preserving-part tables."""
         if self.PI is not None:
             return
-        n = self.n
-        self.PI = np.empty(n, dtype=np.int32)
-        self.ETA = np.empty(n, dtype=np.int32)
-        self.INV = np.full(n, -1, dtype=np.int32)
-        for k, f in enumerate(self.maps):
-            pi, eta = finskel.pita(self.inst.cardinality(f))
-            self.PI[k] = self._intern(pi)
-            self.ETA[k] = self._intern(eta)
-            if finskel.is_bijective(f):
-                self.INV[k] = self._intern(finskel.inverse(f))
+        self.PI, self.ETA, self.INV = map(_array, self.universe.splits())
         # eta_rel(a, b) = compose(compose(inverse(pi(ab)), a), pi(b))
         AB = self.C[self.pa, self.pb]
         X = self.INV[self.PI[AB]]
@@ -190,7 +150,7 @@ class MapTable:
             return local_checks, hits
 
         for checks, hits in self._per_chunk(chunk, range(self.n), threads):
-            report.checks += checks
+            report.count("iterated-fibre-map", checks)
             for h, g, f, i, j, lhs, rhs in hits:
                 report.add(
                     "iterated-fibre-map",

@@ -205,14 +205,24 @@ def _run_factor(args, cfg: RunConfig, out) -> int:
     except json.JSONDecodeError as exc:
         print(f"pita factor: --map is not valid JSON: {exc}", file=sys.stderr)
         return 2
+    # JSON true and false parse to bools, which are ints to isinstance
     if not isinstance(values, list) or not all(
-        isinstance(v, int) for v in values
+        isinstance(v, int) and not isinstance(v, bool) for v in values
     ):
         print("pita factor: --map must be a JSON list of integers",
               file=sys.stderr)
         return 2
+    try:
+        f = FinMap(len(values), args.cod, tuple(values))
+    except ValueError as exc:
+        print(f"pita factor: --map is not a map to {args.cod}: {exc}",
+              file=sys.stderr)
+        return 2
     inst = make_instance(cfg.instance)
-    f = FinMap(len(values), args.cod, tuple(values))
+    if not inst.is_morphism(f):
+        print(f"pita factor: {f} is not a morphism of {cfg.instance}",
+              file=sys.stderr)
+        return 2
     split = pita_general(inst, f, mode=cfg.mode)
     if cfg.output == "json":
         doc = {

@@ -35,6 +35,7 @@ from .opcat import (
     default_threads,
     is_op_morphism,
     is_quasibijection,
+    universe,
 )
 
 @dataclass(frozen=True)
@@ -293,6 +294,14 @@ def verify_eta_identities(
         f"splitting[{inst.name}, bound={bound}]",
         max_violations=max_violations,
     )
+    if inst.finmap_backed:
+        u = universe(inst, bound)
+        if u.triples > _TRIPLE_LOOP_CUTOFF:
+            table = u.table()
+            table.sweep_splitting_identities(rep)
+            table.sweep_relative_part_cocycle(rep, threads=threads)
+            return rep
+
     objs = list(inst.objects(bound))
     homs = {(X, Y): list(inst.hom(X, Y)) for X in objs for Y in objs}
     all_maps = [f for fs in homs.values() for f in fs]
@@ -302,15 +311,6 @@ def verify_eta_identities(
     pairs = [
         (f, g) for f in all_maps for g in by_dom.get(f.cod, [])
     ]
-    triple_count = sum(len(by_dom.get(g.cod, [])) for _, g in pairs)
-    if inst.finmap_backed and triple_count > _TRIPLE_LOOP_CUTOFF:
-        from . import _tables
-
-        table = _tables.MapTable(inst, bound)
-        table.sweep_splitting_identities(rep)
-        table.sweep_relative_part_cocycle(rep, threads=threads)
-        return rep
-
     splits = {f: pita_general(inst, f) for f in all_maps}
     for f in all_maps:
         s = splits[f]

@@ -163,12 +163,19 @@ def fibre_map(g: FinMap, f: FinMap, i: int) -> FinMap:
         raise CompositionError(
             f"fibre_map needs g.cod == f.dom, got {g.cod} and {f.dom}"
         )
-    target = fibre(f, i)
-    base = fibre(compose(g, f), i)
-    # position of each domain point inside the target fibre
-    rank = {p: t for t, p in enumerate(target.epsilon.values, 1)}
-    values = tuple(rank[g.values[p - 1]] for p in base.epsilon.values)
-    return FinMap(base.size, target.size, values)
+    if not 1 <= i <= f.cod:
+        raise IndexError(f"fibre index {i} outside 1..{f.cod}")
+    # rank[p] is the position of p inside the fibre of f over i, 0 outside
+    # it; the points of g's domain landing in that fibre, in increasing
+    # order, are exactly the fibre of g;f over i
+    rank = [0] * (f.dom + 1)
+    size = 0
+    for p, v in enumerate(f.values, 1):
+        if v == i:
+            size += 1
+            rank[p] = size
+    values = [r for r in map(rank.__getitem__, g.values) if r]
+    return FinMap(len(values), size, values)
 
 
 def pita(f: FinMap) -> tuple[FinMap, FinMap]:

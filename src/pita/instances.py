@@ -40,6 +40,14 @@ class _FinMapInstance(OperadicInstance):
     def chosen_terminal(self, X: int):
         return 1, FinMap(X, 1, (1,) * X)
 
+    def is_morphism(self, f: FinMap) -> bool:
+        """Whether f lies in hom(f.dom, f.cod), without enumerating it."""
+        lo = self._min_object()
+        return f.dom >= lo and f.cod >= lo and self._admits(f)
+
+    def _admits(self, f: FinMap) -> bool:
+        return True
+
 
 class FinInstance(_FinMapInstance):
     """All maps between finite ordinals."""
@@ -63,6 +71,9 @@ class FinSurjInstance(_FinMapInstance):
     def _enumerate_hom(self, X, Y):
         return finskel.enumerate_surjections(X, Y)
 
+    def _admits(self, f):
+        return finskel.is_surjective(f)
+
 
 class OrderPreservingInstance(_FinMapInstance):
     """Order-preserving maps only: the degenerate case in which the only
@@ -80,6 +91,9 @@ class OrderPreservingInstance(_FinMapInstance):
             range(1, Y + 1), X
         ):
             yield FinMap(X, Y, comb)
+
+    def _admits(self, f):
+        return finskel.is_order_preserving(f)
 
 
 def make_fin() -> FinInstance:

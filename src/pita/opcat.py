@@ -13,10 +13,12 @@ Composition is diagrammatic throughout: compose(g, f) applies g first.
 from __future__ import annotations
 
 import os
+import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import finskel
-from .errors import ShapeError
+from .errors import IntegrityError, ShapeError
 from .finskel import FinMap, finmap_to_json
 
 # Above this many composable triples the iterated-fibre-map sweep switches
@@ -70,7 +72,12 @@ class OperadicInstance:
 
 @dataclass
 class Report:
-    """Outcome of an enumeration sweep: a check count plus violations."""
+    """Outcome of an enumeration sweep: a check count plus violations.
+
+    by_axiom splits the check count by check site, each site keyed by the
+    first tag it can report; it stays out of to_json so the JSON document
+    is unchanged by it.
+    """
 
     title: str
     checks: int = 0
@@ -78,6 +85,7 @@ class Report:
     skipped: list = field(default_factory=list)
     max_violations: int = 50
     truncated: bool = False
+    by_axiom: Counter = field(default_factory=Counter)
 
     @property
     def ok(self) -> bool:
@@ -96,11 +104,17 @@ class Report:
             {"axiom": axiom, "witness": witness, "lhs": lhs, "rhs": rhs}
         )
 
+    def count(self, axiom: str, n: int = 1):
+        """Record n checks made at the site keyed by axiom."""
+        self.checks += n
+        self.by_axiom[axiom] += n
+
     def skip(self, note: str):
         self.skipped.append(note)
 
     def merge(self, other: "Report"):
         self.checks += other.checks
+        self.by_axiom.update(other.by_axiom)
         for v in other.violations:
             self.add(v["axiom"], v["witness"], v["lhs"], v["rhs"])
         self.truncated = self.truncated or other.truncated
@@ -218,6 +232,175 @@ def default_threads() -> int:
         return 1
 
 
+class Universe:
+    """Every morphism of an instance below a bound, interned once.
+
+    Morphisms get integer ids in hom order (objects X, then Y, then the
+    order of inst.hom). The instance's answers about them are asked once,
+    through the instance methods, and kept as id lists: composites of the
+    composable pairs, fibres, fibre sizes and fibre maps. Next to them sits
+    the raw reference side that the axioms compare against: finskel
+    composites, fibre sizes, inclusions and fibre maps of the cardinality
+    maps. Cardinality maps have their own ids (cards), since they need not
+    be morphisms. An answer outside the instance's homs gets id -1.
+
+    Layout: pair p is (pair_first[p], pair_second[p]), the first applied
+    first, with pair_index[a * n + b] == p and -1 where a, b do not
+    compose; pairs run through a in id order, then b in id order. The
+    fibre maps of pair p over i = 1, 2, ... sit at p * bound + i - 1,
+    padded with -1 (no object below the bound has more than bound points).
+    """
+
+    def __init__(self, inst: OperadicInstance, bound: int):
+        self.bound = bound
+        self.finmap_backed = inst.finmap_backed
+        self.objects = objs = list(inst.objects(bound))
+        maps: list = []
+        self.homs: dict = {}
+        for X in objs:
+            for Y in objs:
+                start = len(maps)
+                maps.extend(inst.hom(X, Y))
+                self.homs[(X, Y)] = range(start, len(maps))
+        self.maps = maps
+        self.n = n = len(maps)
+        self.index = index = {f: k for k, f in enumerate(maps)}
+        self.into = {
+            Y: [k for X in objs for k in self.homs[(X, Y)]] for Y in objs
+        }
+        self.identities = {
+            X: index.get(inst.identity(X), -1) for X in objs
+        }
+
+        self.cards: list = []
+        self._card_ids: dict = {}
+        self.card_of = [self._card(inst.cardinality(f)) for f in maps]
+        cards = self.cards
+        self.inclusions = []
+        self.fibres = []
+        self.fibre_sizes = []
+        for f, c in zip(maps, self.card_of):
+            points = range(1, cards[c].cod + 1)
+            self.inclusions.append(tuple(
+                finskel.fibre(cards[c], i).epsilon.values for i in points
+            ))
+            fibres = tuple(inst.fibre(f, i) for i in points)
+            self.fibres.append(fibres)
+            self.fibre_sizes.append(tuple(inst.cardinality(F) for F in fibres))
+
+        self.pair_index = pair_index = [-1] * (n * n)
+        first: list = []
+        second: list = []
+        for (T, S), gs in self.homs.items():
+            after = [b for R in objs for b in self.homs[(S, R)]]
+            for a in gs:
+                for b in after:
+                    pair_index[a * n + b] = len(first)
+                    first.append(a)
+                    second.append(b)
+        self.pair_first, self.pair_second = first, second
+
+        w = bound
+        card, compose = self._card, finskel.compose
+        self.composites = []
+        self.raw_composites = []
+        self.fibre_maps = fms = [-1] * (len(first) * w)
+        self.raw_fibre_maps = raw_fms = [-1] * (len(first) * w)
+        self.strays = 0
+        for p, (a, b) in enumerate(zip(first, second)):
+            g, f = maps[a], maps[b]
+            cg, cf = cards[self.card_of[a]], cards[self.card_of[b]]
+            c = index.get(inst.compose(g, f), -1)
+            self.composites.append(c)
+            self.raw_composites.append(card(compose(cg, cf)))
+            self.strays += c < 0
+            for i in range(1, cf.cod + 1):
+                k = index.get(inst.fibre_morphism(g, f, i), -1)
+                fms[p * w + i - 1] = k
+                raw_fms[p * w + i - 1] = card(finskel.fibre_map(cg, cf, i))
+                self.strays += k < 0
+        self._splits = None
+        self._table = None
+
+    def _card(self, f: FinMap) -> int:
+        k = self._card_ids.get(f)
+        if k is None:
+            k = self._card_ids[f] = len(self.cards)
+            self.cards.append(f)
+        return k
+
+    def sweep_pairs(self):
+        """(T, g, f, p) for every composable pair p = (g, f) with g out of
+        T: through the homs (T, S) in order, then the codomains R of f,
+        then g, then f."""
+        n = self.n
+        for (T, S), gs in self.homs.items():
+            for R in self.objects:
+                fs = self.homs[(S, R)]
+                for g in gs:
+                    for f in fs:
+                        yield T, g, f, self.pair_index[g * n + f]
+
+    @property
+    def triples(self) -> int:
+        """The number of composable triples of morphisms."""
+        out = {
+            S: sum(len(self.homs[(S, R)]) for R in self.objects)
+            for S in self.objects
+        }
+        return sum(
+            len(self.into[T]) * len(gs) * out[S]
+            for (T, S), gs in self.homs.items()
+        )
+
+    def splits(self) -> tuple[list, list, list]:
+        """Ids of pi and eta of every cardinality map, and of the inverse
+        of every bijective morphism (-1 for the others), computed on
+        first use. IntegrityError when one of them is not a morphism."""
+        if self._splits is None:
+            pis, etas, inverses = [], [], []
+            for f, c in zip(self.maps, self.card_of):
+                pi, eta = finskel.pita(self.cards[c])
+                inv = finskel.inverse(f) if finskel.is_bijective(f) else None
+                pis.append(self._member(pi))
+                etas.append(self._member(eta))
+                inverses.append(-1 if inv is None else self._member(inv))
+            self._splits = pis, etas, inverses
+        return self._splits
+
+    def _member(self, f) -> int:
+        k = self.index.get(f)
+        if k is None:
+            raise IntegrityError(
+                f"instance produced a morphism outside its own homs: {f}"
+            )
+        return k
+
+    def table(self):
+        """The numpy view of this universe (see _tables), built once."""
+        if self._table is None:
+            from ._tables import MapTable
+
+            self._table = MapTable(self)
+        return self._table
+
+
+# Universes by instance object, then bound. Weak keys let an instance and
+# its universes go together; a universe holds no reference back to its
+# instance. Keyed here rather than cached on the instance, so a wrapper
+# that delegates attribute lookups to another instance never sees that
+# instance's universe.
+_UNIVERSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def universe(inst: OperadicInstance, bound: int) -> Universe:
+    """The interned universe of inst below the bound, built on first use."""
+    by_bound = _UNIVERSES.setdefault(inst, {})
+    if bound not in by_bound:
+        by_bound[bound] = Universe(inst, bound)
+    return by_bound[bound]
+
+
 def verify_axioms(
     inst: OperadicInstance,
     bound: int,
@@ -231,16 +414,18 @@ def verify_axioms(
     identities; compatibility of fibre sizes and fibre maps with the
     cardinality functor; recovery of objects and morphisms from the fibres
     of the chosen terminal maps; fibres of fibre maps; and the iterated
-    fibre-map equation over all composable triples. The last sweep is the
-    expensive one and switches to a vectorised engine on large universes.
+    fibre-map equation over all composable triples. The pair and triple
+    sweeps read the instance's answers from its universe; the triple
+    sweep, the expensive one, switches to a vectorised engine on large
+    universes.
     """
     if threads is None:
         threads = default_threads()
     rep = Report(
         f"axioms[{inst.name}, bound={bound}]", max_violations=max_violations
     )
-    objs = list(inst.objects(bound))
-    homs = {(X, Y): list(inst.hom(X, Y)) for X in objs for Y in objs}
+    u = universe(inst, bound)
+    objs, maps, homs = u.objects, u.maps, u.homs
     # connected components of the zigzag relation induced by nonempty homs
     components = equivalence_classes(
         objs, lambda X, Y: bool(homs[(X, Y)] or homs[(Y, X)])
@@ -250,13 +435,13 @@ def verify_axioms(
     # chosen local terminals
     for X in objs:
         U, tau = inst.chosen_terminal(X)
-        rep.checks += 1
+        rep.count("terminal-cardinality")
         if inst.cardinality(U) != 1:
             rep.add(
                 "terminal-cardinality", {"object": X, "terminal": U},
                 inst.cardinality(U), 1,
             )
-        if tau not in homs.get((X, U), []):
+        if u.index.get(tau, -1) not in homs.get((X, U), ()):
             rep.add(
                 "terminal-map-missing",
                 {"object": X, "map": finmap_to_json(tau)},
@@ -276,7 +461,7 @@ def verify_axioms(
         for Y in objs:
             if comp_of.get(Y) != comp_of.get(U):
                 continue
-            rep.checks += 1
+            rep.count("terminal-not-terminal")
             n = len(homs[(Y, U)])
             if n != 1:
                 rep.add(
@@ -290,7 +475,7 @@ def verify_axioms(
         idX = inst.identity(X)
         for i in range(1, inst.cardinality(X) + 1):
             F = inst.fibre(idX, i)
-            rep.checks += 1
+            rep.count("identity-fibre-not-terminal")
             if inst.cardinality(F) != 1 or inst.chosen_terminal(F)[0] != F:
                 rep.add(
                     "identity-fibre-not-terminal",
@@ -301,15 +486,16 @@ def verify_axioms(
     # fibres of the chosen terminal maps recover objects and morphisms
     for X in objs:
         U, tau = inst.chosen_terminal(X)
-        rep.checks += 1
+        rep.count("terminal-fibre-object")
         if inst.fibre(tau, 1) != X:
             rep.add(
                 "terminal-fibre-object", {"object": X}, inst.fibre(tau, 1), X
             )
-    for (X, Y), fs in homs.items():
+    for (X, Y), ids in homs.items():
         U, tauY = inst.chosen_terminal(Y)
-        for f in fs:
-            rep.checks += 1
+        for k in ids:
+            f = maps[k]
+            rep.count("terminal-fibre-morphism")
             back = inst.fibre_morphism(f, tauY, 1)
             if back != f:
                 rep.add(
@@ -317,104 +503,92 @@ def verify_axioms(
                     finmap_to_json(back), finmap_to_json(f),
                 )
 
-    # pair sweep: cardinality compatibility and fibres of fibre maps,
-    # caching everything the triple sweep needs
-    compose_cache: dict = {}
-    fm_cache: dict = {}
-    pairs = []
-    for (T, S), gs in homs.items():
-        for R in objs:
-            fs = homs[(S, R)]
-            if not fs:
-                continue
-            for g in gs:
-                for f in fs:
-                    pairs.append((g, f))
-    for g, f in pairs:
-        gf = inst.compose(g, f)
-        compose_cache[(g, f)] = gf
-        card_f = inst.cardinality(f)
-        card_g = inst.cardinality(g)
-        card_gf = finskel.compose(card_g, card_f)
-        if inst.cardinality(gf) != card_gf:
+    # pair sweep: cardinality compatibility and fibres of fibre maps
+    n, w = u.n, u.bound
+    pair_index, card_of = u.pair_index, u.card_of
+    fms, raw_fms = u.fibre_maps, u.raw_fibre_maps
+    fibres, sizes, inclusions = u.fibres, u.fibre_sizes, u.inclusions
+
+    def json_of(k):
+        return finmap_to_json(maps[k]) if k >= 0 else None
+
+    def card_json(k):
+        """The cardinality map of morphism k, which may be outside."""
+        return finmap_to_json(u.cards[card_of[k]]) if k >= 0 else (
+            "not a morphism"
+        )
+
+    size_checks = fibre_checks = 0
+    for T, g, f, p in u.sweep_pairs():
+        c, expected = u.composites[p], u.raw_composites[p]
+        if c < 0 or card_of[c] != expected:
             rep.add(
                 "cardinality-not-functorial",
-                {"g": finmap_to_json(g), "f": finmap_to_json(f)},
-                finmap_to_json(inst.cardinality(gf)), finmap_to_json(card_gf),
+                {"g": json_of(g), "f": json_of(f)},
+                card_json(c), finmap_to_json(u.cards[expected]),
             )
-        for i in range(1, card_f.cod + 1):
-            rep.checks += 1
-            size = finskel.fibre(card_f, i).size
-            F = inst.fibre(f, i)
-            if inst.cardinality(F) != size:
+        size_checks += len(inclusions[f])
+        for i, eps in enumerate(inclusions[f]):
+            if sizes[f][i] != len(eps):
                 rep.add(
-                    "cardinality-fibre-size", {"f": finmap_to_json(f), "i": i},
-                    inst.cardinality(F), size,
+                    "cardinality-fibre-size", {"f": json_of(f), "i": i + 1},
+                    sizes[f][i], len(eps),
                 )
-            fm = inst.fibre_morphism(g, f, i)
-            fm_cache[(g, f, i)] = fm
-            expected = finskel.fibre_map(card_g, card_f, i)
-            if inst.cardinality(fm) != expected:
+            fm, expected = fms[p * w + i], raw_fms[p * w + i]
+            if fm < 0 or card_of[fm] != expected:
                 rep.add(
                     "fibre-map-cardinality",
-                    {"g": finmap_to_json(g), "f": finmap_to_json(f), "i": i},
-                    finmap_to_json(inst.cardinality(fm)), finmap_to_json(expected),
+                    {"g": json_of(g), "f": json_of(f), "i": i + 1},
+                    card_json(fm), finmap_to_json(u.cards[expected]),
                 )
                 continue
             # fibres of the fibre map match fibres of g along the inclusion
-            eps = finskel.fibre(card_f, i).epsilon
-            for j in range(1, expected.cod + 1):
-                rep.checks += 1
-                lhs = inst.fibre(fm, j)
-                rhs = inst.fibre(g, eps(j))
-                if lhs != rhs:
+            fibre_checks += len(eps)
+            for j, e in enumerate(eps):
+                if fibres[fm][j] != fibres[g][e - 1]:
                     rep.add(
                         "fibre-of-fibre-map",
                         {
-                            "g": finmap_to_json(g), "f": finmap_to_json(f),
-                            "i": i, "j": j,
+                            "g": json_of(g), "f": json_of(f),
+                            "i": i + 1, "j": j + 1,
                         },
-                        lhs, rhs,
+                        fibres[fm][j], fibres[g][e - 1],
                     )
+    rep.count("cardinality-fibre-size", size_checks)
+    rep.count("fibre-of-fibre-map", fibre_checks)
 
-    # iterated fibre maps over composable triples
-    by_cod: dict = {}
-    for (X, Y), fs in homs.items():
-        by_cod.setdefault(Y, []).extend(fs)
-    triple_count = sum(
-        len(by_cod.get(g.dom, [])) for g, f in pairs
-    )
-    use_tables = inst.finmap_backed and triple_count > _TRIPLE_LOOP_CUTOFF
-    if use_tables:
-        from . import _tables
+    # iterated fibre maps over composable triples: with pairs (h, g) and
+    # (g, f), the fibre map of [h over g;f at i] over [g over f at i] at j
+    # equals the fibre map of h over g at epsilon(j)
+    if inst.finmap_backed and u.triples > _TRIPLE_LOOP_CUTOFF:
+        u.table().sweep_iterated_fibre_maps(rep, threads=threads)
+        return rep
 
-        table = _tables.MapTable(
-            inst, bound, compose_cache=compose_cache, fm_cache=fm_cache
-        )
-        table.sweep_iterated_fibre_maps(rep, threads=threads)
-    else:
-        for g, f in pairs:
-            gf = compose_cache[(g, f)]
-            card_f = inst.cardinality(f)
-            hs = by_cod.get(g.dom, [])
-            for i in range(1, card_f.cod + 1):
-                B = fm_cache[(g, f, i)]
-                eps = finskel.fibre(card_f, i).epsilon
-                for h in hs:
-                    A = inst.fibre_morphism(h, gf, i)
-                    for j in range(1, inst.cardinality(B).cod + 1):
-                        rep.checks += 1
-                        lhs = inst.fibre_morphism(A, B, j)
-                        rhs = inst.fibre_morphism(h, g, eps(j))
-                        if lhs != rhs:
-                            rep.add(
-                                "iterated-fibre-map",
-                                {
-                                    "h": finmap_to_json(h),
-                                    "g": finmap_to_json(g),
-                                    "f": finmap_to_json(f),
-                                    "i": i, "j": j,
-                                },
-                                finmap_to_json(lhs), finmap_to_json(rhs),
-                            )
+    def pair(a, b):
+        return pair_index[a * n + b] if a >= 0 and b >= 0 else -1
+
+    def fibre_map(q, i):
+        return fms[q * w + i] if q >= 0 else -1
+
+    checks = 0
+    for T, g, f, p in u.sweep_pairs():
+        hs, gf = u.into[T], u.composites[p]
+        for i, eps in enumerate(inclusions[f]):
+            checks += len(hs) * len(eps)
+            for h in hs:
+                # the pair (h over g;f at i, g over f at i)
+                AB = pair(fibre_map(pair(h, gf), i), fms[p * w + i])
+                hg = pair_index[h * n + g]
+                for j, e in enumerate(eps):
+                    lhs, rhs = fibre_map(AB, j), fms[hg * w + e - 1]
+                    if lhs != rhs:
+                        rep.add(
+                            "iterated-fibre-map",
+                            {
+                                "h": json_of(h), "g": json_of(g),
+                                "f": json_of(f), "i": i + 1, "j": j + 1,
+                            },
+                            json_of(lhs), json_of(rhs),
+                        )
+    rep.count("iterated-fibre-map", checks)
     return rep

@@ -45,6 +45,13 @@ class WrongTerminal(Wrapper):
         return self._base.chosen_terminal(X)
 
 
+class CompositeOutsideHoms(Wrapper):
+    """Composes into an ordinal far above any bound."""
+
+    def compose(self, g, f):
+        return FinMap(g.dom, 9, (9,) * g.dom)
+
+
 class RemoveHom(Wrapper):
     """Drops one morphism from one hom set."""
 

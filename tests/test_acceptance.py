@@ -112,11 +112,25 @@ def test_criterion_2_factorisation_example_and_uniqueness():
                     assert found == [pita(f)], f
 
 
+# checks per site of verify_axioms at bound 4, in the order the sites
+# run: terminal-cardinality, terminal-not-terminal,
+# identity-fibre-not-terminal, terminal-fibre-object,
+# terminal-fibre-morphism, cardinality-fibre-size, fibre-of-fibre-map,
+# iterated-fibre-map
+AXIOM_CHECKS_B4 = {
+    "fin": (5, 25, 10, 5, 499, 489_394, 521_066, 145_062_142),
+    "fin-surj": (4, 16, 10, 4, 92, 7_008, 8_974, 220_208),
+}
+
+
 def test_criterion_3_axioms_pass_and_mutants_fail():
     with _Budget("criterion 3 (axioms and mutants)", 30.0):
-        for inst in (FIN, SURJ):
+        for inst, total in ((FIN, 146_073_146), (SURJ, 236_316)):
             rep = verify_axioms(inst, 4)
             assert rep.ok, (inst.name, rep.violations[:2])
+            assert rep.checks == total, inst.name
+            counts = AXIOM_CHECKS_B4[inst.name]
+            assert list(rep.by_axiom.values()) == list(counts), inst.name
         for mutant in (CorruptFibre, CorruptFibreMap, WrongTerminal):
             rep = verify_axioms(mutant(make_fin()), 2)
             assert not rep.ok, mutant.__name__
@@ -125,9 +139,10 @@ def test_criterion_3_axioms_pass_and_mutants_fail():
 
 def test_criterion_4_splitting_calculus():
     with _Budget("criterion 4 (splitting calculus)", None):
-        for inst in (FIN, SURJ):
+        for inst, total in ((FIN, 38_086_074), (SURJ, 76_707)):
             rep = verify_eta_identities(inst, 4)
             assert rep.ok, (inst.name, rep.violations[:2])
+            assert rep.checks == total, inst.name
             assert not any(
                 v["axiom"] == "unit-square-not-fop" for v in rep.violations
             )

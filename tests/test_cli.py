@@ -186,6 +186,42 @@ def test_bad_map_json_is_a_usage_error(capsys):
     assert code == 2
 
 
+def test_map_values_outside_the_codomain_are_a_usage_error(capsys):
+    code, out, err = _run(capsys, ["factor", "--map", "[5]", "--cod", "4"])
+    assert code == 2
+    assert out == ""
+    assert "value 5 outside 1..4" in err
+
+
+def test_json_booleans_are_not_map_values(capsys):
+    code, out, err = _run(
+        capsys, ["factor", "--map", "[true,1]", "--cod", "2"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "list of integers" in err
+
+
+def test_non_order_preserving_map_is_not_an_op_morphism(capsys):
+    code, out, err = _run(
+        capsys,
+        ["factor", "--instance", "op", "--map", "[2,1]", "--cod", "2"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "not a morphism of op" in err
+
+
+def test_non_surjection_is_not_a_fin_surj_morphism(capsys):
+    code, out, err = _run(
+        capsys,
+        ["factor", "--instance", "fin-surj", "--map", "[1,1]", "--cod", "2"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "not a morphism of fin-surj" in err
+
+
 def test_mode_is_only_offered_where_it_is_used(capsys):
     code, _, err = _run(capsys, ["axioms", "--mode", "oracle"])
     assert code == 2

@@ -149,6 +149,33 @@ def test_fibre_map_defining_equation(pair):
         assert lhs == rhs
 
 
+def test_fibre_map_defining_equation_exhaustive_bound_3():
+    checked = 0
+    for a, b, c in itertools.product(range(4), repeat=3):
+        for g in enumerate_maps(a, b):
+            for f in enumerate_maps(b, c):
+                gf = compose(g, f)
+                for i in range(1, c + 1):
+                    fm = fibre_map(g, f, i)
+                    assert fm.cod == fibre(f, i).size
+                    assert compose(fm, fibre(f, i).epsilon) == compose(
+                        fibre(gf, i).epsilon, g
+                    )
+                    checked += 1
+    # one per (pair, i), as in the cardinality-fibre-size sweep at bound 3
+    assert checked == 4_522
+
+
+def test_fibre_map_rejects_bad_input():
+    g = FinMap(2, 2, (2, 1))
+    with pytest.raises(CompositionError):
+        fibre_map(g, FinMap(3, 1, (1, 1, 1)), 1)
+    f = FinMap(2, 1, (1, 1))
+    for i in (0, 2):
+        with pytest.raises(IndexError):
+            fibre_map(g, f, i)
+
+
 @given(composable_pairs(max_card=5))
 def test_fibre_map_of_identity(pair):
     g, f = pair

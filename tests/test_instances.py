@@ -3,7 +3,13 @@ from hypothesis import given, settings
 
 from helpers import CorruptFibreMap, RemoveHom
 from pita.errors import ShapeError
-from pita.finskel import FinMap, identity, is_order_preserving, is_surjective
+from pita.finskel import (
+    FinMap,
+    enumerate_maps,
+    identity,
+    is_order_preserving,
+    is_surjective,
+)
 from pita.instances import (
     make_fin,
     make_fin_surj,
@@ -119,3 +125,14 @@ def test_weak_blowup_fails_with_a_missing_map():
 def test_weak_blowup_fails_with_corrupted_fibre_maps():
     rep = weak_blowup_report(CorruptFibreMap(make_fin()), 2)
     assert not rep.ok
+
+
+@pytest.mark.parametrize("factory", [make_fin, make_fin_surj, make_op])
+def test_is_morphism_matches_the_homs(factory):
+    inst = factory()
+    objs = inst.objects(3)
+    for X in range(4):
+        for Y in range(4):
+            homs = set(inst.hom(X, Y)) if X in objs and Y in objs else set()
+            for f in enumerate_maps(X, Y):
+                assert inst.is_morphism(f) == (f in homs), f

@@ -1,10 +1,20 @@
 import itertools
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CorruptFibre, CorruptFibreMap, WrongTerminal
+from helpers import (
+    CompositeOutsideHoms,
+    CorruptFibre,
+    CorruptFibreMap,
+    WrongTerminal,
+)
 from pita import opcat
 from pita.errors import IntegrityError, ShapeError
 from pita.finskel import (
@@ -51,6 +61,7 @@ def test_report_mechanics():
         "rhs": 1,
     }
     assert "5 checks" in rep.summary()
+    assert "by_axiom" not in data
 
 
 def test_report_merge():
@@ -177,6 +188,109 @@ def test_axioms_fail_on_wrong_terminal():
     assert "terminal-cardinality" in tags
     bad = next(v for v in rep.violations if v["axiom"] == "terminal-cardinality")
     assert bad["witness"]["terminal"] == 2
+
+
+# check sites of verify_axioms, each keyed by the first tag it reports
+SITES = (
+    "terminal-cardinality",
+    "terminal-not-terminal",
+    "identity-fibre-not-terminal",
+    "terminal-fibre-object",
+    "terminal-fibre-morphism",
+    "cardinality-fibre-size",
+    "fibre-of-fibre-map",
+    "iterated-fibre-map",
+)
+
+
+@pytest.mark.parametrize(
+    "factory,bound,counts",
+    [
+        (make_fin, 3, (4, 16, 6, 4, 60, 4_522, 4_764, 143_876)),
+        (make_fin_surj, 3, (3, 9, 6, 3, 17, 229, 285, 1_733)),
+    ],
+    ids=["fin", "fin-surj"],
+)
+def test_axiom_checks_per_site(factory, bound, counts):
+    rep = verify_axioms(factory(), bound)
+    assert rep.ok
+    assert rep.by_axiom == dict(zip(SITES, counts))
+    assert rep.checks == sum(counts)
+
+
+MUTANT_VIOLATIONS = {
+    CorruptFibre: (572, {
+        "identity-fibre-not-terminal": 3,
+        "terminal-fibre-object": 3,
+        "cardinality-fibre-size": 81,
+    }),
+    CorruptFibreMap: (560, {
+        "terminal-fibre-morphism": 2,
+        "fibre-map-cardinality": 6,
+        "iterated-fibre-map": 74,
+    }),
+    WrongTerminal: (572, {
+        "terminal-cardinality": 1,
+        "terminal-not-terminal": 2,
+        "terminal-fibre-object": 1,
+        "terminal-fibre-morphism": 7,
+    }),
+}
+
+
+@pytest.mark.parametrize(
+    "cutoff", [opcat._TRIPLE_LOOP_CUTOFF, 0], ids=["loop", "table"]
+)
+@pytest.mark.parametrize(
+    "mutant", list(MUTANT_VIOLATIONS), ids=lambda m: m.__name__
+)
+def test_mutant_violations_agree_across_routes(mutant, cutoff, monkeypatch):
+    monkeypatch.setattr(opcat, "_TRIPLE_LOOP_CUTOFF", cutoff)
+    rep = verify_axioms(mutant(make_fin()), 2, max_violations=10_000)
+    checks, tags = MUTANT_VIOLATIONS[mutant]
+    assert not rep.truncated
+    assert rep.checks == checks
+    assert Counter(v["axiom"] for v in rep.violations) == tags
+
+
+def test_a_wrapper_never_sees_the_universe_of_its_base():
+    base = make_fin()
+    assert verify_axioms(base, 2).ok
+    assert opcat.universe(base, 2) is opcat.universe(base, 2)
+    wrapped = CorruptFibreMap(base)
+    assert opcat.universe(wrapped, 2) is not opcat.universe(base, 2)
+    assert not verify_axioms(wrapped, 2).ok
+
+
+def test_loop_engine_reports_composites_outside_the_universe():
+    rep = verify_axioms(CompositeOutsideHoms(make_fin()), 2)
+    assert not rep.ok
+    tags = {v["axiom"] for v in rep.violations}
+    assert "cardinality-not-functorial" in tags
+
+
+def test_bound_three_sweeps_do_not_import_numpy():
+    # the bound-3 routes stay pure Python, which keeps numpy's memory out
+    # of the default suite
+    code = (
+        "import sys\n"
+        "from pita.factorisation import verify_eta_identities\n"
+        "from pita.instances import make_fin\n"
+        "from pita.opcat import verify_axioms\n"
+        "fin = make_fin()\n"
+        "assert verify_axioms(fin, 3).ok\n"
+        "assert verify_eta_identities(fin, 3).ok\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(opcat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_table_engine_rejects_maps_outside_the_universe(monkeypatch):
