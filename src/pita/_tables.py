@@ -29,10 +29,6 @@ def _array(values) -> np.ndarray:
 
 class MapTable:
     def __init__(self, universe):
-        if not universe.finmap_backed:
-            raise IntegrityError(
-                "table engine needs FinMap-backed morphism handles"
-            )
         if universe.strays:
             raise IntegrityError(
                 f"instance produced {universe.strays} composites or fibre "
@@ -180,7 +176,7 @@ class MapTable:
         id_dom = self.ID_BY_CARD[self.DOM]
 
         def emit_unary(tag, bad, lhs, rhs):
-            report.checks += self.n
+            report.count(tag, self.n)
             for k in np.flatnonzero(bad)[:10]:
                 report.add(
                     tag,
@@ -215,7 +211,7 @@ class MapTable:
         AB = self.C[pa, pb]
 
         def emit_pair(tag, bad, lhs, rhs, count=None):
-            report.checks += int(bad.size if count is None else count)
+            report.count(tag, int(bad.size if count is None else count))
             for p in np.flatnonzero(bad)[:10]:
                 report.add(
                     tag,
@@ -279,7 +275,7 @@ class MapTable:
         F = self.FM[Q]
         valid = np.arange(self.bound)[None, :] < self.COD[ER][:, None]
         fop = np.where(valid, (F >= 0) & self.OP[np.maximum(F, 0)], True)
-        report.checks += int(valid.sum())
+        report.count("unit-square-not-fop", int(valid.sum()))
         for p in np.flatnonzero(~fop.all(axis=1))[:10]:
             report.add(
                 "unit-square-not-fop",
@@ -323,7 +319,7 @@ class MapTable:
             return lhs.size, hits
 
         for checks, hits in self._per_chunk(chunk, range(self.n), threads):
-            report.checks += checks
+            report.count("relative-part-cocycle", checks)
             for f, g, h, lhs, rhs in hits:
                 report.add(
                     "relative-part-cocycle",

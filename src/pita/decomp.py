@@ -221,6 +221,16 @@ def _terminal_surjection(n: int) -> FinMap:
     return FinMap(n, 1, (1,) * n)
 
 
+def _op_surjections(lo: int, bound: int):
+    """Order-preserving surjections with domain from lo up to the bound,
+    by domain, then codomain, then value table."""
+    for m in range(lo, bound + 1):
+        for l in range(min(m, 1), m + 1):
+            for f in finskel.enumerate_surjections(m, l):
+                if finskel.is_order_preserving(f):
+                    yield f
+
+
 def verify_coassociativity(
     inst: OperadicInstance,
     bound: int,
@@ -264,43 +274,30 @@ def verify_coassociativity(
             out = out * generator(part)
         return out
 
-    def base_element(f: FinMap) -> CoalgebraElement:
-        if table == "incidence":
-            return comult(inst, f)
-        out = CoalgebraElement()
-        out.add((), ())
-        for part in label(f):
-            out = out * generator(part)
-        return out
-
-    for m in range(0, bound + 1):
-        for l in range(min(m, 1), m + 1):
-            for f in finskel.enumerate_surjections(m, l):
-                if not finskel.is_order_preserving(f):
-                    continue
-                rep.checks += 1
-                base = base_element(f)
-                lhs: Counter = Counter()
-                rhs: Counter = Counter()
-                for (left, right), coeff in base.terms.items():
-                    for (l1, l2), c in expand(left).terms.items():
-                        lhs[(l1, l2, right)] += coeff * c
-                    for (r1, r2), c in expand(right).terms.items():
-                        rhs[(left, r1, r2)] += coeff * c
-                if +lhs != +rhs:
-                    diff = sorted(
-                        str(k)
-                        for k in set(lhs) | set(rhs)
-                        if lhs.get(k, 0) != rhs.get(k, 0)
-                    )
-                    rep.add(
-                        "coassociativity",
-                        {"f": finmap_to_json(f), "differing_slots": diff},
-                        {str(k): v for k, v in sorted(lhs.items())},
-                        {str(k): v for k, v in sorted(rhs.items())},
-                    )
-                    if rep.full:
-                        return rep
+    for f in _op_surjections(0, bound):
+        rep.checks += 1
+        base = comult(inst, f) if table == "incidence" else expand(label(f))
+        lhs: Counter = Counter()
+        rhs: Counter = Counter()
+        for (left, right), coeff in base.terms.items():
+            for (l1, l2), c in expand(left).terms.items():
+                lhs[(l1, l2, right)] += coeff * c
+            for (r1, r2), c in expand(right).terms.items():
+                rhs[(left, r1, r2)] += coeff * c
+        if +lhs != +rhs:
+            diff = sorted(
+                str(k)
+                for k in set(lhs) | set(rhs)
+                if lhs.get(k, 0) != rhs.get(k, 0)
+            )
+            rep.add(
+                "coassociativity",
+                {"f": finmap_to_json(f), "differing_slots": diff},
+                {str(k): v for k, v in sorted(lhs.items())},
+                {str(k): v for k, v in sorted(rhs.items())},
+            )
+            if rep.full:
+                return rep
     return rep
 
 
@@ -318,14 +315,7 @@ def verify_bialgebra(
     if empty.terms != {((), ()): 1}:
         rep.add("bialgebra-unit", None, empty.to_json(), {((), ()): 1})
 
-    ops = []
-    for m in range(1, bound + 1):
-        for l in range(1, m + 1):
-            ops.extend(
-                f
-                for f in finskel.enumerate_surjections(m, l)
-                if finskel.is_order_preserving(f)
-            )
+    ops = list(_op_surjections(1, bound))
     for f in ops:
         for g in ops:
             if f.dom + g.dom > bound:
@@ -354,21 +344,17 @@ def verify_counit(
         f"counit[{inst.name}, bound={bound}]",
         max_violations=max_violations,
     )
-    for m in range(1, bound + 1):
-        for l in range(1, m + 1):
-            for f in finskel.enumerate_surjections(m, l):
-                if not finskel.is_order_preserving(f):
-                    continue
-                rep.checks += 1
-                picked = [
-                    (left, coeff)
-                    for (left, right), coeff in comult(inst, f).terms.items()
-                    if right == (1,) * len(right)
-                ]
-                if picked != [(label(f), 1)]:
-                    rep.add("counit", finmap_to_json(f), picked, [(label(f), 1)])
-                    if rep.full:
-                        return rep
+    for f in _op_surjections(1, bound):
+        rep.checks += 1
+        picked = [
+            (left, coeff)
+            for (left, right), coeff in comult(inst, f).terms.items()
+            if right == (1,) * len(right)
+        ]
+        if picked != [(label(f), 1)]:
+            rep.add("counit", finmap_to_json(f), picked, [(label(f), 1)])
+            if rep.full:
+                return rep
     return rep
 
 

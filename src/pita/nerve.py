@@ -14,6 +14,8 @@ only simplicial identity that survives just up to a cell is the one
 comparing the two double-top-faces; its mediating ladders (beta) are
 built from the unique lift property: a locally order-preserving chain
 plus a quasibijection out of its bottom object determine a unique ladder.
+The reflection of an arbitrary chain runs the same lift loop over the
+identity on its bottom object.
 Three verifiers sweep all of this exhaustively below a bound.
 
 Indexing: a chain of length n has faces 0..n-1 plus the top face, and
@@ -30,7 +32,7 @@ from functools import cached_property
 
 from . import finskel
 from .errors import IntegrityError, PitaError, ShapeError
-from .factorisation import eta_rel, pita_general, reflect_chain
+from .factorisation import eta_rel, pita_general
 from .finskel import FinMap, finmap_to_json
 from .opcat import (
     OperadicInstance,
@@ -270,14 +272,40 @@ def opfibration_lift(chain: Chain, sigma0: FinMap) -> FopDiagram:
         raise ShapeError("bottom map does not start at the bottom object")
     if not is_quasibijection(sigma0, inst):
         raise ShapeError("bottom map must be a quasibijection")
+    return _lift(inst, chain, sigma0)
+
+
+def reflect_chain(inst: OperadicInstance, chain: Chain):
+    """Reflect a chain onto its locally order-preserving representative:
+    the lift of the chain, which need not be locally order-preserving,
+    through the identity on its bottom object. The k-th reflected map is
+    the relative op part of the k-th chain map over the composite below
+    it, and the unit ladder's k-th horizontal is the quasibijection part
+    of that composite. Idempotent: locally order-preserving chains are
+    fixed. Returns (reflected chain, unit ladder)."""
+    unit = _lift(inst, chain, inst.identity(chain.objects[-1]))
+    return unit.target, unit
+
+
+def _lift(inst: OperadicInstance, chain: Chain, sigma0: FinMap) -> FopDiagram:
+    """The lift loop of opfibration_lift and reflect_chain, without their
+    preconditions. Over an identity bottom the first relative op part is
+    the op part of the bottom map (relative-part-over-identity), so it is
+    taken from the split directly."""
     n = chain.length
     horizontals = [sigma0]
     new_maps = []
     pushed = sigma0
+    card = inst.cardinality(sigma0)
+    over_identity = finskel.is_identity(card)
     for k in range(1, n + 1):
         hk = chain.maps[n - k]
-        new_maps.append(eta_rel(inst, hk, pushed))
-        pushed = inst.compose(hk, pushed)
+        if k == 1 and over_identity:
+            new_maps.append(pita_general(inst, hk).eta)
+            pushed = hk
+        else:
+            new_maps.append(eta_rel(inst, hk, pushed))
+            pushed = inst.compose(hk, pushed)
         horizontals.append(pita_general(inst, pushed).pi)
     target = Chain(
         inst,
@@ -375,8 +403,9 @@ def verify_strict_identities(
 
     for n in range(1, maxlen + 1):
         for c in enumerate_p(inst, n, bound):
+            top = top_face(c)
             rep.checks += 1
-            if not top_face(c).locally_op:
+            if not top.locally_op:
                 bad("top-face-not-locally-op", c)
             for j in range(n):
                 for i in range(j):
@@ -385,7 +414,7 @@ def verify_strict_identities(
                         bad("face-face", c, {"i": i, "j": j})
             for i in range(n - 1):
                 rep.checks += 1
-                if face(i, top_face(c)) != top_face(face(i, c)):
+                if face(i, top) != top_face(face(i, c)):
                     bad("face-top-face", c, {"i": i})
             for j in range(n + 1):
                 d = degeneracy(j, c)
@@ -402,7 +431,7 @@ def verify_strict_identities(
                         bad("face-degeneracy", c, {"i": i, "j": j})
                 rep.checks += 1
                 got = top_face(d)
-                expect = c if j == n else degeneracy(j, top_face(c))
+                expect = c if j == n else degeneracy(j, top)
                 if got != expect:
                     bad(
                         "top-face-bottom-degeneracy"

@@ -21,9 +21,8 @@ from . import finskel
 from .errors import IntegrityError, ShapeError
 from .finskel import FinMap, finmap_to_json
 
-# Above this many composable triples the iterated-fibre-map sweep switches
-# to the vectorised table engine (only available for instances whose
-# morphism handles are FinMaps).
+# Above this many composable triples the sweeps over a universe switch to
+# the vectorised table engine (see Universe.vectorised).
 _TRIPLE_LOOP_CUTOFF = 300_000
 
 
@@ -36,9 +35,6 @@ class OperadicInstance:
     """
 
     name = "abstract"
-    # True when morphism handles are FinMaps on the nose, which enables
-    # the vectorised sweeps
-    finmap_backed = True
 
     def objects(self, bound: int):
         raise NotImplementedError
@@ -253,7 +249,6 @@ class Universe:
 
     def __init__(self, inst: OperadicInstance, bound: int):
         self.bound = bound
-        self.finmap_backed = inst.finmap_backed
         self.objects = objs = list(inst.objects(bound))
         maps: list = []
         self.homs: dict = {}
@@ -352,6 +347,12 @@ class Universe:
             len(self.into[T]) * len(gs) * out[S]
             for (T, S), gs in self.homs.items()
         )
+
+    @property
+    def vectorised(self) -> bool:
+        """Whether sweeps over this universe take the numpy table route:
+        true above _TRIPLE_LOOP_CUTOFF composable triples."""
+        return self.triples > _TRIPLE_LOOP_CUTOFF
 
     def splits(self) -> tuple[list, list, list]:
         """Ids of pi and eta of every cardinality map, and of the inverse
@@ -560,7 +561,7 @@ def verify_axioms(
     # iterated fibre maps over composable triples: with pairs (h, g) and
     # (g, f), the fibre map of [h over g;f at i] over [g over f at i] at j
     # equals the fibre map of h over g at epsilon(j)
-    if inst.finmap_backed and u.triples > _TRIPLE_LOOP_CUTOFF:
+    if u.vectorised:
         u.table().sweep_iterated_fibre_maps(rep, threads=threads)
         return rep
 

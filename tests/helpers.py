@@ -12,7 +12,6 @@ class Wrapper:
     def __init__(self, base):
         self._base = base
         self.name = base.name + "+mutation"
-        self.finmap_backed = base.finmap_backed
 
     def __getattr__(self, attr):
         return getattr(self._base, attr)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import CorruptFibreMap, RemoveHom
-from pita import factorisation
+from pita import opcat
 from pita.errors import (
     IntegrityError,
     NotFactorisableError,
@@ -15,7 +15,16 @@ from pita.factorisation import (
     pita_general,
     verify_eta_identities,
 )
-from pita.finskel import FinMap, compose, identity, is_order_preserving, pita
+from pita.finskel import (
+    FinMap,
+    compose,
+    enumerate_bijections,
+    enumerate_maps,
+    identity,
+    inverse,
+    is_order_preserving,
+    pita,
+)
 from pita.instances import make_fin, make_fin_surj, make_op
 from pita.opcat import is_fop_square, is_quasibijection
 from strategies import composable_pairs
@@ -68,6 +77,27 @@ def test_split_dataclass_rejects_loose_pairs():
         PitaFactorisation(f=f, pi=FinMap(2, 2, (1, 1)), mid=2, eta=f)
     with pytest.raises(ShapeError):
         PitaFactorisation(f=f, pi=identity(2), mid=3, eta=f)
+
+
+def test_split_dataclass_accepts_exactly_the_unique_split():
+    # every (p, p^-1;f) with p a bijection and p^-1;f order-preserving
+    # recomposes to f, so the only one that is the fop split is pita(f)
+    seen = rejected = 0
+    for m in range(4):
+        for n in range(4):
+            for f in enumerate_maps(m, n):
+                for p in enumerate_bijections(m):
+                    e = compose(inverse(p), f)
+                    if not is_order_preserving(e):
+                        continue
+                    seen += 1
+                    if (p, e) == pita(f):
+                        PitaFactorisation(f, p, m, e)
+                        continue
+                    rejected += 1
+                    with pytest.raises(IntegrityError):
+                        PitaFactorisation(f, p, m, e)
+    assert seen > rejected > 0
 
 
 @pytest.mark.parametrize(
@@ -193,6 +223,33 @@ def test_square_filler_exhaustive(factory, bound):
 # ----------------------------------------------------- identity sweeps
 
 
+# check sites of verify_eta_identities, each keyed by the tag it reports
+SPLITTING_SITES = (
+    "pi-of-pi",
+    "eta-of-eta",
+    "pi-of-eta",
+    "eta-of-pi",
+    "op-quasibijection-not-identity",
+    "relative-part-left-triangle",
+    "relative-part-defining-square",
+    "op-part-composition",
+    "relative-part-over-identity",
+    "relative-part-of-identity",
+    "relative-part-op-pair",
+    "unit-square-not-fop",
+    "relative-part-cocycle",
+)
+
+
+# per instance at bound 3: maps (each unary site), composable pairs (each
+# unconditional pair site), then the last five sites one by one
+SPLITTING_COUNTS = {
+    "fin": (60, 1_678, (60, 60, 626, 4_764, 50_018)),
+    "fin-surj": (17, 105, (17, 17, 25, 285, 641)),
+    "op": (35, 428, (35, 35, 428, 1_124, 5_499)),
+}
+
+
 @pytest.mark.parametrize("factory", [make_fin, make_fin_surj, make_op])
 def test_eta_identities_hold_at_bound_3(factory):
     inst = factory()
@@ -201,6 +258,9 @@ def test_eta_identities_hold_at_bound_3(factory):
     assert rep.checks == {"fin": 60_862, "fin-surj": 1_385, "op": 8_580}[
         inst.name
     ]
+    maps, pairs, rest = SPLITTING_COUNTS[inst.name]
+    per_site = (maps,) * 5 + (pairs,) * 3 + rest
+    assert rep.by_axiom == dict(zip(SPLITTING_SITES, per_site))
 
 
 @pytest.mark.parametrize(
@@ -210,10 +270,11 @@ def test_eta_identities_table_and_loop_paths_agree(
     factory, bound, monkeypatch
 ):
     loop = verify_eta_identities(factory(), bound)
-    monkeypatch.setattr(factorisation, "_TRIPLE_LOOP_CUTOFF", 0)
+    monkeypatch.setattr(opcat, "_TRIPLE_LOOP_CUTOFF", 0)
     table = verify_eta_identities(factory(), bound)
     assert loop.ok and table.ok
     assert loop.checks == table.checks
+    assert loop.by_axiom == table.by_axiom
 
 
 def test_eta_identities_catch_corrupted_fibre_maps():

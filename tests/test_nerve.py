@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 
 from pita.errors import ShapeError
-from pita.factorisation import reflect_chain
 from pita.finskel import FinMap, compose, identity
 from pita.instances import make_fin, make_fin_surj
 from pita.nerve import (
@@ -18,6 +17,7 @@ from pita.nerve import (
     identity_ladder,
     ladder_top_face,
     opfibration_lift,
+    reflect_chain,
     top_face,
     verify_beta_coherence,
     verify_opfibration,

@@ -298,7 +298,6 @@ def test_table_engine_rejects_maps_outside_the_universe(monkeypatch):
         def __init__(self, base):
             self._base = base
             self.name = base.name
-            self.finmap_backed = True
 
         def __getattr__(self, attr):
             return getattr(self._base, attr)
