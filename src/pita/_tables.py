@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import finskel
 from .finskel import finmap_to_json
 from .errors import IntegrityError
 
@@ -29,28 +28,17 @@ def _array(values) -> np.ndarray:
 
 class MapTable:
     def __init__(self, universe):
-        if universe.strays:
-            raise IntegrityError(
-                f"instance produced {universe.strays} composites or fibre "
-                "maps outside its own homs"
-            )
+        universe.require_closed()
         self.universe = universe
         self.bound = bound = universe.bound
         self.maps = maps = universe.maps
         self.n = n = universe.n
         self.DOM = _array([f.dom for f in maps])
         self.COD = _array([f.cod for f in maps])
-        self.OP = np.array(
-            [finskel.is_order_preserving(f) for f in maps], dtype=bool
-        )
-        self.by_dom = {}
-        self.by_cod = {}
-        for k, f in enumerate(maps):
-            self.by_dom.setdefault(f.dom, []).append(k)
-            self.by_cod.setdefault(f.cod, []).append(k)
-        for d in (self.by_dom, self.by_cod):
-            for key in d:
-                d[key] = _array(d[key])
+        self.OP = np.array(universe.order_preserving, dtype=bool)
+        self.QB = np.array(universe.quasibijective, dtype=bool)
+        self.by_dom = {X: _array(ks) for X, ks in universe.out_of.items()}
+        self.by_cod = {Y: _array(ks) for Y, ks in universe.into.items()}
 
         self.ID_BY_CARD = np.full(bound + 1, -1, dtype=np.int32)
         for X, k in universe.identities.items():
@@ -75,20 +63,15 @@ class MapTable:
 
         self.PI = None
         self.ETA = None
-        self.INV = None
         self.ER = None
 
     def ensure_pita(self):
-        """Splitting, inversion and relative order-preserving-part tables."""
+        """Splitting and relative order-preserving-part tables."""
         if self.PI is not None:
             return
-        self.PI, self.ETA, self.INV = map(_array, self.universe.splits())
-        # eta_rel(a, b) = compose(compose(inverse(pi(ab)), a), pi(b))
-        AB = self.C[self.pa, self.pb]
-        X = self.INV[self.PI[AB]]
-        self.ER = self.C[self.C[X, self.pa], self.PI[self.pb]]
-        if (self.ER < 0).any():
-            raise IntegrityError("relative splitting left the universe")
+        pis, etas, _ = self.universe.splits()
+        self.PI, self.ETA = _array(pis), _array(etas)
+        self.ER = _array(self.universe.relative_parts())
 
     def _per_chunk(self, fn, ids, threads):
         """Run fn over chunk indices, in order, optionally on a pool."""
@@ -177,7 +160,7 @@ class MapTable:
 
         def emit_unary(tag, bad, lhs, rhs):
             report.count(tag, self.n)
-            for k in np.flatnonzero(bad)[:10]:
+            for k in np.flatnonzero(bad):
                 report.add(
                     tag,
                     {"f": finmap_to_json(maps[int(k)])},
@@ -202,7 +185,7 @@ class MapTable:
         )
         emit_unary(
             "op-quasibijection-not-identity",
-            self.OP & (self.INV >= 0) & (ids != id_dom),
+            self.OP & self.QB & (ids != id_dom),
             ids,
             id_dom,
         )
@@ -212,7 +195,7 @@ class MapTable:
 
         def emit_pair(tag, bad, lhs, rhs, count=None):
             report.count(tag, int(bad.size if count is None else count))
-            for p in np.flatnonzero(bad)[:10]:
+            for p in np.flatnonzero(bad):
                 report.add(
                     tag,
                     {
@@ -274,16 +257,16 @@ class MapTable:
             raise IntegrityError("unit square is not composable")
         F = self.FM[Q]
         valid = np.arange(self.bound)[None, :] < self.COD[ER][:, None]
-        fop = np.where(valid, (F >= 0) & self.OP[np.maximum(F, 0)], True)
         report.count("unit-square-not-fop", int(valid.sum()))
-        for p in np.flatnonzero(~fop.all(axis=1))[:10]:
+        for p, i in np.argwhere(valid & ~self.OP[F]):
             report.add(
                 "unit-square-not-fop",
                 {
                     "f": finmap_to_json(maps[int(pa[p])]),
                     "g": finmap_to_json(maps[int(pb[p])]),
+                    "i": int(i) + 1,
                 },
-                "a non-order-preserving fibre map",
+                finmap_to_json(maps[int(F[p, i])]),
                 "an order-preserving fibre map",
             )
 

@@ -50,6 +50,7 @@ from .finskel import (
     inverse,
     ordinal_sum,
 )
+from .nerve import enumerate_p
 from .opcat import (
     OperadicInstance,
     Report,
@@ -571,25 +572,6 @@ def _verify_fibre_pair(rep: Report, groupoid: FactorisationGroupoid, tag: str):
         rep.add(f"{tag}-class-count", where, len(classes), len(c2))
 
 
-def _op_chains(length: int, bound: int):
-    """Locally order-preserving chains of surjections, as map tuples top
-    first, with every object at least as large as the one below it and
-    at most the bound. Enumerated from the bottom object up."""
-
-    def grow(maps, top, down):
-        if len(maps) == length:
-            yield maps
-            return
-        for t in range(top, bound + 1):
-            for p in finskel.enumerate_surjections(t, top):
-                below = compose(p, down)
-                if finskel.is_order_preserving(below):
-                    yield from grow((p,) + maps, t, below)
-
-    for t0 in range(1, bound + 1):
-        yield from grow((), t0, identity(t0))
-
-
 def verify_decomposition_fibres(
     inst: OperadicInstance, bound: int, max_violations: int = 50
 ) -> Report:
@@ -608,12 +590,13 @@ def verify_decomposition_fibres(
     )
     chain_bound = min(bound, 3)
     seen = {(_terminal_surjection(m), identity(1)) for m in range(1, bound + 1)}
-    seen.update(_op_chains(2, chain_bound))
+    seen.update(c.maps for c in enumerate_p(inst, 2, chain_bound))
     for f, btm in sorted(seen, key=lambda p: (p[0].dom, p[0].values, p[1].values)):
         _verify_fibre_pair(rep, FactorisationGroupoid(inst, f, btm), "fibre")
         if rep.full:
             return rep
-    for f, middle, btm in _op_chains(3, chain_bound):
+    for c in enumerate_p(inst, 3, chain_bound):
+        f, middle, btm = c.maps
         groupoid = FactorisationGroupoid(inst, f, btm, middle=middle)
         _verify_fibre_pair(rep, groupoid, "chain-fibre")
         if rep.full:

@@ -180,55 +180,6 @@ def omega(
 # ----------------------------------------------------------- the verifier
 
 
-def _pair_checks(rep, inst, f, g, fg, splits, er):
-    """Shared per-pair assertions of the loop route."""
-    s_f, s_g, s_fg = splits[f], splits[g], splits[fg]
-
-    def bad(tag, lhs, rhs):
-        where = {"f": finmap_to_json(f), "g": finmap_to_json(g)}
-        rep.add(tag, where, finmap_to_json(lhs), finmap_to_json(rhs))
-
-    rep.count("relative-part-left-triangle")
-    lhs = inst.compose(er, s_g.eta)
-    if lhs != s_fg.eta:
-        bad("relative-part-left-triangle", lhs, s_fg.eta)
-    rep.count("relative-part-defining-square")
-    lhs = inst.compose(s_fg.pi, er)
-    rhs = inst.compose(f, s_g.pi)
-    if lhs != rhs:
-        bad("relative-part-defining-square", lhs, rhs)
-    rep.count("op-part-composition")
-    mid = inst.compose(s_f.eta, s_g.pi)
-    lhs = inst.compose(
-        pita_general(inst, mid).eta if mid not in splits else splits[mid].eta,
-        s_g.eta,
-    )
-    if lhs != s_fg.eta:
-        bad("op-part-composition", lhs, s_fg.eta)
-    if finskel.is_identity(inst.cardinality(g)):
-        rep.count("relative-part-over-identity")
-        if er != s_f.eta:
-            bad("relative-part-over-identity", er, s_f.eta)
-    if finskel.is_identity(inst.cardinality(f)):
-        rep.count("relative-part-of-identity")
-        if er != f:
-            bad("relative-part-of-identity", er, f)
-    if is_op_morphism(g, inst) and is_op_morphism(fg, inst):
-        rep.count("relative-part-op-pair")
-        if er != f:
-            bad("relative-part-op-pair", er, f)
-    points = range(1, inst.cardinality(er).cod + 1)
-    rep.count("unit-square-not-fop", len(points))
-    for i in points:
-        fm = inst.fibre_morphism(s_fg.pi, er, i)
-        if not is_op_morphism(fm, inst):
-            rep.add(
-                "unit-square-not-fop",
-                {"f": finmap_to_json(f), "g": finmap_to_json(g), "i": i},
-                finmap_to_json(fm), "an order-preserving fibre map",
-            )
-
-
 def verify_eta_identities(
     inst: OperadicInstance,
     bound: int,
@@ -243,9 +194,11 @@ def verify_eta_identities(
     equations of relative op parts plus their degenerate special cases,
     the composition law for op parts through the twisted middle term, the
     fibrewise order-preservation of every unit square, and the cocycle
-    rule for relative op parts over composable triples. Switches to the
-    vectorised table engine on large universes. Checks are counted per
-    site in by_axiom, each site keyed by the tag it reports.
+    rule for relative op parts over composable triples. Both routes read
+    the instance's answers from its universe (the splits, relative parts,
+    composites and fibre maps as ids); large universes take the vectorised
+    table engine. Checks are counted per site in by_axiom, each site
+    keyed by the tag it reports.
     """
     if threads is None:
         threads = default_threads()
@@ -260,79 +213,92 @@ def verify_eta_identities(
         table.sweep_relative_part_cocycle(rep, threads=threads)
         return rep
 
-    objs = list(inst.objects(bound))
-    homs = {(X, Y): list(inst.hom(X, Y)) for X in objs for Y in objs}
-    all_maps = [f for fs in homs.values() for f in fs]
-    by_dom: dict = {}
-    for f in all_maps:
-        by_dom.setdefault(f.dom, []).append(f)
-    pairs = [
-        (f, g) for f in all_maps for g in by_dom.get(f.cod, [])
-    ]
-    splits = {f: pita_general(inst, f) for f in all_maps}
+    maps, n, w = u.maps, u.n, u.bound
+    pis, etas, _ = u.splits()
+    rel = u.relative_parts()
+    first, second, composites = u.pair_first, u.pair_second, u.composites
+    op, composite = u.order_preserving, u.composite
+
+    def json_of(k):
+        return finmap_to_json(maps[k]) if k >= 0 else None
+
+    def one(k):
+        return u.identities[maps[k].dom]
+
+    def rel_of(a, b):
+        p = u.pair(a, b)
+        return rel[p] if p >= 0 else -1
+
     for tag in (
         "pi-of-pi", "eta-of-eta", "pi-of-eta", "eta-of-pi",
         "op-quasibijection-not-identity",
     ):
-        rep.count(tag, len(all_maps))
-    for f in all_maps:
-        s = splits[f]
-        where = {"f": finmap_to_json(f)}
-        again = finskel.pita(inst.cardinality(s.pi))[0]
-        if again != s.pi:
-            rep.add("pi-of-pi", where, finmap_to_json(again), finmap_to_json(s.pi))
-        again = finskel.pita(inst.cardinality(s.eta))[1]
-        if again != s.eta:
-            rep.add("eta-of-eta", where, finmap_to_json(again), finmap_to_json(s.eta))
-        one = inst.identity(inst.cardinality(f).dom)
-        again = finskel.pita(inst.cardinality(s.eta))[0]
-        if again != one:
-            rep.add("pi-of-eta", where, finmap_to_json(again), finmap_to_json(one))
-        again = finskel.pita(inst.cardinality(s.pi))[1]
-        if again != one:
-            rep.add("eta-of-pi", where, finmap_to_json(again), finmap_to_json(one))
-        if (
-            is_op_morphism(f, inst)
-            and is_quasibijection(f, inst)
-            and not finskel.is_identity(inst.cardinality(f))
-        ):
-            rep.add(
-                "op-quasibijection-not-identity",
-                where, finmap_to_json(f), finmap_to_json(one),
-            )
+        rep.count(tag, n)
+    for k in range(n):
+        pi, eta, idk = pis[k], etas[k], one(k)
+        found = [
+            ("pi-of-pi", pis[pi], pi),
+            ("eta-of-eta", etas[eta], eta),
+            ("pi-of-eta", pis[eta], idk),
+            ("eta-of-pi", etas[pi], idk),
+        ]
+        if op[k] and u.quasibijective[k] and k != idk:
+            found.append(("op-quasibijection-not-identity", k, idk))
+        for tag, lhs, rhs in found:
+            if lhs != rhs:
+                rep.add(tag, {"f": json_of(k)}, json_of(lhs), json_of(rhs))
 
-    composite = {}
-    rel = {}
-    for f, g in pairs:
-        fg = inst.compose(f, g)
-        composite[(f, g)] = fg
-        if fg not in splits:
-            splits[fg] = pita_general(inst, fg)
-        er = eta_rel(inst, f, g)
-        rel[(f, g)] = er
-        _pair_checks(rep, inst, f, g, fg, splits, er)
-
-    def rel_of(f, g):
-        er = rel.get((f, g))
-        return eta_rel(inst, f, g) if er is None else er
+    for p, (a, b) in enumerate(zip(first, second)):
+        c, er = composites[p], rel[p]
+        found = [
+            ("relative-part-left-triangle", composite(er, etas[b]), etas[c]),
+            (
+                "relative-part-defining-square",
+                composite(pis[c], er), composite(a, pis[b]),
+            ),
+            (
+                "op-part-composition",
+                composite(etas[composite(etas[a], pis[b])], etas[b]),
+                etas[c],
+            ),
+        ]
+        if b == one(b):
+            found.append(("relative-part-over-identity", er, etas[a]))
+        if a == one(a):
+            found.append(("relative-part-of-identity", er, a))
+        if op[b] and op[c]:
+            found.append(("relative-part-op-pair", er, a))
+        where = {"f": json_of(a), "g": json_of(b)}
+        for tag, lhs, rhs in found:
+            rep.count(tag)
+            if lhs != rhs:
+                rep.add(tag, where, json_of(lhs), json_of(rhs))
+        # the unit square of the pair: fibre maps of pi(a;b) over er
+        q = u.pair(pis[c], er)
+        if q < 0:
+            raise IntegrityError("unit square is not composable")
+        rep.count("unit-square-not-fop", maps[er].cod)
+        for i in range(maps[er].cod):
+            fm = u.fibre_maps[q * w + i]
+            if not op[fm]:
+                rep.add(
+                    "unit-square-not-fop", {**where, "i": i + 1},
+                    json_of(fm), "an order-preserving fibre map",
+                )
 
     cocycles = 0
-    for f, g in pairs:
-        gs = by_dom.get(g.cod, [])
-        cocycles += len(gs)
-        for h in gs:
-            gh = composite[(g, h)]
-            lhs = inst.compose(rel_of(f, gh), rel[(g, h)])
-            rhs = rel_of(composite[(f, g)], h)
+    for p, (a, b) in enumerate(zip(first, second)):
+        hs = u.out_of[maps[b].cod]
+        cocycles += len(hs)
+        for h in hs:
+            q = u.pair(b, h)
+            lhs = composite(rel_of(a, composites[q]), rel[q])
+            rhs = rel_of(composites[p], h)
             if lhs != rhs:
                 rep.add(
                     "relative-part-cocycle",
-                    {
-                        "f": finmap_to_json(f),
-                        "g": finmap_to_json(g),
-                        "h": finmap_to_json(h),
-                    },
-                    finmap_to_json(lhs), finmap_to_json(rhs),
+                    {"f": json_of(a), "g": json_of(b), "h": json_of(h)},
+                    json_of(lhs), json_of(rhs),
                 )
     rep.count("relative-part-cocycle", cocycles)
     return rep

@@ -238,7 +238,11 @@ class Universe:
     the raw reference side that the axioms compare against: finskel
     composites, fibre sizes, inclusions and fibre maps of the cardinality
     maps. Cardinality maps have their own ids (cards), since they need not
-    be morphisms. An answer outside the instance's homs gets id -1.
+    be morphisms. An answer outside the instance's homs gets id -1. Two
+    flags per morphism are kept as well: whether its cardinality map is
+    order-preserving, and whether the instance calls it a quasibijection.
+    The splits and relative op parts of the splitting calculus are derived
+    from these lists on first use (splits(), relative_parts()).
 
     Layout: pair p is (pair_first[p], pair_second[p]), the first applied
     first, with pair_index[a * n + b] == p and -1 where a, b do not
@@ -263,6 +267,9 @@ class Universe:
         self.into = {
             Y: [k for X in objs for k in self.homs[(X, Y)]] for Y in objs
         }
+        self.out_of = {
+            X: [k for Y in objs for k in self.homs[(X, Y)]] for X in objs
+        }
         self.identities = {
             X: index.get(inst.identity(X), -1) for X in objs
         }
@@ -271,6 +278,10 @@ class Universe:
         self._card_ids: dict = {}
         self.card_of = [self._card(inst.cardinality(f)) for f in maps]
         cards = self.cards
+        self.order_preserving = [
+            finskel.is_order_preserving(cards[c]) for c in self.card_of
+        ]
+        self.quasibijective = [is_quasibijection(f, inst) for f in maps]
         self.inclusions = []
         self.fibres = []
         self.fibre_sizes = []
@@ -287,9 +298,8 @@ class Universe:
         first: list = []
         second: list = []
         for (T, S), gs in self.homs.items():
-            after = [b for R in objs for b in self.homs[(S, R)]]
             for a in gs:
-                for b in after:
+                for b in self.out_of[S]:
                     pair_index[a * n + b] = len(first)
                     first.append(a)
                     second.append(b)
@@ -315,6 +325,7 @@ class Universe:
                 raw_fms[p * w + i - 1] = card(finskel.fibre_map(cg, cf, i))
                 self.strays += k < 0
         self._splits = None
+        self._relative_parts = None
         self._table = None
 
     def _card(self, f: FinMap) -> int:
@@ -339,12 +350,8 @@ class Universe:
     @property
     def triples(self) -> int:
         """The number of composable triples of morphisms."""
-        out = {
-            S: sum(len(self.homs[(S, R)]) for R in self.objects)
-            for S in self.objects
-        }
         return sum(
-            len(self.into[T]) * len(gs) * out[S]
+            len(self.into[T]) * len(gs) * len(self.out_of[S])
             for (T, S), gs in self.homs.items()
         )
 
@@ -376,6 +383,44 @@ class Universe:
                 f"instance produced a morphism outside its own homs: {f}"
             )
         return k
+
+    def require_closed(self):
+        """IntegrityError unless every composite and fibre map the
+        instance gave stayed inside its own homs."""
+        if self.strays:
+            raise IntegrityError(
+                f"instance produced {self.strays} composites or fibre "
+                "maps outside its own homs"
+            )
+
+    def pair(self, a: int, b: int) -> int:
+        """Id of the pair (a, b), -1 when either is -1 or they do not
+        compose."""
+        return self.pair_index[a * self.n + b] if a >= 0 and b >= 0 else -1
+
+    def composite(self, a: int, b: int) -> int:
+        """Id of the composite of a then b, -1 where pair(a, b) is."""
+        p = self.pair(a, b)
+        return self.composites[p] if p >= 0 else -1
+
+    def relative_parts(self) -> list:
+        """Id of the relative op part of every composable pair p = (a, b),
+        compose(compose(inverse(pi(a;b)), a), pi(b)), computed on first
+        use. IntegrityError when the instance left its homs on the way."""
+        if self._relative_parts is None:
+            self.require_closed()
+            pis, _, inverses = self.splits()
+            compose = self.composite
+            rel = [
+                compose(compose(inverses[pis[c]], a), pis[b])
+                for a, b, c in zip(
+                    self.pair_first, self.pair_second, self.composites
+                )
+            ]
+            if -1 in rel:
+                raise IntegrityError("relative splitting left the universe")
+            self._relative_parts = rel
+        return self._relative_parts
 
     def table(self):
         """The numpy view of this universe (see _tables), built once."""
@@ -565,8 +610,7 @@ def verify_axioms(
         u.table().sweep_iterated_fibre_maps(rep, threads=threads)
         return rep
 
-    def pair(a, b):
-        return pair_index[a * n + b] if a >= 0 and b >= 0 else -1
+    pair = u.pair
 
     def fibre_map(q, i):
         return fms[q * w + i] if q >= 0 else -1

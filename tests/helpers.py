@@ -5,6 +5,8 @@ exactly one of them, so a verifier that passes on the clean instance must
 fail with a witness naming the corrupted query.
 """
 
+from collections import Counter
+
 from pita.finskel import FinMap, compose
 
 
@@ -64,3 +66,22 @@ class RemoveHom(Wrapper):
         if (X, Y) == self._gap:
             return tuple(f for f in fs if f != self._victim)
         return fs
+
+
+class Counting(Wrapper):
+    """Corrupts nothing; counts every query asked of it, by name."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.calls = Counter()
+
+    def __getattr__(self, attr):
+        found = getattr(self._base, attr)
+        if not callable(found):
+            return found
+
+        def counted(*args, **kwargs):
+            self.calls[attr] += 1
+            return found(*args, **kwargs)
+
+        return counted

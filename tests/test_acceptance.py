@@ -137,12 +137,22 @@ def test_criterion_3_axioms_pass_and_mutants_fail():
             assert rep.violations[0]["witness"], mutant.__name__
 
 
+# per site, in the order of the sites of test_factorisation.SPLITTING_SITES
+SPLITTING_CHECKS_B4 = {
+    "fin": (499,) * 5 + (133_799,) * 3
+    + (499, 499, 12_875, 521_066, 37_147_243),
+    "fin-surj": (92,) * 5 + (2_416,) * 3 + (92, 92, 145, 8_974, 59_696),
+}
+
+
 def test_criterion_4_splitting_calculus():
     with _Budget("criterion 4 (splitting calculus)", None):
         for inst, total in ((FIN, 38_086_074), (SURJ, 76_707)):
             rep = verify_eta_identities(inst, 4)
             assert rep.ok, (inst.name, rep.violations[:2])
             assert rep.checks == total, inst.name
+            counts = SPLITTING_CHECKS_B4[inst.name]
+            assert list(rep.by_axiom.values()) == list(counts), inst.name
             assert not any(
                 v["axiom"] == "unit-square-not-fop" for v in rep.violations
             )

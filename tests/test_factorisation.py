@@ -1,7 +1,16 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
-from helpers import CorruptFibreMap, RemoveHom
+from helpers import (
+    CompositeOutsideHoms,
+    CorruptFibre,
+    CorruptFibreMap,
+    Counting,
+    RemoveHom,
+    WrongTerminal,
+)
 from pita import opcat
 from pita.errors import (
     IntegrityError,
@@ -26,7 +35,7 @@ from pita.finskel import (
     pita,
 )
 from pita.instances import make_fin, make_fin_surj, make_op
-from pita.opcat import is_fop_square, is_quasibijection
+from pita.opcat import is_fop_square, is_quasibijection, verify_axioms
 from strategies import composable_pairs
 from test_opcat import _all_squares
 
@@ -281,6 +290,59 @@ def test_eta_identities_catch_corrupted_fibre_maps():
     rep = verify_eta_identities(CorruptFibreMap(make_fin()), 2)
     assert not rep.ok
     assert any(v["axiom"] == "unit-square-not-fop" for v in rep.violations)
+
+
+ROUTES = pytest.mark.parametrize(
+    "cutoff", [opcat._TRIPLE_LOOP_CUTOFF, 0], ids=["loop", "table"]
+)
+
+# violations per tag at fin, bound 2, out of 547 checks
+SPLITTING_MUTANTS = {
+    CorruptFibre: {"op-quasibijection-not-identity": 2},
+    CorruptFibreMap: {"unit-square-not-fop": 13},
+    WrongTerminal: {},
+}
+
+
+@ROUTES
+@pytest.mark.parametrize(
+    "mutant", list(SPLITTING_MUTANTS), ids=lambda m: m.__name__
+)
+def test_splitting_mutants_agree_across_routes(mutant, cutoff, monkeypatch):
+    monkeypatch.setattr(opcat, "_TRIPLE_LOOP_CUTOFF", cutoff)
+    rep = verify_eta_identities(mutant(make_fin()), 2, max_violations=10_000)
+    assert not rep.truncated
+    assert rep.checks == 547
+    tags = Counter(v["axiom"] for v in rep.violations)
+    assert tags == SPLITTING_MUTANTS[mutant]
+
+
+@ROUTES
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        CompositeOutsideHoms,
+        lambda base: RemoveHom(base, 2, 1, FinMap(2, 1, (1, 1))),
+    ],
+    ids=["CompositeOutsideHoms", "RemoveHom"],
+)
+def test_splitting_sweep_refuses_maps_outside_the_homs(
+    mutant, cutoff, monkeypatch
+):
+    monkeypatch.setattr(opcat, "_TRIPLE_LOOP_CUTOFF", cutoff)
+    with pytest.raises(IntegrityError):
+        verify_eta_identities(mutant(make_fin()), 2)
+
+
+@ROUTES
+def test_the_splitting_sweep_reads_the_universe(cutoff, monkeypatch):
+    monkeypatch.setattr(opcat, "_TRIPLE_LOOP_CUTOFF", cutoff)
+    inst = Counting(make_fin())
+    assert verify_axioms(inst, 3).ok
+    assert inst.calls["compose"] and inst.calls["fibre_morphism"]
+    inst.calls.clear()
+    assert verify_eta_identities(inst, 3).ok
+    assert inst.calls == Counter()
 
 
 def test_op_part_law_has_no_quasibijection_analogue():
