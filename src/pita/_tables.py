@@ -88,6 +88,9 @@ class MapTable:
         (g, f), the fibre map of [h over g;f at i] taken over [g over f
         at i] at j equals the fibre map of h over g at epsilon(j)."""
         maxc = self.bound
+        # one hit past the cap per chunk is enough for Report.add to mark
+        # the list truncated
+        cap = report.max_violations + 1
 
         def chunk(g):
             hits = []
@@ -118,7 +121,7 @@ class MapTable:
                     local_checks += int(mask.sum()) * len(h_ids)
                     bad = mask[None, :] & (lhs != rhs)
                     if bad.any():
-                        for hk, fk in np.argwhere(bad)[:10]:
+                        for hk, fk in np.argwhere(bad)[: cap - len(hits)]:
                             hits.append(
                                 (
                                     int(h_ids[hk]), int(g), int(f_ids[fk]),
@@ -277,6 +280,7 @@ class MapTable:
         h, the relative part of f over g;h composed with the relative part
         of g over h equals the relative part of f;g over h."""
         self.ensure_pita()
+        cap = report.max_violations + 1
 
         def chunk(g):
             hits = []
@@ -292,7 +296,7 @@ class MapTable:
             rhs = self.ER[self.PIDX[FG[:, None], h_ids[None, :]]]
             bad = lhs != rhs
             if bad.any():
-                for fk, hk in np.argwhere(bad)[:10]:
+                for fk, hk in np.argwhere(bad)[:cap]:
                     hits.append(
                         (
                             int(f_ids[fk]), int(g), int(h_ids[hk]),

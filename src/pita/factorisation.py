@@ -96,6 +96,21 @@ def pita_general(
     raise ShapeError(f"unknown mode {mode!r}")
 
 
+def _unwind(
+    inst: OperadicInstance, top: FinMap, a: FinMap, bottom: FinMap
+) -> FinMap:
+    """compose(compose(inverse(top), a), bottom) for a quasibijection top:
+    the closed form of relative op parts, of omega and of each step of the
+    nerve's lift."""
+    try:
+        back = finskel.inverse(inst.cardinality(top))
+    except ShapeError as exc:
+        raise UnsupportedInstanceError(
+            "relative op parts need invertible quasibijections"
+        ) from exc
+    return inst.compose(inst.compose(back, a), bottom)
+
+
 def eta_rel(
     inst: OperadicInstance, f: FinMap, g: FinMap, mode: str = "production"
 ) -> FinMap:
@@ -109,14 +124,8 @@ def eta_rel(
     fg = inst.compose(f, g)
     split_fg = pita_general(inst, fg)
     split_g = pita_general(inst, g)
-    try:
-        unwind = finskel.inverse(inst.cardinality(split_fg.pi))
-    except ShapeError as exc:
-        raise UnsupportedInstanceError(
-            "relative op parts need invertible quasibijections"
-        ) from exc
     if mode == "production":
-        return inst.compose(inst.compose(unwind, f), split_g.pi)
+        return _unwind(inst, split_fg.pi, f, split_g.pi)
     if mode == "oracle":
         card = inst.cardinality(f)
         right = inst.compose(f, split_g.pi)
@@ -160,10 +169,7 @@ def omega(
     split_f = pita_general(inst, f)
     split_g = pita_general(inst, g)
     if mode == "production":
-        return inst.compose(
-            inst.compose(finskel.inverse(inst.cardinality(split_f.pi)), sigma),
-            split_g.pi,
-        )
+        return _unwind(inst, split_f.pi, sigma, split_g.pi)
     if mode == "oracle":
         found = [
             w

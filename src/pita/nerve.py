@@ -14,8 +14,11 @@ only simplicial identity that survives just up to a cell is the one
 comparing the two double-top-faces; its mediating ladders (beta) are
 built from the unique lift property: a locally order-preserving chain
 plus a quasibijection out of its bottom object determine a unique ladder.
-The reflection of an arbitrary chain runs the same lift loop over the
-identity on its bottom object.
+The lift pushes the chain's maps one by one onto that quasibijection and
+splits each composite once; consecutive quasibijection parts are the
+horizontals and unwind each map to its relative op part. The reflection
+of an arbitrary chain runs the same lift loop over the identity on its
+bottom object.
 Three verifiers sweep all of this exhaustively below a bound.
 
 Indexing: a chain of length n has faces 0..n-1 plus the top face, and
@@ -32,7 +35,7 @@ from functools import cached_property
 
 from . import finskel
 from .errors import IntegrityError, PitaError, ShapeError
-from .factorisation import eta_rel, pita_general
+from .factorisation import _unwind, eta_rel, pita_general
 from .finskel import FinMap, finmap_to_json
 from .opcat import (
     OperadicInstance,
@@ -164,18 +167,6 @@ class FopDiagram:
         return True
 
 
-@dataclass(frozen=True)
-class BetaComponent:
-    """The mediating cell at a chain of length n+2: a ladder between the
-    two ways of taking both top-most faces, determined by its bottom
-    quasibijection (the quasibijection part of the second-from-bottom
-    map)."""
-
-    chain: Chain
-    n: int
-    ladder: FopDiagram
-
-
 def identity_ladder(chain: Chain) -> FopDiagram:
     inst = chain.inst
     return FopDiagram(
@@ -289,27 +280,23 @@ def reflect_chain(inst: OperadicInstance, chain: Chain):
 
 def _lift(inst: OperadicInstance, chain: Chain, sigma0: FinMap) -> FopDiagram:
     """The lift loop of opfibration_lift and reflect_chain, without their
-    preconditions. Over an identity bottom the first relative op part is
-    the op part of the bottom map (relative-part-over-identity), so it is
-    taken from the split directly."""
-    n = chain.length
+    preconditions. Each step splits the pushed composite once: its
+    quasibijection part is the step's horizontal and, with the previous
+    step's, unwinds the step's map to its relative op part (the first
+    step unwinds against the quasibijection part of sigma0)."""
     horizontals = [sigma0]
     new_maps = []
     pushed = sigma0
-    card = inst.cardinality(sigma0)
-    over_identity = finskel.is_identity(card)
-    for k in range(1, n + 1):
-        hk = chain.maps[n - k]
-        if k == 1 and over_identity:
-            new_maps.append(pita_general(inst, hk).eta)
-            pushed = hk
-        else:
-            new_maps.append(eta_rel(inst, hk, pushed))
-            pushed = inst.compose(hk, pushed)
-        horizontals.append(pita_general(inst, pushed).pi)
+    below = pita_general(inst, sigma0).pi
+    for hk in reversed(chain.maps):
+        pushed = inst.compose(hk, pushed)
+        above = pita_general(inst, pushed).pi
+        new_maps.append(_unwind(inst, above, hk, below))
+        horizontals.append(above)
+        below = above
     target = Chain(
         inst,
-        chain.objects[:-1] + (card.cod,),
+        chain.objects[:-1] + (inst.cardinality(sigma0).cod,),
         tuple(reversed(new_maps)),
     )
     return FopDiagram(chain, target, tuple(reversed(horizontals)))
@@ -343,13 +330,14 @@ def ladder_top_face(ladder: FopDiagram) -> FopDiagram:
     return lifted
 
 
-def beta(n: int, chain: Chain, mode: str = "production") -> BetaComponent:
-    """The mediating cell at a chain of length n+2, as the unique ladder
-    with bottom the quasibijection part of the second-from-bottom map,
-    from the top face of the last inner face to the double top face.
-    Oracle mode recomputes every horizontal from the direct pattern (the
-    quasibijection part of each op down-composite pushed through the
-    bottom) and insists they agree."""
+def beta(n: int, chain: Chain, mode: str = "production") -> FopDiagram:
+    """The mediating cell at a chain of length n+2: the unique ladder with
+    bottom the quasibijection part of the second-from-bottom map, from
+    the top face of the last inner face to the double top face.
+    Production trusts the lift. Oracle mode checks that the ladder lands
+    on the double top face, recomputes every horizontal from the direct
+    pattern (the quasibijection part of each op down-composite pushed
+    through the bottom) and insists they agree."""
     if chain.length != n + 2:
         raise ShapeError(f"beta {n} lives on chains of length {n + 2}")
     if not chain.locally_op:
@@ -358,10 +346,9 @@ def beta(n: int, chain: Chain, mode: str = "production") -> BetaComponent:
     sigma0 = pita_general(inst, chain.maps[-2]).pi
     source = top_face(face(n + 1, chain))
     ladder = opfibration_lift(source, sigma0)
-    expected = top_face(top_face(chain))
-    if ladder.target != expected:
-        raise IntegrityError("beta ladder missed the double top face")
     if mode == "oracle":
+        if ladder.target != top_face(top_face(chain)):
+            raise IntegrityError("beta ladder missed the double top face")
         above = Chain(inst, chain.objects[:-2], chain.maps[:-2])
         for k in range(n + 1):
             pushed = inst.compose(
@@ -374,7 +361,7 @@ def beta(n: int, chain: Chain, mode: str = "production") -> BetaComponent:
                 )
     elif mode != "production":
         raise ShapeError(f"unknown mode {mode!r}")
-    return BetaComponent(chain=chain, n=n, ladder=ladder)
+    return ladder
 
 
 # ------------------------------------------------------------- verifiers
@@ -528,12 +515,9 @@ def verify_beta_coherence(
             )
         rep.checks += 1
         try:
-            lhs = compose_ladders(
-                beta(0, face(1, c)).ladder, beta(0, top_face(c)).ladder
-            )
+            lhs = compose_ladders(beta(0, face(1, c)), beta(0, top_face(c)))
             rhs = compose_ladders(
-                beta(0, face(2, c)).ladder,
-                ladder_top_face(beta(1, c).ladder),
+                beta(0, face(2, c)), ladder_top_face(beta(1, c))
             )
         except PitaError as exc:
             rep.add("coherence-0-error", w(c), str(exc), "composable cells")
@@ -549,12 +533,9 @@ def verify_beta_coherence(
     for c in enumerate_p(inst, 4, bound):
         rep.checks += 1
         try:
-            lhs = compose_ladders(
-                beta(1, face(2, c)).ladder, beta(1, top_face(c)).ladder
-            )
+            lhs = compose_ladders(beta(1, face(2, c)), beta(1, top_face(c)))
             rhs = compose_ladders(
-                beta(1, face(3, c)).ladder,
-                ladder_top_face(beta(2, c).ladder),
+                beta(1, face(3, c)), ladder_top_face(beta(2, c))
             )
         except PitaError as exc:
             rep.add("coherence-1-error", w(c), str(exc), "composable cells")
@@ -565,8 +546,8 @@ def verify_beta_coherence(
     for m in (0, 1):
         for c in enumerate_p(inst, m + 1, bound):
             rep.checks += 1
-            bc = beta(m, degeneracy(m + 1, c))
-            if bc.ladder != identity_ladder(bc.ladder.source):
+            cell = beta(m, degeneracy(m + 1, c))
+            if cell != identity_ladder(cell.source):
                 rep.add(
                     "beta-at-bottom-degeneracy",
                     w(c),

@@ -140,12 +140,14 @@ def is_quasibijection(f: FinMap, inst: OperadicInstance | None = None) -> bool:
     instance this is the plain bijectivity test on the FinMap."""
     if inst is None:
         return finskel.is_bijective(f)
-    card = inst.cardinality(f)
-    for i in range(1, card.cod + 1):
-        F = inst.fibre(f, i)
-        if inst.chosen_terminal(F)[0] != F or inst.cardinality(F) != 1:
-            return False
-    return True
+    points = range(1, inst.cardinality(f).cod + 1)
+    return all(_is_point(inst.fibre(f, i), inst) for i in points)
+
+
+def _is_point(F, inst: OperadicInstance) -> bool:
+    """True when the object F is a chosen local terminal of cardinality
+    1: what every fibre of a quasibijection must be."""
+    return inst.chosen_terminal(F)[0] == F and inst.cardinality(F) == 1
 
 
 def is_op_morphism(f: FinMap, inst: OperadicInstance | None = None) -> bool:
@@ -281,7 +283,6 @@ class Universe:
         self.order_preserving = [
             finskel.is_order_preserving(cards[c]) for c in self.card_of
         ]
-        self.quasibijective = [is_quasibijection(f, inst) for f in maps]
         self.inclusions = []
         self.fibres = []
         self.fibre_sizes = []
@@ -293,6 +294,9 @@ class Universe:
             fibres = tuple(inst.fibre(f, i) for i in points)
             self.fibres.append(fibres)
             self.fibre_sizes.append(tuple(inst.cardinality(F) for F in fibres))
+        self.quasibijective = [
+            all(_is_point(F, inst) for F in fibres) for fibres in self.fibres
+        ]
 
         self.pair_index = pair_index = [-1] * (n * n)
         first: list = []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -249,3 +250,18 @@ def test_all_passes_on_an_unmodified_build(capsys):
     assert lines[-1].startswith("result ok=true")
     assert "negative-witnesses: 2 checks, ok" in out
     assert "comultiplication-closed-form[n<=6]: 6 checks, ok" in out
+
+
+# sha256 of `pita all --json` at the defaults and its total checks; the
+# same values are pinned by the benchmark suite (perfbench/workloads.py)
+SUITE_SHA256 = (
+    "03ace3a3289fcbeb5b678ff5cca3055c729e0da22f09935f34a1989370c6dd33"
+)
+SUITE_CHECKS = 271_346
+
+
+def test_all_json_is_byte_stable(capsys):
+    code, out, _ = _run(capsys, ["all", "--json"])
+    assert code == 0
+    assert json.loads(out)["checks"] == SUITE_CHECKS
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_SHA256

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings
 
-from pita.errors import ShapeError
+from pita import nerve
+from pita.errors import IntegrityError, ShapeError
+from pita.factorisation import eta_rel, pita_general
 from pita.finskel import FinMap, compose, identity
 from pita.instances import make_fin, make_fin_surj
 from pita.nerve import (
@@ -262,6 +264,59 @@ def test_lift_shape_errors():
         opfibration_lift(good, FinMap(1, 2, (1,)))
 
 
+def _reference_lift(inst, chain, sigma0):
+    """The lift spelled out through eta_rel: each map is the relative op
+    part of the chain map over the composite pushed so far, each
+    horizontal the quasibijection part of the next composite."""
+    maps, horizontals = [], [sigma0]
+    pushed = sigma0
+    for h in reversed(chain.maps):
+        maps.append(eta_rel(inst, h, pushed))
+        pushed = inst.compose(h, pushed)
+        horizontals.append(pita_general(inst, pushed).pi)
+    return tuple(reversed(maps)), tuple(reversed(horizontals))
+
+
+@pytest.mark.parametrize(
+    "inst,maxlen,bound", [(SURJ, 3, 3), (FIN, 2, 2)], ids=["fin-surj", "fin"]
+)
+def test_lift_matches_the_relative_op_parts(inst, maxlen, bound):
+    for n in range(maxlen + 1):
+        for c in nerve._all_chains(inst, n, bound, locally_op=False):
+            T0 = c.objects[-1]
+            rc, unit = reflect_chain(inst, c)
+            assert (rc.maps, unit.horizontals) == _reference_lift(
+                inst, c, inst.identity(T0)
+            )
+            if not c.locally_op:
+                continue
+            for s0 in quasibijections(inst, T0, T0):
+                lift = opfibration_lift(c, s0)
+                assert (lift.target.maps, lift.horizontals) == (
+                    _reference_lift(inst, c, s0)
+                )
+
+
+def test_lifting_an_n_chain_splits_n_plus_one_times(monkeypatch):
+    calls = []
+
+    def counted(inst, f, mode="production"):
+        calls.append(f)
+        return pita_general(inst, f, mode)
+
+    monkeypatch.setattr(nerve, "pita_general", counted)
+    # the lift unwinds its own splits and never asks for eta_rel
+    monkeypatch.setattr(nerve, "eta_rel", None)
+    for n in range(4):
+        for c in enumerate_p(SURJ, n, 3):
+            calls.clear()
+            opfibration_lift(c, identity(c.objects[-1]))
+            assert len(calls) == n + 1
+            calls.clear()
+            reflect_chain(SURJ, c)
+            assert len(calls) == n + 1
+
+
 def test_opfibration_uniqueness_sweeps():
     for n, checks in ((0, 9), (1, 15), (2, 37)):
         rep = verify_opfibration(SURJ, n, 3)
@@ -290,16 +345,15 @@ def test_composites_of_lifts_are_valid_ladders():
 
 def test_beta_frozen_example():
     c = _chain(SURJ, FinMap(2, 2, (2, 1)), FinMap(2, 1, (1, 1)))
-    bc = beta(0, c, mode="oracle")
-    assert bc.ladder.horizontals == (FinMap(2, 2, (2, 1)),)
-    assert bc.ladder.source == Chain(SURJ, (2,), ())
-    assert bc.ladder.target == Chain(SURJ, (2,), ())
+    cell = beta(0, c, mode="oracle")
+    assert cell.horizontals == (FinMap(2, 2, (2, 1)),)
+    assert cell.source == Chain(SURJ, (2,), ())
+    assert cell.target == Chain(SURJ, (2,), ())
 
 
 def test_beta_is_trivial_when_the_second_map_is_op():
     c = _chain(SURJ, identity(2), FinMap(2, 1, (1, 1)))
-    bc = beta(0, c, mode="oracle")
-    assert bc.ladder == identity_ladder(Chain(SURJ, (2,), ()))
+    assert beta(0, c, mode="oracle") == identity_ladder(Chain(SURJ, (2,), ()))
 
 
 def test_beta_shape_errors():
@@ -313,15 +367,38 @@ def test_beta_shape_errors():
         beta(0, not_op)
 
 
+def test_beta_oracle_checks_the_target_of_its_lift(monkeypatch):
+    lift = nerve.opfibration_lift
+
+    def misdirected(chain, sigma0):
+        # lifts of 0-chains land one object too high
+        if chain.length:
+            return lift(chain, sigma0)
+        X = chain.objects[0]
+        up = FinMap(X, X + 1, tuple(range(1, X + 1)))
+        return FopDiagram(chain, Chain(chain.inst, (X + 1,), ()), (up,))
+
+    monkeypatch.setattr(nerve, "opfibration_lift", misdirected)
+    c = _chain(SURJ, FinMap(2, 2, (2, 1)), FinMap(2, 1, (1, 1)))
+    # production trusts the lift
+    assert beta(0, c).target != top_face(top_face(c))
+    with pytest.raises(IntegrityError, match="double top face"):
+        beta(0, c, mode="oracle")
+    rep = verify_beta_coherence(SURJ, 2)
+    missed = [v for v in rep.violations if v["axiom"] == "beta-0-construction"]
+    assert missed
+    assert all("double top face" in v["lhs"] for v in missed)
+
+
 def test_beta_identity_fails_at_lower_degeneracies():
     # triviality only holds at the bottom degeneracy: s_0 of this
     # 2-chain produces a cell whose bottom is the swap
     c = _chain(SURJ, FinMap(2, 2, (2, 1)), FinMap(2, 1, (1, 1)))
     low = beta(1, degeneracy(0, c))
-    assert low.ladder.bottom == FinMap(2, 2, (2, 1))
-    assert low.ladder != identity_ladder(low.ladder.source)
+    assert low.bottom == FinMap(2, 2, (2, 1))
+    assert low != identity_ladder(low.source)
     bottom = beta(1, degeneracy(2, c))
-    assert bottom.ladder == identity_ladder(bottom.ladder.source)
+    assert bottom == identity_ladder(bottom.source)
 
 
 def test_coherence_scalar_witness():
@@ -330,12 +407,8 @@ def test_coherence_scalar_witness():
     f3, f2, f1 = FinMap(2, 2, (2, 1)), identity(2), FinMap(2, 1, (1, 1))
     c = _chain(SURJ, f3, f2, f1)
     assert c.locally_op
-    lhs = compose_ladders(
-        beta(0, face(1, c)).ladder, beta(0, top_face(c)).ladder
-    )
-    rhs = compose_ladders(
-        beta(0, face(2, c)).ladder, ladder_top_face(beta(1, c).ladder)
-    )
+    lhs = compose_ladders(beta(0, face(1, c)), beta(0, top_face(c)))
+    rhs = compose_ladders(beta(0, face(2, c)), ladder_top_face(beta(1, c)))
     assert lhs == rhs
     assert lhs.horizontals == (FinMap(2, 2, (2, 1)),)
 

@@ -13,6 +13,7 @@ from helpers import (
     CompositeOutsideHoms,
     CorruptFibre,
     CorruptFibreMap,
+    Counting,
     WrongTerminal,
 )
 from pita import opcat
@@ -251,6 +252,30 @@ def test_mutant_violations_agree_across_routes(mutant, cutoff, monkeypatch):
     assert not rep.truncated
     assert rep.checks == checks
     assert Counter(v["axiom"] for v in rep.violations) == tags
+
+
+@pytest.mark.parametrize(
+    "cutoff", [opcat._TRIPLE_LOOP_CUTOFF, 0], ids=["loop", "table"]
+)
+def test_iterated_fibre_map_violations_are_all_kept(cutoff, monkeypatch):
+    monkeypatch.setattr(opcat, "_TRIPLE_LOOP_CUTOFF", cutoff)
+    rep = verify_axioms(CorruptFibreMap(make_fin()), 3, max_violations=10**6)
+    tags = Counter(v["axiom"] for v in rep.violations)
+    assert tags["iterated-fibre-map"] == 33_876
+    assert not rep.truncated
+    for cap in (50, 10_000):
+        capped = verify_axioms(
+            CorruptFibreMap(make_fin()), 3, max_violations=cap
+        )
+        assert capped.truncated
+        assert len(capped.violations) == cap
+
+
+def test_universe_asks_each_fibre_once():
+    inst = Counting(make_fin())
+    u = opcat.Universe(inst, 3)
+    assert sum(map(len, u.fibres)) == 154
+    assert inst.calls["fibre"] == 154
 
 
 def test_a_wrapper_never_sees_the_universe_of_its_base():
