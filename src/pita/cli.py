@@ -47,6 +47,10 @@ from .opcat import Report, verify_axioms
 
 SUBCOMMANDS = ("factor", "axioms", "nerve", "coalg", "decomp", "all")
 INSTANCES = ("fin", "fin-surj", "op")
+MAXLEN_HELP = (
+    "longest chain of the strict sweep; beta coherence runs levels "
+    "m <= maxlen - 3 (level 0 always)"
+)
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,9 @@ def _add_common(sub, instance_default: str, with_maxlen: bool = False):
     )
     sub.add_argument("--bound", type=_natural, default=3)
     if with_maxlen:
-        sub.add_argument("--maxlen", type=_natural, default=4)
+        sub.add_argument(
+            "--maxlen", type=_natural, default=4, help=MAXLEN_HELP
+        )
     sub.add_argument("--json", action="store_true")
 
 
@@ -138,7 +144,9 @@ def _parser() -> argparse.ArgumentParser:
 
     everything = subs.add_parser("all", help="the full default suite")
     everything.add_argument("--bound", type=_natural, default=3)
-    everything.add_argument("--maxlen", type=_natural, default=4)
+    everything.add_argument(
+        "--maxlen", type=_natural, default=4, help=MAXLEN_HELP
+    )
     _add_mode(everything)
     everything.add_argument("--json", action="store_true")
 
@@ -171,8 +179,6 @@ def _emit_report(rep: Report, cfg: RunConfig, out) -> None:
         print(rep.summary(), file=out)
         for violation in rep.violations[:5]:
             print("  " + json.dumps(violation, sort_keys=True), file=out)
-        for note in rep.skipped:
-            print(f"  skipped: {note}", file=out)
         out.flush()
 
 
@@ -261,7 +267,7 @@ def _nerve_reports(cfg: RunConfig, check: str):
     if check in ("strict", "all"):
         yield verify_strict_identities(inst, cfg.bound, cfg.maxlen)
     if check in ("beta", "all"):
-        yield verify_beta_coherence(inst, cfg.bound)
+        yield verify_beta_coherence(inst, cfg.bound, cfg.maxlen)
     if check in ("opfib", "all"):
         for n in range(3):
             yield verify_opfibration(inst, n, cfg.bound)

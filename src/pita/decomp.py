@@ -581,14 +581,16 @@ def verify_decomposition_fibres(
     locally order-preserving 2-chain (f, bottom) with objects up to
     min(bound, 3), tagging violations fibre-*; then over every locally
     order-preserving 3-chain (f, middle, bottom) with objects up to
-    min(bound, 3), tagging them chain-fibre-*.
+    min(bound, 3), tagging them chain-fibre-*. Above bound 3 the title
+    names that cap.
     """
     _require_surjection_instance(inst)
+    chain_bound = min(bound, 3)
+    cap = f", chains<={chain_bound}" if chain_bound < bound else ""
     rep = Report(
-        f"decomposition-fibres[{inst.name}, bound={bound}]",
+        f"decomposition-fibres[{inst.name}, bound={bound}{cap}]",
         max_violations=max_violations,
     )
-    chain_bound = min(bound, 3)
     seen = {(_terminal_surjection(m), identity(1)) for m in range(1, bound + 1)}
     seen.update(c.maps for c in enumerate_p(inst, 2, chain_bound))
     for f, btm in sorted(seen, key=lambda p: (p[0].dom, p[0].values, p[1].values)):

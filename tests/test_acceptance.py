@@ -206,3 +206,10 @@ def test_criterion_8_negative_witnesses():
         assert incidence != classical
         assert incidence.terms[((1, 1), (2,))] == 2
         assert classical.terms[((1, 1), (2,))] == 1
+
+
+def test_criterion_9_coherence_at_level_2():
+    with _Budget("criterion 9 (coherence at levels 0-2)", 30.0):
+        rep = verify_beta_coherence(SURJ, 3, 5)
+        assert rep.ok, rep.violations[:2]
+        assert rep.checks == 5_824

@@ -120,6 +120,16 @@ def test_nerve_single_check(capsys):
     assert lines[0].startswith("beta-coherence[fin-surj, bound=2]:")
 
 
+def test_nerve_beta_honours_maxlen(capsys):
+    argv = ["nerve", "--check", "beta", "--bound", "2", "--json"]
+    checks = {}
+    for maxlen in ("4", "5"):
+        code, out, _ = _run(capsys, argv + ["--maxlen", maxlen])
+        assert code == 0
+        checks[maxlen] = json.loads(out)["checks"]
+    assert checks == {"4": 57, "5": 116}
+
+
 def test_nerve_opfib_runs_three_lengths(capsys):
     code, out, _ = _run(
         capsys, ["nerve", "--check", "opfib", "--bound", "2"]

@@ -336,12 +336,15 @@ def test_fibre_suite_passes_at_bound_four():
     rep = verify_decomposition_fibres(SURJ, 4)
     assert rep.ok, rep.violations[:2]
     assert rep.checks == 1570
+    # chains stop at 3-objects, and the title says so
+    assert rep.title == "decomposition-fibres[fin-surj, bound=4, chains<=3]"
 
 
 def test_fibre_suite_passes_at_bound_three():
     rep = verify_decomposition_fibres(SURJ, 3)
     assert rep.ok, rep.violations[:2]
     assert rep.checks == 1418
+    assert rep.title == "decomposition-fibres[fin-surj, bound=3]"
 
 
 def test_middle_identity_is_the_two_chain_comparison():

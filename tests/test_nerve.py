@@ -414,9 +414,27 @@ def test_coherence_scalar_witness():
 
 
 def test_beta_coherence_sweeps():
-    rep = verify_beta_coherence(SURJ, 3)
-    assert rep.ok, rep.summary()
-    assert rep.checks == 1_093
-    rep = verify_beta_coherence(FIN, 2)
-    assert rep.ok, rep.summary()
-    assert rep.checks == 1_345
+    # levels 0 .. maxlen - 3, level 0 always; fin-surj at bound 3 and
+    # maxlen 5 (5,824 checks) is acceptance criterion 9
+    for inst, bound, maxlen, checks in (
+        (SURJ, 3, 3, 274),
+        (SURJ, 3, 4, 1_093),
+        (FIN, 2, 4, 1_345),
+        (FIN, 2, 5, 5_684),
+    ):
+        rep = verify_beta_coherence(inst, bound, maxlen)
+        assert rep.ok, rep.summary()
+        assert rep.checks == checks, (inst.name, bound, maxlen)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_each_coherence_level_catches_a_trivial_beta(monkeypatch, m):
+    real = nerve.beta
+
+    def trivial_at_m(n, chain, mode="production"):
+        cell = real(n, chain, mode)
+        return identity_ladder(cell.source) if n == m else cell
+
+    monkeypatch.setattr(nerve, "beta", trivial_at_m)
+    rep = verify_beta_coherence(SURJ, 2, 5)
+    assert f"coherence-{m}" in {v["axiom"] for v in rep.violations}

@@ -65,19 +65,6 @@ def test_report_mechanics():
     assert "by_axiom" not in data
 
 
-def test_report_merge():
-    a = Report("a")
-    a.checks = 3
-    b = Report("b")
-    b.checks = 4
-    b.add("law", {}, 1, 2)
-    b.skip("note")
-    a.merge(b)
-    assert a.checks == 7
-    assert len(a.violations) == 1
-    assert a.skipped == ["note"]
-
-
 # ------------------------------------------------------------ predicates
 
 
