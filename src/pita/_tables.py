@@ -20,6 +20,7 @@ import numpy as np
 
 from .finskel import finmap_to_json
 from .errors import IntegrityError
+from .opcat import default_threads
 
 
 def _array(values) -> np.ndarray:
@@ -73,8 +74,9 @@ class MapTable:
         self.PI, self.ETA = _array(pis), _array(etas)
         self.ER = _array(self.universe.relative_parts())
 
-    def _per_chunk(self, fn, ids, threads):
-        """Run fn over chunk indices, in order, optionally on a pool."""
+    def _per_chunk(self, fn, ids):
+        """Run fn over chunk indices, in order, on PITA_THREADS workers."""
+        threads = default_threads()
         if threads <= 1:
             return [fn(k) for k in ids]
         with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -82,7 +84,7 @@ class MapTable:
 
     # ------------------------------------------------- axiom A-style sweep
 
-    def sweep_iterated_fibre_maps(self, report, threads=1):
+    def sweep_iterated_fibre_maps(self, report):
         """Fibre maps of fibre maps agree with fibre maps over the
         composite, across every composable triple: with pairs (h, g) and
         (g, f), the fibre map of [h over g;f at i] taken over [g over f
@@ -131,7 +133,7 @@ class MapTable:
                             )
             return local_checks, hits
 
-        for checks, hits in self._per_chunk(chunk, range(self.n), threads):
+        for checks, hits in self._per_chunk(chunk, range(self.n)):
             report.count("iterated-fibre-map", checks)
             for h, g, f, i, j, lhs, rhs in hits:
                 report.add(
@@ -275,7 +277,7 @@ class MapTable:
 
     # ---------------------------------------------- relative-part triples
 
-    def sweep_relative_part_cocycle(self, report, threads=1):
+    def sweep_relative_part_cocycle(self, report):
         """The relative order-preserving parts compose: for f then g then
         h, the relative part of f over g;h composed with the relative part
         of g over h equals the relative part of f;g over h."""
@@ -305,7 +307,7 @@ class MapTable:
                     )
             return lhs.size, hits
 
-        for checks, hits in self._per_chunk(chunk, range(self.n), threads):
+        for checks, hits in self._per_chunk(chunk, range(self.n)):
             report.count("relative-part-cocycle", checks)
             for f, g, h, lhs, rhs in hits:
                 report.add(

@@ -9,22 +9,24 @@ One console script, ``pita``, with a subcommand per suite::
     pita decomp --bound 3
     pita all
 
-``factor`` and ``coalg`` are calculators; the rest run enumeration
-sweeps and print one report line per suite as it finishes, followed by
-a machine-parseable ``result`` line.  Exit code 0 means every requested
-check passed, 1 means some check failed (witnesses are printed), 2 is a
+``factor`` and ``coalg`` are calculators and take no ``--bound``; the
+rest run enumeration sweeps and print one report line per suite as it
+finishes, followed by a machine-parseable ``result`` line.  Exit code 0
+means every requested check passed, 1 means some check failed
+(witnesses are printed) or stdout closed before the verdict, 2 is a
 usage error caught before any work starts.  ``--json`` switches the
 output to a single JSON document with deterministic key and term
-ordering, so repeated runs are byte-identical.  The env var
-PITA_THREADS caps worker threads in the axiom sweeps.
+ordering, so repeated runs are byte-identical.  PITA_THREADS is the one
+thread setting: it caps the worker threads of the numpy triple sweeps
+that ``axioms`` runs above 300,000 composable triples (fin, bound 4).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass
 
 from .decomp import (
     comult,
@@ -34,7 +36,7 @@ from .decomp import (
     verify_counit,
     verify_decomposition_fibres,
 )
-from .errors import PitaError, ShapeError, UnsupportedInstanceError
+from .errors import PitaError, UnsupportedInstanceError
 from .factorisation import pita_general, verify_eta_identities
 from .finskel import FinMap, compose, finmap_to_json, pita
 from .instances import make_fin_surj, make_instance
@@ -44,39 +46,6 @@ from .nerve import (
     verify_strict_identities,
 )
 from .opcat import Report, verify_axioms
-
-SUBCOMMANDS = ("factor", "axioms", "nerve", "coalg", "decomp", "all")
-INSTANCES = ("fin", "fin-surj", "op")
-MAXLEN_HELP = (
-    "longest chain of the strict sweep; beta coherence runs levels "
-    "m <= maxlen - 3 (level 0 always)"
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: what to run, where, and how far."""
-
-    instance: str
-    subcommand: str
-    bound: int = 3
-    maxlen: int = 4
-    mode: str = "production"
-    output: str = "text"
-
-    def __post_init__(self):
-        if self.subcommand not in SUBCOMMANDS:
-            raise ShapeError(f"unknown subcommand {self.subcommand!r}")
-        if self.instance not in INSTANCES:
-            raise ShapeError(f"unknown instance {self.instance!r}")
-        if self.bound < 1:
-            raise ShapeError("bound must be at least 1")
-        if self.maxlen < 1:
-            raise ShapeError("maxlen must be at least 1")
-        if self.mode not in ("production", "oracle"):
-            raise ShapeError(f"unknown mode {self.mode!r}")
-        if self.output not in ("text", "json"):
-            raise ShapeError(f"unknown output {self.output!r}")
 
 
 def _natural(text: str) -> int:
@@ -89,23 +58,29 @@ def _natural(text: str) -> int:
     return value
 
 
-def _add_common(sub, instance_default: str, with_maxlen: bool = False):
-    sub.add_argument(
-        "--instance", choices=INSTANCES, default=instance_default
-    )
-    sub.add_argument("--bound", type=_natural, default=3)
-    if with_maxlen:
+def _add_common(sub, instance=None, sweep=True, maxlen=False):
+    """--instance when it has a default, --bound on the sweeps (the
+    calculators take none), --maxlen, and --json."""
+    if instance:
         sub.add_argument(
-            "--maxlen", type=_natural, default=4, help=MAXLEN_HELP
+            "--instance", choices=("fin", "fin-surj", "op"), default=instance
+        )
+    if sweep:
+        sub.add_argument("--bound", type=_natural, default=3)
+    if maxlen:
+        sub.add_argument(
+            "--maxlen", type=_natural, default=4,
+            help="longest chain of the strict sweep; beta coherence runs "
+            "levels m <= maxlen - 3 (level 0 always)",
         )
     sub.add_argument("--json", action="store_true")
 
 
 def _add_mode(sub):
-    """The splitting route of the map that factor splits, or of the
-    worked example that all starts with."""
     sub.add_argument(
-        "--mode", choices=("production", "oracle"), default="production"
+        "--mode", choices=("production", "oracle"), default="production",
+        help="split the map (for all, the worked example) by the closed "
+        "formula or by brute-force search",
     )
 
 
@@ -119,7 +94,7 @@ def _parser() -> argparse.ArgumentParser:
     factor = subs.add_parser("factor", help="split one map")
     factor.add_argument("--map", required=True, metavar="JSON_LIST")
     factor.add_argument("--cod", type=_natural, required=True)
-    _add_common(factor, "fin")
+    _add_common(factor, "fin", sweep=False)
     _add_mode(factor)
 
     axioms = subs.add_parser(
@@ -133,22 +108,18 @@ def _parser() -> argparse.ArgumentParser:
         choices=("strict", "beta", "opfib", "all"),
         default="all",
     )
-    _add_common(nerve, "fin-surj", with_maxlen=True)
+    _add_common(nerve, "fin-surj", maxlen=True)
 
     coalg = subs.add_parser("coalg", help="print one comultiplication")
     coalg.add_argument("--n", type=_natural, required=True)
-    _add_common(coalg, "fin-surj")
+    _add_common(coalg, "fin-surj", sweep=False)
 
     decomp = subs.add_parser("decomp", help="fibre and coalgebra sweeps")
     _add_common(decomp, "fin-surj")
 
     everything = subs.add_parser("all", help="the full default suite")
-    everything.add_argument("--bound", type=_natural, default=3)
-    everything.add_argument(
-        "--maxlen", type=_natural, default=4, help=MAXLEN_HELP
-    )
+    _add_common(everything, maxlen=True)
     _add_mode(everything)
-    everything.add_argument("--json", action="store_true")
 
     return parser
 
@@ -174,19 +145,19 @@ def _coalg_text(element) -> str:
     return " + ".join(pieces) if pieces else "0"
 
 
-def _emit_report(rep: Report, cfg: RunConfig, out) -> None:
-    if cfg.output == "text":
+def _emit_report(rep: Report, args, out) -> None:
+    if not args.json:
         print(rep.summary(), file=out)
         for violation in rep.violations[:5]:
             print("  " + json.dumps(violation, sort_keys=True), file=out)
         out.flush()
 
 
-def _finish(reports: list[Report], cfg: RunConfig, out) -> int:
+def _finish(reports: list[Report], args, out) -> int:
     ok = all(rep.ok for rep in reports)
     checks = sum(rep.checks for rep in reports)
     violations = sum(len(rep.violations) for rep in reports)
-    if cfg.output == "json":
+    if args.json:
         doc = {
             "ok": ok,
             "checks": checks,
@@ -205,7 +176,7 @@ def _finish(reports: list[Report], cfg: RunConfig, out) -> int:
 # ------------------------------------------------------------ subcommands
 
 
-def _run_factor(args, cfg: RunConfig, out) -> int:
+def _run_factor(args, out) -> int:
     try:
         values = json.loads(args.map)
     except json.JSONDecodeError as exc:
@@ -224,13 +195,13 @@ def _run_factor(args, cfg: RunConfig, out) -> int:
         print(f"pita factor: --map is not a map to {args.cod}: {exc}",
               file=sys.stderr)
         return 2
-    inst = make_instance(cfg.instance)
+    inst = make_instance(args.instance)
     if not inst.is_morphism(f):
-        print(f"pita factor: {f} is not a morphism of {cfg.instance}",
+        print(f"pita factor: {f} is not a morphism of {args.instance}",
               file=sys.stderr)
         return 2
-    split = pita_general(inst, f, mode=cfg.mode)
-    if cfg.output == "json":
+    split = pita_general(inst, f, mode=args.mode)
+    if args.json:
         doc = {
             "f": finmap_to_json(f),
             "pi": finmap_to_json(split.pi),
@@ -244,40 +215,38 @@ def _run_factor(args, cfg: RunConfig, out) -> int:
     return 0
 
 
-def _run_coalg(args, cfg: RunConfig, out) -> int:
-    inst = make_instance(cfg.instance)
-    element = comult(
-        inst, FinMap(args.n, 1, (1,) * args.n)
-    )
-    if cfg.output == "json":
+def _run_coalg(args, out) -> int:
+    inst = make_instance(args.instance)
+    element = comult(inst, FinMap(args.n, 1, (1,) * args.n))
+    if args.json:
         print(_dumps(element.to_json()), file=out)
     else:
         print(_coalg_text(element), file=out)
     return 0
 
 
-def _axioms_reports(cfg: RunConfig):
-    inst = make_instance(cfg.instance)
-    yield verify_axioms(inst, cfg.bound)
-    yield verify_eta_identities(inst, cfg.bound)
+def _axioms_reports(name: str, bound: int):
+    inst = make_instance(name)
+    yield verify_axioms(inst, bound)
+    yield verify_eta_identities(inst, bound)
 
 
-def _nerve_reports(cfg: RunConfig, check: str):
-    inst = make_instance(cfg.instance)
+def _nerve_reports(name: str, bound: int, maxlen: int, check: str):
+    inst = make_instance(name)
     if check in ("strict", "all"):
-        yield verify_strict_identities(inst, cfg.bound, cfg.maxlen)
+        yield verify_strict_identities(inst, bound, maxlen)
     if check in ("beta", "all"):
-        yield verify_beta_coherence(inst, cfg.bound, cfg.maxlen)
+        yield verify_beta_coherence(inst, bound, maxlen)
     if check in ("opfib", "all"):
         for n in range(3):
-            yield verify_opfibration(inst, n, cfg.bound)
+            yield verify_opfibration(inst, n, bound)
 
 
-def _decomp_reports(cfg: RunConfig):
-    inst = make_instance(cfg.instance)
-    yield verify_decomposition_fibres(inst, cfg.bound)
-    yield verify_bialgebra(inst, cfg.bound)
-    yield verify_counit(inst, cfg.bound)
+def _decomp_reports(name: str, bound: int):
+    inst = make_instance(name)
+    yield verify_decomposition_fibres(inst, bound)
+    yield verify_bialgebra(inst, bound)
+    yield verify_counit(inst, bound)
 
 
 def _closed_form_report(max_n: int) -> Report:
@@ -344,26 +313,20 @@ def _introduction_report(mode: str) -> Report:
     return rep
 
 
-def _run_sweep(report_iter, cfg: RunConfig, out) -> int:
+def _run_sweep(report_iter, args, out) -> int:
     reports = []
     for rep in report_iter:
         reports.append(rep)
-        _emit_report(rep, cfg, out)
-    return _finish(reports, cfg, out)
+        _emit_report(rep, args, out)
+    return _finish(reports, args, out)
 
 
-def _all_reports(cfg: RunConfig):
-    yield _introduction_report(cfg.mode)
+def _all_reports(bound: int, maxlen: int, mode: str):
+    yield _introduction_report(mode)
     for name in ("fin", "fin-surj"):
-        sub = RunConfig(name, "axioms", cfg.bound, cfg.maxlen,
-                        cfg.mode, cfg.output)
-        yield from _axioms_reports(sub)
-    nerve_cfg = RunConfig("fin-surj", "nerve", cfg.bound, cfg.maxlen,
-                          cfg.mode, cfg.output)
-    yield from _nerve_reports(nerve_cfg, "all")
-    decomp_cfg = RunConfig("fin-surj", "decomp", cfg.bound, cfg.maxlen,
-                           cfg.mode, cfg.output)
-    yield from _decomp_reports(decomp_cfg)
+        yield from _axioms_reports(name, bound)
+    yield from _nerve_reports("fin-surj", bound, maxlen, "all")
+    yield from _decomp_reports("fin-surj", bound)
     yield _closed_form_report(6)
     yield _witness_report()
 
@@ -377,38 +340,34 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    output = "json" if getattr(args, "json", False) else "text"
-    try:
-        cfg = RunConfig(
-            instance=getattr(args, "instance", "fin-surj"),
-            subcommand=args.subcommand,
-            bound=getattr(args, "bound", 3),
-            maxlen=getattr(args, "maxlen", 4),
-            mode=getattr(args, "mode", "production"),
-            output=output,
-        )
-    except ShapeError as exc:
-        print(f"pita: {exc}", file=sys.stderr)
-        return 2
-
     out = sys.stdout
     try:
         if args.subcommand == "factor":
-            return _run_factor(args, cfg, out)
-        if args.subcommand == "coalg":
-            return _run_coalg(args, cfg, out)
-        if args.subcommand == "axioms":
-            return _run_sweep(_axioms_reports(cfg), cfg, out)
-        if args.subcommand == "nerve":
-            return _run_sweep(_nerve_reports(cfg, args.check), cfg, out)
-        if args.subcommand == "decomp":
-            return _run_sweep(_decomp_reports(cfg), cfg, out)
-        return _run_sweep(_all_reports(cfg), cfg, out)
-    except UnsupportedInstanceError as exc:
-        print(f"pita: {exc}", file=sys.stderr)
-        return 2
+            code = _run_factor(args, out)
+        elif args.subcommand == "coalg":
+            code = _run_coalg(args, out)
+        elif args.subcommand == "axioms":
+            reports = _axioms_reports(args.instance, args.bound)
+            code = _run_sweep(reports, args, out)
+        elif args.subcommand == "nerve":
+            reports = _nerve_reports(
+                args.instance, args.bound, args.maxlen, args.check
+            )
+            code = _run_sweep(reports, args, out)
+        elif args.subcommand == "decomp":
+            reports = _decomp_reports(args.instance, args.bound)
+            code = _run_sweep(reports, args, out)
+        else:
+            reports = _all_reports(args.bound, args.maxlen, args.mode)
+            code = _run_sweep(reports, args, out)
+        out.flush()
+        return code
     except PitaError as exc:
         print(f"pita: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, UnsupportedInstanceError) else 1
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull to quiet the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -31,7 +31,6 @@ from .finskel import FinMap, finmap_to_json
 from .opcat import (
     OperadicInstance,
     Report,
-    default_threads,
     is_op_morphism,
     is_quasibijection,
     universe,
@@ -189,7 +188,6 @@ def omega(
 def verify_eta_identities(
     inst: OperadicInstance,
     bound: int,
-    threads: int | None = None,
     max_violations: int = 50,
 ) -> Report:
     """Exhaustively check the splitting calculus below the bound.
@@ -206,8 +204,6 @@ def verify_eta_identities(
     table engine. Checks are counted per site in by_axiom, each site
     keyed by the tag it reports.
     """
-    if threads is None:
-        threads = default_threads()
     rep = Report(
         f"splitting[{inst.name}, bound={bound}]",
         max_violations=max_violations,
@@ -216,7 +212,7 @@ def verify_eta_identities(
     if u.vectorised:
         table = u.table()
         table.sweep_splitting_identities(rep)
-        table.sweep_relative_part_cocycle(rep, threads=threads)
+        table.sweep_relative_part_cocycle(rep)
         return rep
 
     maps, n, w = u.maps, u.n, u.bound

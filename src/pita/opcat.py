@@ -443,7 +443,6 @@ def universe(inst: OperadicInstance, bound: int) -> Universe:
 def verify_axioms(
     inst: OperadicInstance,
     bound: int,
-    threads: int | None = None,
     max_violations: int = 50,
 ) -> Report:
     """Check the operadic-category axioms on all data below the bound.
@@ -458,8 +457,6 @@ def verify_axioms(
     sweep, the expensive one, switches to a vectorised engine on large
     universes.
     """
-    if threads is None:
-        threads = default_threads()
     rep = Report(
         f"axioms[{inst.name}, bound={bound}]", max_violations=max_violations
     )
@@ -600,7 +597,7 @@ def verify_axioms(
     # (g, f), the fibre map of [h over g;f at i] over [g over f at i] at j
     # equals the fibre map of h over g at epsilon(j)
     if u.vectorised:
-        u.table().sweep_iterated_fibre_maps(rep, threads=threads)
+        u.table().sweep_iterated_fibre_maps(rep)
         return rep
 
     pair = u.pair

@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pita import cli
-from pita.cli import RunConfig, main
-from pita.errors import ShapeError
+from pita.cli import main
 from pita.opcat import Report
 
 
@@ -13,25 +19,6 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-# ------------------------------------------------------- configuration
-
-
-def test_run_config_validates_fields():
-    RunConfig("fin", "axioms")
-    with pytest.raises(ShapeError):
-        RunConfig("groups", "axioms")
-    with pytest.raises(ShapeError):
-        RunConfig("fin", "simplify")
-    with pytest.raises(ShapeError):
-        RunConfig("fin", "axioms", bound=0)
-    with pytest.raises(ShapeError):
-        RunConfig("fin", "axioms", maxlen=0)
-    with pytest.raises(ShapeError):
-        RunConfig("fin", "axioms", mode="turbo")
-    with pytest.raises(ShapeError):
-        RunConfig("fin", "axioms", output="xml")
 
 
 # ------------------------------------------------------- calculators
@@ -247,6 +234,84 @@ def test_bound_must_be_positive(capsys):
 def test_missing_subcommand_is_a_usage_error(capsys):
     code, _, _ = _run(capsys, [])
     assert code == 2
+
+
+def test_unknown_subcommand_is_a_usage_error(capsys):
+    code, _, err = _run(capsys, ["simplify"])
+    assert code == 2
+    assert "invalid choice" in err
+
+
+def test_maxlen_must_be_positive(capsys):
+    code, _, err = _run(capsys, ["nerve", "--maxlen", "0"])
+    assert code == 2
+    assert "must be at least 1" in err
+
+
+def test_unknown_mode_is_a_usage_error(capsys):
+    code, _, err = _run(
+        capsys, ["factor", "--map", "[1]", "--cod", "1", "--mode", "turbo"]
+    )
+    assert code == 2
+    assert "invalid choice" in err
+
+
+def test_calculators_take_no_bound(capsys):
+    for argv in (
+        ["factor", "--map", "[1]", "--cod", "1", "--bound", "3"],
+        ["coalg", "--n", "2", "--bound", "3"],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --bound 3" in err
+
+
+def test_a_closed_stdout_exits_one_without_a_traceback():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pita.cli",
+         "nerve", "--check", "opfib", "--bound", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err
+
+
+# ------------------------------------------------------- argv fuzzing
+
+FLAGS = ["--instance", "--bound", "--maxlen", "--mode", "--json", "--check",
+         "--map", "--cod", "--n", "--bogus", "--help"]
+VALUES = ["-1", "0", "1", "2", "3", "fin", "fin-surj", "op", "groups",
+          "oracle", "[]", "[1]", "[2,1]", "[true]", "x"]
+SWEEPS = ("axioms", "nerve", "decomp", "all")
+
+
+@st.composite
+def argvs(draw):
+    words = st.sampled_from(FLAGS) | st.sampled_from(VALUES)
+    subcommand = draw(st.sampled_from(["factor", "coalg", *SWEEPS, "x"]))
+    argv = [subcommand, *draw(st.lists(words, max_size=6))]
+    # argparse keeps the last --bound, so no draw sweeps above bound 1
+    if subcommand in SWEEPS:
+        argv += ["--bound", "1"]
+    return argv
+
+
+@settings(max_examples=50, deadline=None)
+@given(argv=argvs())
+def test_fuzzed_argv_ends_in_an_exit_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 # ------------------------------------------------------- the full suite

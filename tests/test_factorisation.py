@@ -317,6 +317,27 @@ def test_splitting_mutants_agree_across_routes(mutant, cutoff, monkeypatch):
     assert tags == SPLITTING_MUTANTS[mutant]
 
 
+def test_pita_threads_does_not_change_the_table_sweeps(monkeypatch):
+    # the table route runs its triple sweeps on a pool above one thread;
+    # a mutant makes the per-chunk hits part of what is compared
+    monkeypatch.setattr(opcat, "_TRIPLE_LOOP_CUTOFF", 0)
+    runs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PITA_THREADS", threads)
+        inst = CorruptFibreMap(make_fin())
+        runs[threads] = [
+            (rep.to_json(), rep.by_axiom)
+            for rep in (
+                verify_axioms(inst, 2, max_violations=10**6),
+                verify_eta_identities(inst, 2, max_violations=10**6),
+            )
+        ]
+    assert runs["1"] == runs["2"]
+    (axioms, _), _ = runs["1"]
+    assert axioms["checks"] == 560
+    assert len(axioms["violations"]) == 82
+
+
 @ROUTES
 @pytest.mark.parametrize(
     "mutant",
