@@ -37,7 +37,6 @@ class MapTable:
         self.DOM = _array([f.dom for f in maps])
         self.COD = _array([f.cod for f in maps])
         self.OP = np.array(universe.order_preserving, dtype=bool)
-        self.QB = np.array(universe.quasibijective, dtype=bool)
         self.by_dom = {X: _array(ks) for X, ks in universe.out_of.items()}
         self.by_cod = {Y: _array(ks) for Y, ks in universe.into.items()}
 
@@ -152,49 +151,12 @@ class MapTable:
     # ------------------------------------------- splitting pairwise sweep
 
     def sweep_splitting_identities(self, report):
-        """Unary and pairwise identities of the quasibijection/op
-        splitting: idempotence of the two parts, triviality of the cross
-        parts, op quasibijections being identities, the two defining
-        equations of relative op parts with their degenerate cases, the
-        op-part composition law through the twisted middle term, and
-        fibrewise order-preservation of every unit square."""
+        """Pairwise identities of the quasibijection/op splitting: the two
+        defining equations of relative op parts with their degenerate
+        cases, the op-part composition law through the twisted middle
+        term, and fibrewise order-preservation of every unit square."""
         self.ensure_pita()
         maps = self.maps
-        ids = np.arange(self.n)
-        id_dom = self.ID_BY_CARD[self.DOM]
-
-        def emit_unary(tag, bad, lhs, rhs):
-            report.count(tag, self.n)
-            for k in np.flatnonzero(bad):
-                report.add(
-                    tag,
-                    {"f": finmap_to_json(maps[int(k)])},
-                    finmap_to_json(maps[int(lhs[k])]),
-                    finmap_to_json(maps[int(rhs[k])]),
-                )
-
-        emit_unary(
-            "pi-of-pi", self.PI[self.PI] != self.PI, self.PI[self.PI], self.PI
-        )
-        emit_unary(
-            "eta-of-eta",
-            self.ETA[self.ETA] != self.ETA,
-            self.ETA[self.ETA],
-            self.ETA,
-        )
-        emit_unary(
-            "pi-of-eta", self.PI[self.ETA] != id_dom, self.PI[self.ETA], id_dom
-        )
-        emit_unary(
-            "eta-of-pi", self.ETA[self.PI] != id_dom, self.ETA[self.PI], id_dom
-        )
-        emit_unary(
-            "op-quasibijection-not-identity",
-            self.OP & self.QB & (ids != id_dom),
-            ids,
-            id_dom,
-        )
-
         pa, pb, ER = self.pa, self.pb, self.ER
         AB = self.C[pa, pb]
 

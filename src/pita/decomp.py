@@ -276,7 +276,7 @@ def verify_coassociativity(
         return out
 
     for f in _op_surjections(0, bound):
-        rep.checks += 1
+        rep.count("coassociativity")
         base = comult(inst, f) if table == "incidence" else expand(label(f))
         lhs: Counter = Counter()
         rhs: Counter = Counter()
@@ -297,8 +297,6 @@ def verify_coassociativity(
                 {str(k): v for k, v in sorted(lhs.items())},
                 {str(k): v for k, v in sorted(rhs.items())},
             )
-            if rep.full:
-                return rep
     return rep
 
 
@@ -312,7 +310,7 @@ def verify_bialgebra(
         max_violations=max_violations,
     )
     empty = comult(inst, FinMap(0, 0, ()))
-    rep.checks += 1
+    rep.count("bialgebra-unit")
     if empty.terms != {((), ()): 1}:
         rep.add("bialgebra-unit", None, empty.to_json(), {((), ()): 1})
 
@@ -321,7 +319,7 @@ def verify_bialgebra(
         for g in ops:
             if f.dom + g.dom > bound:
                 continue
-            rep.checks += 1
+            rep.count("bialgebra-multiplicativity")
             lhs = comult(inst, ordinal_sum(f, g))
             rhs = comult(inst, f) * comult(inst, g)
             if lhs != rhs:
@@ -331,8 +329,6 @@ def verify_bialgebra(
                     lhs.to_json(),
                     rhs.to_json(),
                 )
-                if rep.full:
-                    return rep
     return rep
 
 
@@ -346,7 +342,7 @@ def verify_counit(
         max_violations=max_violations,
     )
     for f in _op_surjections(1, bound):
-        rep.checks += 1
+        rep.count("counit")
         picked = [
             (left, coeff)
             for (left, right), coeff in comult(inst, f).terms.items()
@@ -354,8 +350,6 @@ def verify_counit(
         ]
         if picked != [(label(f), 1)]:
             rep.add("counit", finmap_to_json(f), picked, [(label(f), 1)])
-            if rep.full:
-                return rep
     return rep
 
 
@@ -516,7 +510,7 @@ def _verify_fibre_pair(rep: Report, groupoid: FactorisationGroupoid, tag: str):
     c2 = groupoid.c2_objects
     members = set(c1)
     for y in c2:
-        rep.checks += 1
+        rep.count(f"{tag}-retraction")
         back = groupoid.backward(y)
         there = groupoid.forward(back)
         if there != y:
@@ -526,8 +520,6 @@ def _verify_fibre_pair(rep: Report, groupoid: FactorisationGroupoid, tag: str):
                 legs(there),
                 legs(y),
             )
-            if rep.full:
-                return
         if back not in members:
             rep.add(
                 f"{tag}-backward-leaves-fibre",
@@ -535,15 +527,11 @@ def _verify_fibre_pair(rep: Report, groupoid: FactorisationGroupoid, tag: str):
                 legs(back),
                 "a C_1 object",
             )
-            if rep.full:
-                return
-    rep.checks += 1
+    rep.count(f"{tag}-c2-not-discrete")
     if not groupoid.c2_is_discrete():
         rep.add(f"{tag}-c2-not-discrete", where, "morphisms found", "discrete")
-        if rep.full:
-            return
     for x in c1:
-        rep.checks += 1
+        rep.count(f"{tag}-unit-not-a-morphism")
         unit = groupoid.unit_at(x)
         target = groupoid.backward(groupoid.forward(x))
         if not groupoid.is_c1_morphism(unit, x, target):
@@ -553,8 +541,6 @@ def _verify_fibre_pair(rep: Report, groupoid: FactorisationGroupoid, tag: str):
                 finmap_to_json(unit),
                 "a C_1 morphism to backward(forward(x))",
             )
-            if rep.full:
-                return
         if not finskel.is_bijective(unit) or not groupoid.is_c1_morphism(
             inverse(unit), target, x
         ):
@@ -564,9 +550,7 @@ def _verify_fibre_pair(rep: Report, groupoid: FactorisationGroupoid, tag: str):
                 finmap_to_json(unit),
                 "invertible",
             )
-            if rep.full:
-                return
-    rep.checks += 1
+    rep.count(f"{tag}-class-count")
     classes = groupoid.c1_iso_classes()
     if len(classes) != len(c2):
         rep.add(f"{tag}-class-count", where, len(classes), len(c2))
@@ -595,12 +579,8 @@ def verify_decomposition_fibres(
     seen.update(c.maps for c in enumerate_p(inst, 2, chain_bound))
     for f, btm in sorted(seen, key=lambda p: (p[0].dom, p[0].values, p[1].values)):
         _verify_fibre_pair(rep, FactorisationGroupoid(inst, f, btm), "fibre")
-        if rep.full:
-            return rep
     for c in enumerate_p(inst, 3, chain_bound):
         f, middle, btm = c.maps
         groupoid = FactorisationGroupoid(inst, f, btm, middle=middle)
         _verify_fibre_pair(rep, groupoid, "chain-fibre")
-        if rep.full:
-            return rep
     return rep

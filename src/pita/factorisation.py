@@ -200,36 +200,23 @@ def verify_eta_identities(
     fibrewise order-preservation of every unit square, and the cocycle
     rule for relative op parts over composable triples. Both routes read
     the instance's answers from its universe (the splits, relative parts,
-    composites and fibre maps as ids); large universes take the vectorised
-    table engine. Checks are counted per site in by_axiom, each site
-    keyed by the tag it reports.
+    composites and fibre maps as ids). The unary sites are one pass over
+    the maps; for the pair and triple sites large universes take the
+    vectorised table engine.
     """
     rep = Report(
         f"splitting[{inst.name}, bound={bound}]",
         max_violations=max_violations,
     )
     u = universe(inst, bound)
-    if u.vectorised:
-        table = u.table()
-        table.sweep_splitting_identities(rep)
-        table.sweep_relative_part_cocycle(rep)
-        return rep
-
     maps, n, w = u.maps, u.n, u.bound
     pis, etas, _ = u.splits()
-    rel = u.relative_parts()
-    first, second, composites = u.pair_first, u.pair_second, u.composites
-    op, composite = u.order_preserving, u.composite
 
     def json_of(k):
         return finmap_to_json(maps[k]) if k >= 0 else None
 
     def one(k):
         return u.identities[maps[k].dom]
-
-    def rel_of(a, b):
-        p = u.pair(a, b)
-        return rel[p] if p >= 0 else -1
 
     for tag in (
         "pi-of-pi", "eta-of-eta", "pi-of-eta", "eta-of-pi",
@@ -244,11 +231,25 @@ def verify_eta_identities(
             ("pi-of-eta", pis[eta], idk),
             ("eta-of-pi", etas[pi], idk),
         ]
-        if op[k] and u.quasibijective[k] and k != idk:
+        if u.order_preserving[k] and u.quasibijective[k] and k != idk:
             found.append(("op-quasibijection-not-identity", k, idk))
         for tag, lhs, rhs in found:
             if lhs != rhs:
                 rep.add(tag, {"f": json_of(k)}, json_of(lhs), json_of(rhs))
+
+    if u.vectorised:
+        table = u.table()
+        table.sweep_splitting_identities(rep)
+        table.sweep_relative_part_cocycle(rep)
+        return rep
+
+    rel = u.relative_parts()
+    first, second, composites = u.pair_first, u.pair_second, u.composites
+    op, composite = u.order_preserving, u.composite
+
+    def rel_of(a, b):
+        p = u.pair(a, b)
+        return rel[p] if p >= 0 else -1
 
     for p, (a, b) in enumerate(zip(first, second)):
         c, er = composites[p], rel[p]

@@ -191,7 +191,7 @@ def weak_blowup_report(inst, bound: int, max_violations: int = 50) -> Report:
                         for j in range(1, eps_h.dom + 1):
                             values[eps_h(j) - 1] = eps_g(fi(j))
                     f = FinMap(T, S, values)
-                    rep.checks += 1
+                    rep.count("blowup-existence")
                     ok = (
                         f in inst.hom(T, S)
                         and g in inst.hom(S, R)
@@ -236,7 +236,7 @@ def weak_blowup_report(inst, bound: int, max_violations: int = 50) -> Report:
                             for i in range(1, cardR + 1)
                         )
                     ]
-                    rep.checks += 1
+                    rep.count("blowup-uniqueness")
                     if len(g_candidates) != 1 or len(f_candidates) != 1:
                         rep.add(
                             "blowup-uniqueness",

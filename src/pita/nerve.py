@@ -388,22 +388,22 @@ def verify_strict_identities(
     for n in range(1, maxlen + 1):
         for c in enumerate_p(inst, n, bound):
             top = top_face(c)
-            rep.checks += 1
+            rep.count("top-face-not-locally-op")
             if not top.locally_op:
                 bad("top-face-not-locally-op", c)
             for j in range(n):
                 for i in range(j):
-                    rep.checks += 1
+                    rep.count("face-face")
                     if face(i, face(j, c)) != face(j - 1, face(i, c)):
                         bad("face-face", c, {"i": i, "j": j})
             for i in range(n - 1):
-                rep.checks += 1
+                rep.count("face-top-face")
                 if face(i, top) != top_face(face(i, c)):
                     bad("face-top-face", c, {"i": i})
             for j in range(n + 1):
                 d = degeneracy(j, c)
                 for i in range(n + 1):
-                    rep.checks += 1
+                    rep.count("face-degeneracy")
                     got = face(i, d)
                     if i in (j, j + 1):
                         expect = c
@@ -413,19 +413,17 @@ def verify_strict_identities(
                         expect = degeneracy(j, face(i - 1, c))
                     if got != expect:
                         bad("face-degeneracy", c, {"i": i, "j": j})
-                rep.checks += 1
-                got = top_face(d)
+                tag = (
+                    "top-face-bottom-degeneracy"
+                    if j == n
+                    else "degeneracy-top-face"
+                )
+                rep.count(tag)
                 expect = c if j == n else degeneracy(j, top)
-                if got != expect:
-                    bad(
-                        "top-face-bottom-degeneracy"
-                        if j == n
-                        else "degeneracy-top-face",
-                        c,
-                        {"j": j},
-                    )
+                if top_face(d) != expect:
+                    bad(tag, c, {"j": j})
                 for i in range(j + 1):
-                    rep.checks += 1
+                    rep.count("degeneracy-degeneracy")
                     if degeneracy(i, d) != degeneracy(j + 1, degeneracy(i, c)):
                         bad("degeneracy-degeneracy", c, {"i": i, "j": j})
 
@@ -433,7 +431,7 @@ def verify_strict_identities(
     # naturality along every conjugating ladder of quasibijections
     for n in range(1, min(maxlen, 2) + 1):
         for c in _all_chains(inst, n, bound, locally_op=False):
-            rep.checks += 1
+            rep.count("reflection-not-locally-op")
             rc, unit = reflect_chain(inst, c)
             if not rc.locally_op:
                 bad("reflection-not-locally-op", c)
@@ -445,7 +443,7 @@ def verify_strict_identities(
             for ladder in _conjugate_ladders(c, perms):
                 if not ladder.is_valid():
                     continue
-                rep.checks += 1
+                rep.count("reflection-naturality")
                 sig = ladder.horizontals
                 rc2, unit2 = reflect_chain(inst, ladder.target)
                 lifted = opfibration_lift(rc, sig[-1])
@@ -486,7 +484,7 @@ def verify_beta_coherence(
 
     for m in range(max(maxlen, 3) - 2):
         for c in enumerate_p(inst, m + 2, bound):
-            rep.checks += 1
+            rep.count(f"beta-{m}-construction")
             try:
                 beta(m, c, mode="oracle")
             except PitaError as exc:
@@ -494,14 +492,14 @@ def verify_beta_coherence(
 
         for c in enumerate_p(inst, m + 3, bound):
             if m == 0:
-                rep.checks += 1
+                rep.count("coherence-0-direct")
                 direct_l, direct_r = _scalar_coherence_0(inst, c)
                 if direct_l != direct_r:
                     rep.add(
                         "coherence-0-direct", w(c),
                         finmap_to_json(direct_l), finmap_to_json(direct_r),
                     )
-            rep.checks += 1
+            rep.count(f"coherence-{m}")
             try:
                 lhs = compose_ladders(
                     beta(m, face(m + 1, c)), beta(m, top_face(c))
@@ -524,7 +522,7 @@ def verify_beta_coherence(
                 )
 
         for c in enumerate_p(inst, m + 1, bound):
-            rep.checks += 1
+            rep.count("beta-at-bottom-degeneracy")
             cell = beta(m, degeneracy(m + 1, c))
             if cell != identity_ladder(cell.source):
                 rep.add(
@@ -565,7 +563,7 @@ def verify_opfibration(
     for chain in enumerate_p(inst, n, bound):
         T0 = chain.objects[-1]
         for sigma0 in quasibijections(inst, T0, T0):
-            rep.checks += 1
+            rep.count("opfibration-lift-invalid")
             witness = {
                 "chain": chain_to_json(chain), "sigma0": finmap_to_json(sigma0),
             }

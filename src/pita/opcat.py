@@ -68,31 +68,34 @@ class OperadicInstance:
 
 @dataclass
 class Report:
-    """Outcome of an enumeration sweep: a check count plus violations.
+    """Outcome of an enumeration sweep: per-site check counts plus
+    violations.
 
-    by_axiom splits the check count by check site, each site keyed by the
-    first tag it can report; it stays out of to_json so the JSON document
-    is unchanged by it.
+    Every check is recorded through count, so by_axiom splits the checks
+    of every report by check site, each site keyed by the tag it reports
+    (by one of its tags when one check can report several), and checks
+    is their sum. by_axiom stays out of to_json so the JSON document is
+    unchanged by it. max_violations caps the violation list, never the
+    sweep: past the cap add drops the violation and sets truncated, and
+    the sweep runs on and counts every check.
     """
 
     title: str
-    checks: int = 0
     violations: list = field(default_factory=list)
     max_violations: int = 50
     truncated: bool = False
     by_axiom: Counter = field(default_factory=Counter)
 
     @property
+    def checks(self) -> int:
+        return sum(self.by_axiom.values())
+
+    @property
     def ok(self) -> bool:
         return not self.violations and not self.truncated
 
-    @property
-    def full(self) -> bool:
-        """True once the violation list has reached its cap."""
-        return len(self.violations) >= self.max_violations
-
     def add(self, axiom: str, witness, lhs, rhs):
-        if self.full:
+        if len(self.violations) >= self.max_violations:
             self.truncated = True
             return
         self.violations.append(
@@ -101,7 +104,6 @@ class Report:
 
     def count(self, axiom: str, n: int = 1):
         """Record n checks made at the site keyed by axiom."""
-        self.checks += n
         self.by_axiom[axiom] += n
 
     def to_json(self) -> dict:

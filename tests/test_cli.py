@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -148,7 +149,7 @@ def test_failing_check_exits_one_and_prints_witnesses(
     capsys, monkeypatch
 ):
     broken = Report("counit[fin-surj, bound=3]")
-    broken.checks = 1
+    broken.count("counit")
     broken.add("counit", {"f": {"dom": 2}}, "nothing", "something")
 
     monkeypatch.setattr(cli, "verify_counit", lambda inst, bound: broken)
@@ -335,8 +336,54 @@ SUITE_SHA256 = (
 SUITE_CHECKS = 271_346
 
 
-def test_all_json_is_byte_stable(capsys):
-    code, out, _ = _run(capsys, ["all", "--json"])
+@pytest.fixture(scope="module")
+def suite_run():
+    """One `pita all --json` run: its exit code, its stdout and the
+    reports it emitted."""
+    reports = []
+    emit = cli._emit_report
+
+    def keep(rep, args, out):
+        reports.append(rep)
+        emit(rep, args, out)
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(cli, "_emit_report", keep)
+        code = main(["all", "--json"])
+    return code, out.getvalue(), reports
+
+
+def test_all_json_is_byte_stable(suite_run):
+    code, out, _ = suite_run
     assert code == 0
     assert json.loads(out)["checks"] == SUITE_CHECKS
     assert hashlib.sha256(out.encode()).hexdigest() == SUITE_SHA256
+
+
+def test_every_report_of_all_is_counted_by_site(suite_run):
+    _, out, reports = suite_run
+    assert len(reports) == 15
+    for rep, data in zip(reports, json.loads(out)["reports"]):
+        assert rep.by_axiom, rep.title
+        assert sum(rep.by_axiom.values()) == data["checks"], rep.title
+
+
+def test_coalg_table_defect_script_runs():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "coalg_table.py"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(script), "--max-n", "4", "--defect"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    summaries = [line for line in proc.stdout.splitlines()
+                 if line.startswith("coassociativity[")]
+    # the incidence table fails; its capped list still counts every check
+    assert summaries == [
+        "coassociativity[fin-surj, bound=4, table=incidence]: 16 checks, "
+        "3 violations (list truncated)",
+        "coassociativity[fin-surj, bound=4, table=composition]: 16 checks, ok",
+    ]

@@ -216,6 +216,16 @@ def test_incidence_table_is_not_coassociative():
     assert first["rhs"]["((1, 1), (1, 1), (2,))"] == 4
 
 
+def test_the_violation_cap_trims_the_list_not_the_sweep():
+    # fin-surj at bound 4: 16 surjections, 11 of them break coassociativity
+    full = verify_coassociativity(SURJ, 4, max_violations=10_000)
+    capped = verify_coassociativity(SURJ, 4, max_violations=1)
+    assert (full.checks, len(full.violations), full.truncated) == (16, 11, False)
+    assert (capped.checks, len(capped.violations)) == (16, 1)
+    assert capped.truncated
+    assert capped.violations == full.violations[:1]
+
+
 def test_composition_table_is_coassociative():
     rep = verify_coassociativity(SURJ, 5, table="composition")
     assert rep.ok, rep.violations[:2]
@@ -344,6 +354,16 @@ def test_fibre_suite_passes_at_bound_three():
     rep = verify_decomposition_fibres(SURJ, 3)
     assert rep.ok, rep.violations[:2]
     assert rep.checks == 1418
+    assert rep.by_axiom == {
+        "fibre-retraction": 55,
+        "fibre-c2-not-discrete": 25,
+        "fibre-unit-not-a-morphism": 121,
+        "fibre-class-count": 25,
+        "chain-fibre-retraction": 277,
+        "chain-fibre-c2-not-discrete": 121,
+        "chain-fibre-unit-not-a-morphism": 673,
+        "chain-fibre-class-count": 121,
+    }
     assert rep.title == "decomposition-fibres[fin-surj, bound=3]"
 
 

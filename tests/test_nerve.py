@@ -227,6 +227,17 @@ def test_strict_identities_fin_surj_bound_3():
     rep = verify_strict_identities(SURJ, 3, 4)
     assert rep.ok, rep.summary()
     assert rep.checks == 50_968
+    assert rep.by_axiom == {
+        "top-face-not-locally-op": 826,
+        "face-face": 4_426,
+        "face-top-face": 2_286,
+        "face-degeneracy": 19_014,
+        "top-face-bottom-degeneracy": 826,
+        "degeneracy-top-face": 3_112,
+        "degeneracy-degeneracy": 11_476,
+        "reflection-not-locally-op": 122,
+        "reflection-naturality": 8_880,
+    }
 
 
 def test_strict_identities_fin_bound_2():
@@ -321,7 +332,7 @@ def test_opfibration_uniqueness_sweeps():
     for n, checks in ((0, 9), (1, 15), (2, 37)):
         rep = verify_opfibration(SURJ, n, 3)
         assert rep.ok, rep.summary()
-        assert rep.checks == checks
+        assert rep.by_axiom == {"opfibration-lift-invalid": checks}
     rep = verify_opfibration(FIN, 1, 2)
     assert rep.ok, rep.summary()
     assert rep.checks == 16
@@ -425,6 +436,15 @@ def test_beta_coherence_sweeps():
         rep = verify_beta_coherence(inst, bound, maxlen)
         assert rep.ok, rep.summary()
         assert rep.checks == checks, (inst.name, bound, maxlen)
+        if (inst, bound, maxlen) == (SURJ, 3, 4):
+            assert rep.by_axiom == {
+                "beta-0-construction": 25,
+                "coherence-0-direct": 121,
+                "coherence-0": 121,
+                "beta-at-bottom-degeneracy": 32,
+                "beta-1-construction": 121,
+                "coherence-1": 673,
+            }
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])

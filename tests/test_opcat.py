@@ -46,7 +46,7 @@ from strategies import composable_pairs, finmaps
 def test_report_mechanics():
     rep = Report("demo", max_violations=2)
     assert rep.ok
-    rep.checks = 5
+    rep.count("law", 5)
     rep.add("law", {"x": 1}, 0, 1)
     assert not rep.ok
     rep.add("law", {"x": 2}, 0, 1)
