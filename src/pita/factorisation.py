@@ -31,7 +31,6 @@ from .finskel import FinMap, finmap_to_json
 from .opcat import (
     OperadicInstance,
     Report,
-    is_op_morphism,
     is_quasibijection,
     universe,
 )
@@ -64,26 +63,25 @@ def pita_general(
     inst: OperadicInstance, f: FinMap, mode: str = "production"
 ) -> PitaFactorisation:
     """Split a morphism of the instance. Production mode computes the
-    splitting on the cardinality map; oracle mode searches the homs for
-    all fop splittings and insists on exactly one."""
-    card = inst.cardinality(f)
+    splitting on the handle with finskel.pita; oracle mode searches the
+    homs for all fop splittings and insists on exactly one."""
     if mode == "production":
-        p, e = finskel.pita(card)
+        p, e = finskel.pita(f)
         return PitaFactorisation(f=f, pi=p, mid=p.cod, eta=e)
     if mode == "oracle":
-        X, Y = card.dom, card.cod
+        X, Y = f.dom, f.cod
         found = []
         for p in inst.hom(X, X):
             if not is_quasibijection(p, inst):
                 continue
             for e in inst.hom(X, Y):
-                if not is_op_morphism(e, inst):
+                if not finskel.is_order_preserving(e):
                     continue
                 if inst.compose(p, e) != f:
                     continue
                 if all(
-                    is_op_morphism(inst.fibre_morphism(p, e, i), inst)
-                    for i in range(1, inst.cardinality(e).cod + 1)
+                    finskel.is_order_preserving(inst.fibre_morphism(p, e, i))
+                    for i in range(1, e.cod + 1)
                 ):
                     found.append((p, e))
         if len(found) != 1:
@@ -102,7 +100,7 @@ def _unwind(
     the closed form of relative op parts, of omega and of each step of the
     nerve's lift."""
     try:
-        back = finskel.inverse(inst.cardinality(top))
+        back = finskel.inverse(top)
     except ShapeError as exc:
         raise UnsupportedInstanceError(
             "relative op parts need invertible quasibijections"
@@ -126,11 +124,10 @@ def eta_rel(
     if mode == "production":
         return _unwind(inst, split_fg.pi, f, split_g.pi)
     if mode == "oracle":
-        card = inst.cardinality(f)
         right = inst.compose(f, split_g.pi)
         found = [
             s
-            for s in inst.hom(card.dom, card.cod)
+            for s in inst.hom(f.dom, f.cod)
             if inst.compose(split_fg.pi, s) == right
             and inst.compose(s, split_g.eta) == split_fg.eta
         ]
@@ -155,11 +152,9 @@ def omega(
     w with compose(pi(f), w) == compose(sigma, pi(g)) and
     compose(w, eta(g)) == compose(eta(f), tau). It splits the square into
     a quasibijection square on top of an order-preserving square."""
-    cs, ct = inst.cardinality(sigma), inst.cardinality(tau)
-    cf, cg = inst.cardinality(f), inst.cardinality(g)
-    if cs.dom != cf.dom or cs.cod != cg.dom:
+    if sigma.dom != f.dom or sigma.cod != g.dom:
         raise ShapeError("top map does not match the verticals")
-    if ct.dom != cf.cod or ct.cod != cg.cod:
+    if tau.dom != f.cod or tau.cod != g.cod:
         raise ShapeError("bottom map does not match the verticals")
     if inst.compose(sigma, g) != inst.compose(f, tau):
         raise ShapeError("square does not commute")
@@ -172,7 +167,7 @@ def omega(
     if mode == "oracle":
         found = [
             w
-            for w in inst.hom(cs.dom, cs.cod)
+            for w in inst.hom(sigma.dom, sigma.cod)
             if inst.compose(split_f.pi, w) == inst.compose(sigma, split_g.pi)
             and inst.compose(w, split_g.eta) == inst.compose(split_f.eta, tau)
         ]

@@ -1,11 +1,12 @@
 """The three shipped instances: all finite maps, surjections only, and
 order-preserving maps only.
 
-Objects are ordinals identified with their cardinality, morphism handles are
-the FinMaps themselves, and every instance chooses the ordinal 1 with the
-constant map as its local terminal. The surjections instance starts at the
-ordinal 1: the empty ordinal has no surjection onto 1, so it would sit in
-its own component with a 0-element terminal and break the axioms.
+Objects are ordinals identified with their cardinality and morphism handles
+are the FinMaps themselves, so every handle is its own cardinality. Every
+instance chooses the ordinal 1 with the constant map as its local terminal.
+The surjections instance starts at the ordinal 1: the empty ordinal has no
+surjection onto 1, so it would sit in its own component with a 0-element
+terminal and break the axioms.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 from . import finskel
 from .errors import ShapeError
 from .finskel import FinMap
-from .opcat import OperadicInstance, Report, is_op_morphism
+from .opcat import OperadicInstance, Report
 
 
 class _FinMapInstance(OperadicInstance):
@@ -125,29 +126,28 @@ def make_instance(name: str) -> OperadicInstance:
 # ------------------------------------------------------------ weak blow-up
 
 
-def _op_map_with_fibre_sizes(sizes, cod: int) -> FinMap:
+def _op_map_with_fibres(sizes, cod: int) -> FinMap:
     values = []
     for i, s in enumerate(sizes, 1):
         values.extend([i] * s)
     return FinMap(sum(sizes), cod, values)
 
 
-def _families(inst, fibre_sizes, bound):
+def _families(inst, fibres, bound):
     """All choices (F_i, f_i) with f_i a morphism fibre_i -> F_i and the
     total size of the F_i at most the bound."""
     objs = inst.objects(bound)
 
     def build(i, budget, acc):
-        if i == len(fibre_sizes):
+        if i == len(fibres):
             yield tuple(acc)
             return
         for F in objs:
-            card = inst.cardinality(F)
-            if card > budget:
+            if F > budget:
                 continue
-            for f in inst.hom(fibre_sizes[i], F):
+            for f in inst.hom(fibres[i], F):
                 acc.append((F, f))
-                yield from build(i + 1, budget - card, acc)
+                yield from build(i + 1, budget - F, acc)
                 acc.pop()
 
     yield from build(0, bound, [])
@@ -167,25 +167,19 @@ def weak_blowup_report(inst, bound: int, max_violations: int = 50) -> Report:
     for T in objs:
         for R in objs:
             for h in inst.hom(T, R):
-                if not is_op_morphism(h, inst):
+                if not finskel.is_order_preserving(h):
                     continue
-                cardR = inst.cardinality(R)
-                fibre_sizes = [
-                    inst.cardinality(inst.fibre(h, i))
-                    for i in range(1, cardR + 1)
-                ]
-                for family in _families(inst, fibre_sizes, bound):
+                fibres = [inst.fibre(h, i) for i in range(1, R + 1)]
+                for family in _families(inst, fibres, bound):
                     targets = [F for F, _ in family]
                     maps = [f for _, f in family]
-                    S = sum(inst.cardinality(F) for F in targets)
+                    S = sum(targets)
                     if S not in objs:
                         continue
-                    g = _op_map_with_fibre_sizes(
-                        [inst.cardinality(F) for F in targets], R
-                    )
+                    g = _op_map_with_fibres(targets, R)
                     values = [0] * T
-                    for i in range(1, cardR + 1):
-                        eps_h = finskel.fibre(inst.cardinality(h), i).epsilon
+                    for i in range(1, R + 1):
+                        eps_h = finskel.fibre(h, i).epsilon
                         eps_g = finskel.fibre(g, i).epsilon
                         fi = maps[i - 1]
                         for j in range(1, eps_h.dom + 1):
@@ -198,11 +192,11 @@ def weak_blowup_report(inst, bound: int, max_violations: int = 50) -> Report:
                         and inst.compose(f, g) == h
                         and all(
                             inst.fibre(g, i) == targets[i - 1]
-                            for i in range(1, cardR + 1)
+                            for i in range(1, R + 1)
                         )
                         and all(
                             inst.fibre_morphism(f, g, i) == maps[i - 1]
-                            for i in range(1, cardR + 1)
+                            for i in range(1, R + 1)
                         )
                     )
                     if not ok:
@@ -221,10 +215,10 @@ def weak_blowup_report(inst, bound: int, max_violations: int = 50) -> Report:
                     g_candidates = [
                         g2
                         for g2 in inst.hom(S, R)
-                        if is_op_morphism(g2, inst)
+                        if finskel.is_order_preserving(g2)
                         and all(
                             inst.fibre(g2, i) == targets[i - 1]
-                            for i in range(1, cardR + 1)
+                            for i in range(1, R + 1)
                         )
                     ]
                     f_candidates = [
@@ -233,7 +227,7 @@ def weak_blowup_report(inst, bound: int, max_violations: int = 50) -> Report:
                         if inst.compose(f2, g) == h
                         and all(
                             inst.fibre_morphism(f2, g, i) == maps[i - 1]
-                            for i in range(1, cardR + 1)
+                            for i in range(1, R + 1)
                         )
                     ]
                     rep.count("blowup-uniqueness")

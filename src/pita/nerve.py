@@ -41,7 +41,6 @@ from .opcat import (
     OperadicInstance,
     Report,
     is_fop_square,
-    is_op_morphism,
     is_quasibijection,
     quasibijections,
 )
@@ -64,10 +63,9 @@ class Chain:
         if len(self.objects) != len(self.maps) + 1:
             raise ShapeError("a chain needs one more object than maps")
         for j, f in enumerate(self.maps):
-            card = self.inst.cardinality(f)
-            if card.dom != self.inst.cardinality(self.objects[j]):
+            if f.dom != self.objects[j]:
                 raise ShapeError(f"map {j} does not start at object {j}")
-            if card.cod != self.inst.cardinality(self.objects[j + 1]):
+            if f.cod != self.objects[j + 1]:
                 raise ShapeError(f"map {j} does not end at object {j + 1}")
 
     @property
@@ -91,7 +89,7 @@ class Chain:
 
     @cached_property
     def locally_op(self) -> bool:
-        return all(is_op_morphism(d, self.inst) for d in self._down[1:])
+        return all(map(finskel.is_order_preserving, self._down[1:]))
 
 
 def chain_to_json(chain: Chain) -> dict:
@@ -126,12 +124,10 @@ class FopDiagram:
             raise ShapeError("ladder endpoints have different lengths")
         if len(self.horizontals) != n + 1:
             raise ShapeError("a ladder needs one horizontal per object")
-        inst = self.source.inst
         for j, s in enumerate(self.horizontals):
-            card = inst.cardinality(s)
-            if card.dom != inst.cardinality(self.source.objects[j]):
+            if s.dom != self.source.objects[j]:
                 raise ShapeError(f"horizontal {j} does not start on the source")
-            if card.cod != inst.cardinality(self.target.objects[j]):
+            if s.cod != self.target.objects[j]:
                 raise ShapeError(f"horizontal {j} does not end on the target")
 
     @property
@@ -187,8 +183,8 @@ def _all_chains(inst: OperadicInstance, n: int, bound: int, locally_op: bool):
             full = c.down_composite(c.length)
             for X in objs:
                 for f in inst.hom(X, T):
-                    if locally_op and not is_op_morphism(
-                        inst.compose(f, full), inst
+                    if locally_op and not finskel.is_order_preserving(
+                        inst.compose(f, full)
                     ):
                         continue
                     nxt.append(Chain(inst, (X,) + c.objects, (f,) + c.maps))
@@ -258,8 +254,7 @@ def opfibration_lift(chain: Chain, sigma0: FinMap) -> FopDiagram:
     inst = chain.inst
     if not chain.locally_op:
         raise ShapeError("lifts start from locally order-preserving chains")
-    card = inst.cardinality(sigma0)
-    if card.dom != inst.cardinality(chain.objects[-1]):
+    if sigma0.dom != chain.objects[-1]:
         raise ShapeError("bottom map does not start at the bottom object")
     if not is_quasibijection(sigma0, inst):
         raise ShapeError("bottom map must be a quasibijection")
@@ -296,7 +291,7 @@ def _lift(inst: OperadicInstance, chain: Chain, sigma0: FinMap) -> FopDiagram:
         below = above
     target = Chain(
         inst,
-        chain.objects[:-1] + (inst.cardinality(sigma0).cod,),
+        chain.objects[:-1] + (sigma0.cod,),
         tuple(reversed(new_maps)),
     )
     return FopDiagram(chain, target, tuple(reversed(horizontals)))
@@ -601,7 +596,7 @@ def _conjugate_ladders(chain: Chain, perms):
                 break
             maps.append(g)
         else:
-            objects = chain.objects[:-1] + (inst.cardinality(sig[-1]).cod,)
+            objects = chain.objects[:-1] + (sig[-1].cod,)
             yield FopDiagram(chain, Chain(inst, objects, tuple(maps)), sig)
 
 

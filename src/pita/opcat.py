@@ -1,7 +1,7 @@
 """Operadic-category instances as query interfaces, and the axiom verifier.
 
 An instance exposes a small set of queries (objects up to a bound, homs,
-composition, cardinality, chosen local terminals, fibres and fibre maps) and
+composition, chosen local terminals, fibres and fibre maps) and
 verify_axioms checks the defining equations of an operadic category against
 those answers by exhaustive enumeration below the bound. Violations are
 collected into a Report with machine-readable witnesses instead of raising,
@@ -30,8 +30,9 @@ class OperadicInstance:
     """Query interface for a desk-scale operadic category.
 
     Object handles are natural numbers and morphism handles are FinMaps
-    between the object cardinalities, so cardinality() is the identity on
-    both. Subclasses fill in the object range and the hom filter.
+    between them: handles are their own cardinalities, so the cardinality
+    functor is read off the handle (X, f, f.cod) and has no query.
+    Subclasses fill in the object range and the hom filter.
     """
 
     name = "abstract"
@@ -47,11 +48,6 @@ class OperadicInstance:
 
     def identity(self, X: int) -> FinMap:
         return finskel.identity(X)
-
-    def cardinality(self, x):
-        """Cardinality of an object (a natural) or of a morphism (a FinMap).
-        Both are the identity here: handles are their own cardinalities."""
-        return x
 
     def chosen_terminal(self, X: int):
         raise NotImplementedError
@@ -131,20 +127,14 @@ def is_quasibijection(f: FinMap, inst: OperadicInstance | None = None) -> bool:
     instance this is the plain bijectivity test on the FinMap."""
     if inst is None:
         return finskel.is_bijective(f)
-    points = range(1, inst.cardinality(f).cod + 1)
+    points = range(1, f.cod + 1)
     return all(_is_point(inst.fibre(f, i), inst) for i in points)
 
 
 def _is_point(F, inst: OperadicInstance) -> bool:
     """True when the object F is a chosen local terminal of cardinality
     1: what every fibre of a quasibijection must be."""
-    return inst.chosen_terminal(F)[0] == F and inst.cardinality(F) == 1
-
-
-def is_op_morphism(f: FinMap, inst: OperadicInstance | None = None) -> bool:
-    """True when the cardinality map of f is order-preserving."""
-    card = f if inst is None else inst.cardinality(f)
-    return finskel.is_order_preserving(card)
+    return inst.chosen_terminal(F)[0] == F and F == 1
 
 
 def is_fop_square(
@@ -175,9 +165,9 @@ def is_fop_square(
     if comp(sigma, g) != comp(f, tau):
         raise ShapeError("square does not commute")
     fm = inst.fibre_morphism if inst is not None else finskel.fibre_map
-    cod_card = g.cod if inst is None else inst.cardinality(g).cod
     return all(
-        is_op_morphism(fm(sigma, g, i), inst) for i in range(1, cod_card + 1)
+        finskel.is_order_preserving(fm(sigma, g, i))
+        for i in range(1, g.cod + 1)
     )
 
 
@@ -227,15 +217,14 @@ class Universe:
     Morphisms get integer ids in hom order (objects X, then Y, then the
     order of inst.hom). The instance's answers about them are asked once,
     through the instance methods, and kept as id lists: composites of the
-    composable pairs, fibres, fibre sizes and fibre maps. Next to them sits
-    the raw reference side that the axioms compare against: finskel
-    composites, fibre sizes, inclusions and fibre maps of the cardinality
-    maps. Cardinality maps have their own ids (cards), since they need not
-    be morphisms. An answer outside the instance's homs gets id -1. Two
-    flags per morphism are kept as well: whether its cardinality map is
+    composable pairs, fibres and fibre maps. An answer outside the
+    instance's homs gets id -1. Next to them sit the finskel inclusions of
+    the fibres of every morphism and two flags per morphism: whether it is
     order-preserving, and whether the instance calls it a quasibijection.
-    The splits and relative op parts of the splitting calculus are derived
-    from these lists on first use (splits(), relative_parts()).
+    The finskel reference composites and fibre maps that the axioms
+    compare against are computed in verify_axioms' pair sweep. The splits
+    and relative op parts of the splitting calculus are derived from these
+    lists on first use (splits(), relative_parts()).
 
     Layout: pair p is (pair_first[p], pair_second[p]), the first applied
     first, with pair_index[a * n + b] == p and -1 where a, b do not
@@ -267,24 +256,15 @@ class Universe:
             X: index.get(inst.identity(X), -1) for X in objs
         }
 
-        self.cards: list = []
-        self._card_ids: dict = {}
-        self.card_of = [self._card(inst.cardinality(f)) for f in maps]
-        cards = self.cards
-        self.order_preserving = [
-            finskel.is_order_preserving(cards[c]) for c in self.card_of
-        ]
+        self.order_preserving = [finskel.is_order_preserving(f) for f in maps]
         self.inclusions = []
         self.fibres = []
-        self.fibre_sizes = []
-        for f, c in zip(maps, self.card_of):
-            points = range(1, cards[c].cod + 1)
+        for f in maps:
+            points = range(1, f.cod + 1)
             self.inclusions.append(tuple(
-                finskel.fibre(cards[c], i).epsilon.values for i in points
+                finskel.fibre(f, i).epsilon.values for i in points
             ))
-            fibres = tuple(inst.fibre(f, i) for i in points)
-            self.fibres.append(fibres)
-            self.fibre_sizes.append(tuple(inst.cardinality(F) for F in fibres))
+            self.fibres.append(tuple(inst.fibre(f, i) for i in points))
         self.quasibijective = [
             all(_is_point(F, inst) for F in fibres) for fibres in self.fibres
         ]
@@ -301,34 +281,21 @@ class Universe:
         self.pair_first, self.pair_second = first, second
 
         w = bound
-        card, compose = self._card, finskel.compose
         self.composites = []
-        self.raw_composites = []
         self.fibre_maps = fms = [-1] * (len(first) * w)
-        self.raw_fibre_maps = raw_fms = [-1] * (len(first) * w)
         self.strays = 0
         for p, (a, b) in enumerate(zip(first, second)):
             g, f = maps[a], maps[b]
-            cg, cf = cards[self.card_of[a]], cards[self.card_of[b]]
             c = index.get(inst.compose(g, f), -1)
             self.composites.append(c)
-            self.raw_composites.append(card(compose(cg, cf)))
             self.strays += c < 0
-            for i in range(1, cf.cod + 1):
+            for i in range(1, f.cod + 1):
                 k = index.get(inst.fibre_morphism(g, f, i), -1)
                 fms[p * w + i - 1] = k
-                raw_fms[p * w + i - 1] = card(finskel.fibre_map(cg, cf, i))
                 self.strays += k < 0
         self._splits = None
         self._relative_parts = None
         self._table = None
-
-    def _card(self, f: FinMap) -> int:
-        k = self._card_ids.get(f)
-        if k is None:
-            k = self._card_ids[f] = len(self.cards)
-            self.cards.append(f)
-        return k
 
     def sweep_pairs(self):
         """(T, g, f, p) for every composable pair p = (g, f) with g out of
@@ -357,13 +324,13 @@ class Universe:
         return self.triples > _TRIPLE_LOOP_CUTOFF
 
     def splits(self) -> tuple[list, list, list]:
-        """Ids of pi and eta of every cardinality map, and of the inverse
-        of every bijective morphism (-1 for the others), computed on
+        """Ids of pi and eta of every morphism, and of the inverse
+        of every bijective one (-1 for the others), computed on
         first use. IntegrityError when one of them is not a morphism."""
         if self._splits is None:
             pis, etas, inverses = [], [], []
-            for f, c in zip(self.maps, self.card_of):
-                pi, eta = finskel.pita(self.cards[c])
+            for f in self.maps:
+                pi, eta = finskel.pita(f)
                 inv = finskel.inverse(f) if finskel.is_bijective(f) else None
                 pis.append(self._member(pi))
                 etas.append(self._member(eta))
@@ -451,13 +418,13 @@ def verify_axioms(
 
     Runs, in order: cardinality and idempotence of chosen local terminals
     plus their terminality inside each connected component; fibres of
-    identities; compatibility of fibre sizes and fibre maps with the
-    cardinality functor; recovery of objects and morphisms from the fibres
-    of the chosen terminal maps; fibres of fibre maps; and the iterated
-    fibre-map equation over all composable triples. The pair and triple
-    sweeps read the instance's answers from its universe; the triple
-    sweep, the expensive one, switches to a vectorised engine on large
-    universes.
+    identities; compatibility of composites, fibre sizes and fibre maps
+    with the cardinality functor (finskel on the handles); recovery of
+    objects and morphisms from the fibres of the chosen terminal maps;
+    fibres of fibre maps; and the iterated fibre-map equation over all
+    composable triples. The pair and triple sweeps read the instance's
+    answers from its universe; the triple sweep, the expensive one,
+    switches to a vectorised engine on large universes.
     """
     rep = Report(
         f"axioms[{inst.name}, bound={bound}]", max_violations=max_violations
@@ -474,10 +441,9 @@ def verify_axioms(
     for X in objs:
         U, tau = inst.chosen_terminal(X)
         rep.count("terminal-cardinality")
-        if inst.cardinality(U) != 1:
+        if U != 1:
             rep.add(
-                "terminal-cardinality", {"object": X, "terminal": U},
-                inst.cardinality(U), 1,
+                "terminal-cardinality", {"object": X, "terminal": U}, U, 1
             )
         if u.index.get(tau, -1) not in homs.get((X, U), ()):
             rep.add(
@@ -511,10 +477,10 @@ def verify_axioms(
     # fibres of identities are chosen terminals
     for X in objs:
         idX = inst.identity(X)
-        for i in range(1, inst.cardinality(X) + 1):
+        for i in range(1, X + 1):
             F = inst.fibre(idX, i)
             rep.count("identity-fibre-not-terminal")
-            if inst.cardinality(F) != 1 or inst.chosen_terminal(F)[0] != F:
+            if F != 1 or inst.chosen_terminal(F)[0] != F:
                 rep.add(
                     "identity-fibre-not-terminal",
                     {"object": X, "i": i},
@@ -541,43 +507,42 @@ def verify_axioms(
                     finmap_to_json(back), finmap_to_json(f),
                 )
 
-    # pair sweep: cardinality compatibility and fibres of fibre maps
+    # pair sweep: the instance's composites, fibre sizes and fibre maps
+    # against the finskel reference computed on the handles
     n, w = u.n, u.bound
-    pair_index, card_of = u.pair_index, u.card_of
-    fms, raw_fms = u.fibre_maps, u.raw_fibre_maps
-    fibres, sizes, inclusions = u.fibres, u.fibre_sizes, u.inclusions
+    pair_index, fms = u.pair_index, u.fibre_maps
+    fibres, inclusions = u.fibres, u.inclusions
 
     def json_of(k):
         return finmap_to_json(maps[k]) if k >= 0 else None
 
-    def card_json(k):
-        """The cardinality map of morphism k, which may be outside."""
-        return finmap_to_json(u.cards[card_of[k]]) if k >= 0 else (
-            "not a morphism"
-        )
+    def answer_json(k):
+        """An instance answer as a witness side: -1 was outside its homs."""
+        return json_of(k) if k >= 0 else "not a morphism"
 
     size_checks = fibre_checks = 0
     for T, g, f, p in u.sweep_pairs():
-        c, expected = u.composites[p], u.raw_composites[p]
-        if c < 0 or card_of[c] != expected:
+        c, expected = u.composites[p], finskel.compose(maps[g], maps[f])
+        if c < 0 or maps[c] != expected:
             rep.add(
                 "cardinality-not-functorial",
                 {"g": json_of(g), "f": json_of(f)},
-                card_json(c), finmap_to_json(u.cards[expected]),
+                answer_json(c), finmap_to_json(expected),
             )
         size_checks += len(inclusions[f])
         for i, eps in enumerate(inclusions[f]):
-            if sizes[f][i] != len(eps):
+            if fibres[f][i] != len(eps):
                 rep.add(
                     "cardinality-fibre-size", {"f": json_of(f), "i": i + 1},
-                    sizes[f][i], len(eps),
+                    fibres[f][i], len(eps),
                 )
-            fm, expected = fms[p * w + i], raw_fms[p * w + i]
-            if fm < 0 or card_of[fm] != expected:
+            fm = fms[p * w + i]
+            expected = finskel.fibre_map(maps[g], maps[f], i + 1)
+            if fm < 0 or maps[fm] != expected:
                 rep.add(
                     "fibre-map-cardinality",
                     {"g": json_of(g), "f": json_of(f), "i": i + 1},
-                    card_json(fm), finmap_to_json(u.cards[expected]),
+                    answer_json(fm), finmap_to_json(expected),
                 )
                 continue
             # fibres of the fibre map match fibres of g along the inclusion

@@ -85,13 +85,6 @@ def test_chosen_terminals():
     assert U == 1 and tau in surj.hom(2, 1)
 
 
-def test_cardinality_is_identity_on_handles():
-    fin = make_fin()
-    f = FinMap(2, 2, (2, 1))
-    assert fin.cardinality(f) is f
-    assert fin.cardinality(3) == 3
-
-
 def test_registry():
     assert make_instance("fin").name == "fin"
     assert make_instance("fin-surj").name == "fin-surj"

@@ -5,7 +5,7 @@ from pita import nerve
 from pita.errors import IntegrityError, ShapeError
 from pita.factorisation import eta_rel, pita_general
 from pita.finskel import FinMap, compose, identity
-from pita.instances import make_fin, make_fin_surj
+from pita.instances import make_fin, make_fin_surj, make_op
 from pita.nerve import (
     Chain,
     FopDiagram,
@@ -30,6 +30,7 @@ from strategies import composable_pairs
 
 FIN = make_fin()
 SURJ = make_fin_surj()
+OP = make_op()
 
 
 def _chain(inst, *maps):
@@ -445,6 +446,55 @@ def test_beta_coherence_sweeps():
                 "beta-1-construction": 121,
                 "coherence-1": 673,
             }
+
+
+def test_the_nerve_of_op_passes_every_sweep():
+    # op's only quasibijections are identities, so its nerve is strict
+    rep = verify_strict_identities(OP, 2, 4)
+    assert rep.ok, rep.summary()
+    assert rep.checks == 32_961
+    assert rep.by_axiom == {
+        "top-face-not-locally-op": 674,
+        "face-face": 3_405,
+        "face-top-face": 1_787,
+        "face-degeneracy": 14_867,
+        "top-face-bottom-degeneracy": 674,
+        "degeneracy-top-face": 2_461,
+        "degeneracy-degeneracy": 9_001,
+        "reflection-not-locally-op": 46,
+        "reflection-naturality": 46,
+    }
+    rep = verify_beta_coherence(OP, 2, 4)
+    assert rep.ok, rep.summary()
+    assert rep.checks == 976
+    assert rep.by_axiom == {
+        "beta-0-construction": 36,
+        "coherence-0-direct": 133,
+        "coherence-0": 133,
+        "beta-at-bottom-degeneracy": 46,
+        "beta-1-construction": 133,
+        "coherence-1": 495,
+    }
+    for n, checks in ((0, 3), (1, 10), (2, 36)):
+        rep = verify_opfibration(OP, n, 2)
+        assert rep.ok, rep.summary()
+        assert rep.by_axiom == {"opfibration-lift-invalid": checks}
+
+
+def _cells_and_nontrivial(inst, m, bound):
+    cells = [beta(m, c) for c in enumerate_p(inst, m + 2, bound)]
+    return len(cells), sum(c != identity_ladder(c.source) for c in cells)
+
+
+def test_beta_is_the_identity_on_op_but_not_on_fin_surj():
+    # strict versus oplax: every mediating cell of op at levels 0 and 1
+    # is an identity ladder, while about half of those of fin-surj are not
+    assert [_cells_and_nontrivial(OP, m, 2) for m in (0, 1)] == [
+        (36, 0), (133, 0),
+    ]
+    assert [_cells_and_nontrivial(SURJ, m, 3) for m in (0, 1)] == [
+        (25, 12), (121, 66),
+    ]
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])

@@ -14,6 +14,7 @@ from helpers import (
     CorruptFibre,
     CorruptFibreMap,
     Counting,
+    RemoveHom,
     WrongTerminal,
 )
 from pita import opcat
@@ -23,6 +24,8 @@ from pita.finskel import (
     compose,
     enumerate_bijections,
     fibre_map,
+    finmap_from_json,
+    finmap_to_json,
     identity,
     inverse,
     is_order_preserving,
@@ -32,7 +35,6 @@ from pita.instances import make_fin, make_fin_surj, make_op
 from pita.opcat import (
     Report,
     is_fop_square,
-    is_op_morphism,
     is_quasibijection,
     quasibijections,
     verify_axioms,
@@ -80,12 +82,6 @@ def test_is_quasibijection_against_instance():
     assert not is_quasibijection(FinMap(3, 3, (1, 1, 2)), fin)
     op = make_op()
     assert is_quasibijection(identity(3), op)
-
-
-def test_is_op_morphism():
-    assert is_op_morphism(FinMap(3, 2, (1, 1, 2)))
-    assert not is_op_morphism(FinMap(2, 2, (2, 1)))
-    assert is_op_morphism(FinMap(3, 2, (1, 2, 2)), make_fin())
 
 
 def test_quasibijections_helper():
@@ -279,6 +275,31 @@ def test_loop_engine_reports_composites_outside_the_universe():
     assert not rep.ok
     tags = {v["axiom"] for v in rep.violations}
     assert "cardinality-not-functorial" in tags
+
+
+def test_references_outside_the_homs_are_reported_as_finmaps():
+    # the finskel side of a witness need not be a morphism of the instance
+    victim = FinMap(2, 1, (1, 1))
+    rep = verify_axioms(
+        RemoveHom(make_fin(), 2, 1, victim), 2, max_violations=10_000
+    )
+    found = [
+        v for v in rep.violations if v["axiom"] == "fibre-map-cardinality"
+    ]
+    assert len(found) == 4
+    for v in found:
+        assert v["lhs"] == "not a morphism"
+        assert v["rhs"] == {"dom": 2, "cod": 1, "values": [1, 1]}
+    rep = verify_axioms(CompositeOutsideHoms(make_fin()), 2, 10_000)
+    assert not rep.truncated
+    found = [
+        v for v in rep.violations if v["axiom"] == "cardinality-not-functorial"
+    ]
+    assert len(found) == 47
+    for v in found:
+        g, f = (finmap_from_json(v["witness"][k]) for k in ("g", "f"))
+        assert v["lhs"] == "not a morphism"
+        assert v["rhs"] == finmap_to_json(compose(g, f))
 
 
 def test_bound_three_sweeps_do_not_import_numpy():
