@@ -11,14 +11,13 @@ from .decomp import (
     comult_closed_form,
 )
 from .factorisation import PitaFactorisation, eta_rel, omega, pita_general
-from .finskel import FinMap, Fibre, compose, identity, pita
+from .finskel import FinMap, compose, identity, pita
 from .instances import make_fin, make_fin_surj, make_instance, make_op
 from .nerve import Chain, FopDiagram, beta, opfibration_lift
 from .opcat import Report, is_fop_square, verify_axioms
 
 __all__ = [
     "FinMap",
-    "Fibre",
     "compose",
     "identity",
     "pita",

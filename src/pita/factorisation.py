@@ -47,14 +47,13 @@ class PitaFactorisation:
 
     f: FinMap
     pi: FinMap
-    mid: int
     eta: FinMap
 
     def __post_init__(self):
-        if self.pi.dom != self.f.dom or self.pi.cod != self.mid:
-            raise ShapeError("quasibijection part does not match f and mid")
-        if self.eta.dom != self.mid or self.eta.cod != self.f.cod:
-            raise ShapeError("order-preserving part does not match mid and f")
+        if self.pi.dom != self.f.dom:
+            raise ShapeError("quasibijection part does not match f")
+        if self.eta.dom != self.pi.cod or self.eta.cod != self.f.cod:
+            raise ShapeError("order-preserving part does not match pi and f")
         if (self.pi, self.eta) != finskel.pita(self.f):
             raise IntegrityError("parts are not the unique fop splitting")
 
@@ -67,7 +66,7 @@ def pita_general(
     homs for all fop splittings and insists on exactly one."""
     if mode == "production":
         p, e = finskel.pita(f)
-        return PitaFactorisation(f=f, pi=p, mid=p.cod, eta=e)
+        return PitaFactorisation(f=f, pi=p, eta=e)
     if mode == "oracle":
         X, Y = f.dom, f.cod
         found = []
@@ -89,7 +88,7 @@ def pita_general(
                 f"{len(found)} fop splittings of {f}: {found[:4]}"
             )
         p, e = found[0]
-        return PitaFactorisation(f=f, pi=p, mid=p.cod, eta=e)
+        return PitaFactorisation(f=f, pi=p, eta=e)
     raise ShapeError(f"unknown mode {mode!r}")
 
 

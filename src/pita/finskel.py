@@ -8,8 +8,9 @@ defined when g.cod == f.dom.
 
 The central operation is pita(f), which splits any map into a permutation pi
 followed by an order-preserving map eta, f = eta after pi, and this splitting
-is unique. Fibres come with their canonical strictly increasing inclusion,
-and fibre_map(g, f, i) restricts g to the fibres over i.
+is unique. A fibre is its strictly increasing inclusion, fibre(f, i), and
+its cardinality is that map's domain; fibre_map(g, f, i) restricts g to the
+fibres over i.
 """
 
 from __future__ import annotations
@@ -68,42 +69,6 @@ class FinMap:
         return f"{list(self.values)}:{self.dom}->{self.cod}"
 
 
-class Fibre:
-    """A fibre together with its strictly increasing inclusion.
-
-    epsilon is the FinMap sending the fibre's ordinal onto the positions of
-    the fibre inside the domain, listed in increasing order; size is its
-    cardinality.
-    """
-
-    __slots__ = ("size", "epsilon")
-
-    def __init__(self, size: int, epsilon: FinMap):
-        if epsilon.dom != size:
-            raise ValueError("fibre size must match the inclusion's domain")
-        if any(
-            epsilon.values[t] >= epsilon.values[t + 1]
-            for t in range(size - 1)
-        ):
-            raise ValueError("fibre inclusion must be strictly increasing")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "epsilon", epsilon)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Fibre is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Fibre):
-            return NotImplemented
-        return self.epsilon == other.epsilon
-
-    def __hash__(self):
-        return hash(self.epsilon)
-
-    def __repr__(self):
-        return f"Fibre({self.size}, {self.epsilon!r})"
-
-
 def identity(n: int) -> FinMap:
     return FinMap(n, n, range(1, n + 1))
 
@@ -143,12 +108,13 @@ def inverse(f: FinMap) -> FinMap:
     return FinMap(f.dom, f.dom, inv)
 
 
-def fibre(f: FinMap, i: int) -> Fibre:
-    """The fibre of f over i with its increasing inclusion into f.dom."""
+def fibre(f: FinMap, i: int) -> FinMap:
+    """The fibre of f over i as its strictly increasing inclusion into
+    f.dom; the fibre's cardinality is the inclusion's dom."""
     if not 1 <= i <= f.cod:
         raise IndexError(f"fibre index {i} outside 1..{f.cod}")
     positions = tuple(j for j, v in enumerate(f.values, 1) if v == i)
-    return Fibre(len(positions), FinMap(len(positions), f.dom, positions))
+    return FinMap(len(positions), f.dom, positions)
 
 
 def fibre_map(g: FinMap, f: FinMap, i: int) -> FinMap:
@@ -156,8 +122,8 @@ def fibre_map(g: FinMap, f: FinMap, i: int) -> FinMap:
 
     Requires g.cod == f.dom. The defining property is that composing with
     the fibre inclusions recovers g:
-        compose(fibre_map(g, f, i), fibre(f, i).epsilon)
-        == compose(fibre(compose(g, f), i).epsilon, g).
+        compose(fibre_map(g, f, i), fibre(f, i))
+        == compose(fibre(compose(g, f), i), g).
     """
     if g.cod != f.dom:
         raise CompositionError(

@@ -179,8 +179,8 @@ def weak_blowup_report(inst, bound: int, max_violations: int = 50) -> Report:
                     g = _op_map_with_fibres(targets, R)
                     values = [0] * T
                     for i in range(1, R + 1):
-                        eps_h = finskel.fibre(h, i).epsilon
-                        eps_g = finskel.fibre(g, i).epsilon
+                        eps_h = finskel.fibre(h, i)
+                        eps_g = finskel.fibre(g, i)
                         fi = maps[i - 1]
                         for j in range(1, eps_h.dom + 1):
                             values[eps_h(j) - 1] = eps_g(fi(j))

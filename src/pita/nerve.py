@@ -518,7 +518,14 @@ def verify_beta_coherence(
 
         for c in enumerate_p(inst, m + 1, bound):
             rep.count("beta-at-bottom-degeneracy")
-            cell = beta(m, degeneracy(m + 1, c))
+            try:
+                cell = beta(m, degeneracy(m + 1, c))
+            except PitaError as exc:
+                rep.add(
+                    "beta-at-bottom-degeneracy", w(c), str(exc),
+                    "the identity ladder",
+                )
+                continue
             if cell != identity_ladder(cell.source):
                 rep.add(
                     "beta-at-bottom-degeneracy",

@@ -31,8 +31,10 @@ class OperadicInstance:
 
     Object handles are natural numbers and morphism handles are FinMaps
     between them: handles are their own cardinalities, so the cardinality
-    functor is read off the handle (X, f, f.cod) and has no query.
-    Subclasses fill in the object range and the hom filter.
+    functor is read off the handle (X, f, f.cod) and has no query. The
+    fibre query answers with an object, so by default it counts the points
+    of f over i; finskel.fibre gives the inclusion itself. Subclasses fill
+    in the object range and the hom filter.
     """
 
     name = "abstract"
@@ -53,7 +55,7 @@ class OperadicInstance:
         raise NotImplementedError
 
     def fibre(self, f: FinMap, i: int) -> int:
-        return finskel.fibre(f, i).size
+        return f.values.count(i)
 
     def fibre_morphism(self, g: FinMap, f: FinMap, i: int) -> FinMap:
         return finskel.fibre_map(g, f, i)
@@ -122,11 +124,9 @@ class Report:
 # ------------------------------------------------------------- predicates
 
 
-def is_quasibijection(f: FinMap, inst: OperadicInstance | None = None) -> bool:
-    """True when every fibre of f is a chosen local terminal. Without an
-    instance this is the plain bijectivity test on the FinMap."""
-    if inst is None:
-        return finskel.is_bijective(f)
+def is_quasibijection(f: FinMap, inst: OperadicInstance) -> bool:
+    """True when every fibre of f is a chosen local terminal. The instance
+    is required: it answers the fibre and terminal questions."""
     points = range(1, f.cod + 1)
     return all(_is_point(inst.fibre(f, i), inst) for i in points)
 
@@ -142,7 +142,7 @@ def is_fop_square(
     tau: FinMap,
     f: FinMap,
     g: FinMap,
-    inst: OperadicInstance | None = None,
+    inst: OperadicInstance,
 ) -> bool:
     """Fibrewise order-preservation of the commuting square
 
@@ -155,18 +155,17 @@ def is_fop_square(
 
     The square must commute (compose(sigma, g) == compose(f, tau)), else
     ShapeError. It is fop when every fibre map of sigma over g is an op
-    morphism.
+    morphism. The instance is required: composites and fibre maps are
+    its answers.
     """
-    comp = inst.compose if inst is not None else finskel.compose
     if sigma.dom != f.dom or sigma.cod != g.dom:
         raise ShapeError("top map does not match the verticals")
     if tau.dom != f.cod or tau.cod != g.cod:
         raise ShapeError("bottom map does not match the verticals")
-    if comp(sigma, g) != comp(f, tau):
+    if inst.compose(sigma, g) != inst.compose(f, tau):
         raise ShapeError("square does not commute")
-    fm = inst.fibre_morphism if inst is not None else finskel.fibre_map
     return all(
-        finskel.is_order_preserving(fm(sigma, g, i))
+        finskel.is_order_preserving(inst.fibre_morphism(sigma, g, i))
         for i in range(1, g.cod + 1)
     )
 
@@ -262,7 +261,7 @@ class Universe:
         for f in maps:
             points = range(1, f.cod + 1)
             self.inclusions.append(tuple(
-                finskel.fibre(f, i).epsilon.values for i in points
+                finskel.fibre(f, i).values for i in points
             ))
             self.fibres.append(tuple(inst.fibre(f, i) for i in points))
         self.quasibijective = [

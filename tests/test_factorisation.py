@@ -61,7 +61,7 @@ def test_split_worked_example():
     s = pita_general(fin, FinMap(7, 4, (3, 2, 1, 1, 4, 2, 3)))
     assert s.pi == FinMap(7, 7, (5, 3, 1, 2, 7, 4, 6))
     assert s.eta == FinMap(7, 4, (1, 1, 2, 2, 3, 3, 4))
-    assert s.mid == 7
+    assert s.pi.cod == 7
 
 
 def test_split_of_op_map_and_of_quasibijection():
@@ -78,14 +78,14 @@ def test_split_dataclass_rejects_loose_pairs():
     # [1,1] also factors through the swap, but that triangle is not fop
     f = FinMap(2, 1, (1, 1))
     with pytest.raises(IntegrityError):
-        PitaFactorisation(f=f, pi=FinMap(2, 2, (2, 1)), mid=2, eta=f)
+        PitaFactorisation(f=f, pi=FinMap(2, 2, (2, 1)), eta=f)
     swap = FinMap(2, 2, (2, 1))
     with pytest.raises(IntegrityError):
-        PitaFactorisation(f=swap, pi=identity(2), mid=2, eta=swap)
+        PitaFactorisation(f=swap, pi=identity(2), eta=swap)
     with pytest.raises(IntegrityError):
-        PitaFactorisation(f=f, pi=FinMap(2, 2, (1, 1)), mid=2, eta=f)
+        PitaFactorisation(f=f, pi=FinMap(2, 2, (1, 1)), eta=f)
     with pytest.raises(ShapeError):
-        PitaFactorisation(f=f, pi=identity(2), mid=3, eta=f)
+        PitaFactorisation(f=f, pi=identity(2), eta=FinMap(3, 1, (1, 1, 1)))
 
 
 def test_split_dataclass_accepts_exactly_the_unique_split():
@@ -101,11 +101,11 @@ def test_split_dataclass_accepts_exactly_the_unique_split():
                         continue
                     seen += 1
                     if (p, e) == pita(f):
-                        PitaFactorisation(f, p, m, e)
+                        PitaFactorisation(f, p, e)
                         continue
                     rejected += 1
                     with pytest.raises(IntegrityError):
-                        PitaFactorisation(f, p, m, e)
+                        PitaFactorisation(f, p, e)
     assert seen > rejected > 0
 
 

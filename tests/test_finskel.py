@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from pita.errors import CompositionError, ShapeError
 from pita.finskel import (
     FinMap,
-    Fibre,
     compose,
     enumerate_bijections,
     enumerate_maps,
@@ -98,6 +97,7 @@ def test_predicates():
     assert not is_surjective(FinMap(2, 2, (1, 1)))
     assert is_bijective(FinMap(2, 2, (2, 1)))
     assert not is_bijective(FinMap(3, 2, (1, 1, 2)))
+    assert not is_bijective(FinMap(2, 2, (1, 1)))
     assert is_identity(identity(4))
     assert not is_identity(FinMap(2, 2, (2, 1)))
 
@@ -114,22 +114,17 @@ def test_inverse():
 def test_fibre_example():
     f = FinMap(7, 4, (3, 2, 1, 1, 4, 2, 3))
     fb = fibre(f, 1)
-    assert fb.size == 2
-    assert fb.epsilon == FinMap(2, 7, (3, 4))
-    assert fibre(f, 4).epsilon == FinMap(1, 7, (5,))
+    assert fb == FinMap(2, 7, (3, 4))
+    assert fb.dom == 2
+    assert fibre(f, 4) == FinMap(1, 7, (5,))
     with pytest.raises(IndexError):
         fibre(f, 5)
 
 
 def test_fibre_of_empty_map():
     f = FinMap(0, 2, ())
-    assert fibre(f, 1).size == 0
-    assert fibre(f, 2).epsilon == FinMap(0, 0, ())
-
-
-def test_fibre_inclusion_must_increase():
-    with pytest.raises(ValueError):
-        Fibre(2, FinMap(2, 3, (2, 2)))
+    assert fibre(f, 1).dom == 0
+    assert fibre(f, 2) == FinMap(0, 0, ())
 
 
 def test_fibre_map_example():
@@ -144,8 +139,8 @@ def test_fibre_map_defining_equation(pair):
     gf = compose(g, f)
     for i in range(1, f.cod + 1):
         fm = fibre_map(g, f, i)
-        lhs = compose(fm, fibre(f, i).epsilon)
-        rhs = compose(fibre(gf, i).epsilon, g)
+        lhs = compose(fm, fibre(f, i))
+        rhs = compose(fibre(gf, i), g)
         assert lhs == rhs
 
 
@@ -155,11 +150,21 @@ def test_fibre_map_defining_equation_exhaustive_bound_3():
         for g in enumerate_maps(a, b):
             for f in enumerate_maps(b, c):
                 gf = compose(g, f)
+                fibres = [fibre(f, i) for i in range(1, c + 1)]
+                # each fibre is a strictly increasing inclusion into f.dom,
+                # and the fibres' sizes add up to f.dom
+                for eps in fibres:
+                    assert eps.cod == b
+                    assert all(
+                        eps.values[t] < eps.values[t + 1]
+                        for t in range(eps.dom - 1)
+                    )
+                assert sum(eps.dom for eps in fibres) == b
                 for i in range(1, c + 1):
                     fm = fibre_map(g, f, i)
-                    assert fm.cod == fibre(f, i).size
-                    assert compose(fm, fibre(f, i).epsilon) == compose(
-                        fibre(gf, i).epsilon, g
+                    assert fm.cod == fibres[i - 1].dom
+                    assert compose(fm, fibres[i - 1]) == compose(
+                        fibre(gf, i), g
                     )
                     checked += 1
     # one per (pair, i), as in the cardinality-fibre-size sweep at bound 3
@@ -234,7 +239,7 @@ def test_pita_properties(f):
     assert compose(pi, eta) == f
     # eta has the fibre sizes of f, read off in value order
     for i in range(1, f.cod + 1):
-        assert fibre(eta, i).size == fibre(f, i).size
+        assert fibre(eta, i).dom == fibre(f, i).dom
 
 
 @settings(max_examples=60)

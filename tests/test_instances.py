@@ -6,6 +6,7 @@ from pita.errors import ShapeError
 from pita.finskel import (
     FinMap,
     enumerate_maps,
+    fibre,
     identity,
     is_order_preserving,
     is_surjective,
@@ -73,6 +74,20 @@ def test_op_closed_under_fibre_maps():
         for f in op.hom(2, 2):
             for i in range(1, 3):
                 assert is_order_preserving(op.fibre_morphism(g, f, i))
+
+
+@pytest.mark.parametrize("factory", [make_fin, make_fin_surj, make_op])
+def test_fibre_query_counts_the_reference_inclusion(factory):
+    inst = factory()
+    objs = inst.objects(3)
+    seen = 0
+    for X in objs:
+        for Y in objs:
+            for f in inst.hom(X, Y):
+                for i in range(1, Y + 1):
+                    assert inst.fibre(f, i) == fibre(f, i).dom, (f, i)
+                    seen += 1
+    assert seen > 0
 
 
 def test_chosen_terminals():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+from helpers import CompositeOutsideHoms, CorruptFibre
 from pita import nerve
 from pita.errors import IntegrityError, ShapeError
 from pita.factorisation import eta_rel, pita_general
@@ -411,6 +412,30 @@ def test_beta_identity_fails_at_lower_degeneracies():
     assert low != identity_ladder(low.source)
     bottom = beta(1, degeneracy(2, c))
     assert bottom == identity_ladder(bottom.source)
+
+
+@pytest.mark.parametrize(
+    "mutant, checks, lhs",
+    [
+        (CorruptFibre, 26, "bottom map must be a quasibijection"),
+        (CompositeOutsideHoms, 44, "map 0 does not end at object 1"),
+    ],
+)
+def test_bottom_degeneracy_failures_are_reported(mutant, checks, lhs):
+    # a broken instance makes beta raise at the bottom degeneracies; the
+    # sweep reports each one as a witness and runs on
+    rep = verify_beta_coherence(
+        mutant(make_fin_surj()), 2, 3, max_violations=10**6
+    )
+    assert rep.checks == checks
+    site = [
+        v for v in rep.violations
+        if v["axiom"] == "beta-at-bottom-degeneracy"
+    ]
+    assert len(site) == rep.by_axiom["beta-at-bottom-degeneracy"]
+    assert {(v["lhs"], v["rhs"]) for v in site} == {
+        (lhs, "the identity ladder")
+    }
 
 
 def test_coherence_scalar_witness():
