@@ -56,7 +56,7 @@ from .opcat import (
     Report,
     equivalence_classes,
     is_fop_square,
-    quasibijections,
+    is_quasibijection,
 )
 
 IsoClassLabel = tuple[int, ...]
@@ -119,29 +119,26 @@ def _merge(a: IsoClassLabel, b: IsoClassLabel) -> IsoClassLabel:
     return tuple(sorted(a + b, reverse=True))
 
 
+def _quotient(h: FinMap, f: FinMap) -> FinMap | None:
+    """The e with compose(h, e) == f, for a surjection h; None when h
+    does not refine the fibres of f."""
+    vals = [0] * h.cod
+    for t, v in zip(h.values, f.values):
+        if vals[t - 1] == 0:
+            vals[t - 1] = v
+        elif vals[t - 1] != v:
+            return None
+    return FinMap(h.cod, f.cod, vals)
+
+
 def factorisations(f: FinMap):
     """All (h, e) with compose(h, e) == f, both legs surjective.
 
-    h determines e on its image, so only h is enumerated; pairs where
-    the induced e is not well defined (h does not refine the fibres of
-    f) are skipped.
-    """
+    h determines e, so only h is enumerated and e is its quotient."""
     for mid in range(min(1, f.dom), f.dom + 1):
         for h in finskel.enumerate_surjections(f.dom, mid):
-            vals = [0] * mid
-            refines = True
-            for j in range(f.dom):
-                t = h.values[j]
-                v = f.values[j]
-                if vals[t - 1] == 0:
-                    vals[t - 1] = v
-                elif vals[t - 1] != v:
-                    refines = False
-                    break
-            if not refines:
-                continue
-            e = FinMap(mid, f.cod, tuple(vals))
-            if finskel.is_surjective(e):
+            e = _quotient(h, f)
+            if e is not None and finskel.is_surjective(e):
                 yield h, e
 
 
@@ -367,8 +364,9 @@ class FactorisationGroupoid:
     with compose(h2, eta(middle)) op. A morphism x -> y is a middle
     quasibijection satisfying both factorisation triangles whose square
     over the second legs followed by middle (by eta(middle) in C_2) is
-    fibrewise order-preserving; C_2 is checked to be discrete rather
-    than assumed.
+    fibrewise order-preserving. First legs are surjective, so the first
+    triangle leaves at most one candidate, which is solved for rather
+    than searched. C_2 is checked to be discrete rather than assumed.
     """
 
     inst: OperadicInstance
@@ -413,20 +411,23 @@ class FactorisationGroupoid:
             if finskel.is_order_preserving(compose(h2, eta_middle))
         ]
 
-    def _morphisms(self, x, y, below: FinMap):
-        """Quasibijections x -> y whose square over compose(e, below) is
-        fop, e the second leg of the object."""
-        mid = x[1].dom
-        if y[1].dom != mid:
-            return
-        for sigma in quasibijections(self.inst, mid, mid):
-            if self._is_morphism(sigma, x, y, below):
-                yield sigma
+    def _morphism(self, x, y, below: FinMap) -> FinMap | None:
+        """The morphism x -> y, if any: the first triangle solves for it,
+        since the first leg of x is surjective."""
+        sigma = _quotient(x[0], y[0])
+        if sigma is not None and self._is_morphism(sigma, x, y, below):
+            return sigma
+        return None
 
     def _is_morphism(self, sigma: FinMap, x, y, below: FinMap) -> bool:
+        """Is sigma a middle quasibijection satisfying both triangles whose
+        square over compose(e, below) is fop, e the second leg?"""
         g1, e1 = x
         g2, e2 = y
-        if sigma.dom != e1.dom or sigma.cod != e2.dom:
+        mid = e1.dom
+        if e2.dom != mid or sigma not in self.inst.hom(mid, mid):
+            return False
+        if not is_quasibijection(sigma, self.inst):
             return False
         if compose(g1, sigma) != g2 or compose(sigma, e2) != e1:
             return False
@@ -442,26 +443,24 @@ class FactorisationGroupoid:
             return False
 
     def is_c1_morphism(self, sigma: FinMap, x, y) -> bool:
-        """Do the two triangles commute and the square lie fop?"""
+        """Is sigma a C_1 morphism x -> y?"""
         return self._is_morphism(sigma, x, y, self.middle)
-
-    def c1_morphisms(self, x, y) -> list[FinMap]:
-        return list(self._morphisms(x, y, self.middle))
 
     def c1_iso_classes(self) -> list[list[tuple[FinMap, FinMap]]]:
         return equivalence_classes(
             self.c1_objects,
-            lambda x, y: any(self._morphisms(x, y, self.middle)),
+            lambda x, y: self._morphism(x, y, self.middle) is not None,
         )
 
     def c2_is_discrete(self) -> bool:
+        # the first triangle forces every morphism x -> x to be the identity
         objs = self.c2_objects
         eta_middle = self._split_middle.eta
         return all(
-            x == y and finskel.is_identity(sigma)
+            self._morphism(x, y, eta_middle) is None
             for x in objs
             for y in objs
-            for sigma in self._morphisms(x, y, eta_middle)
+            if x != y
         )
 
     def forward(self, x) -> tuple[FinMap, FinMap]:

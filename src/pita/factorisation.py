@@ -18,7 +18,7 @@ first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import finskel
 from .errors import (
@@ -31,6 +31,7 @@ from .finskel import FinMap, finmap_to_json
 from .opcat import (
     OperadicInstance,
     Report,
+    is_fop_square,
     is_quasibijection,
     universe,
 )
@@ -41,21 +42,17 @@ class PitaFactorisation:
     middle object, then order-preserving eta, with the splitting triangle
     fibrewise order-preserving (which is what makes the pair unique).
 
-    Uniqueness is also the invariant: a pair other than finskel.pita(f)
-    is not the split of f, whichever of the defining properties it
-    lacks."""
+    f alone determines the split, so the parts are computed from it and
+    a pair other than finskel.pita(f) cannot be built."""
 
     f: FinMap
-    pi: FinMap
-    eta: FinMap
+    pi: FinMap = field(init=False)
+    eta: FinMap = field(init=False)
 
     def __post_init__(self):
-        if self.pi.dom != self.f.dom:
-            raise ShapeError("quasibijection part does not match f")
-        if self.eta.dom != self.pi.cod or self.eta.cod != self.f.cod:
-            raise ShapeError("order-preserving part does not match pi and f")
-        if (self.pi, self.eta) != finskel.pita(self.f):
-            raise IntegrityError("parts are not the unique fop splitting")
+        pi, eta = finskel.pita(self.f)
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "eta", eta)
 
 
 def pita_general(
@@ -63,32 +60,30 @@ def pita_general(
 ) -> PitaFactorisation:
     """Split a morphism of the instance. Production mode computes the
     splitting on the handle with finskel.pita; oracle mode searches the
-    homs for all fop splittings and insists on exactly one."""
+    homs for all fop splittings, insists on exactly one and checks it
+    against the production split."""
     if mode == "production":
-        p, e = finskel.pita(f)
-        return PitaFactorisation(f=f, pi=p, eta=e)
+        return PitaFactorisation(f)
     if mode == "oracle":
         X, Y = f.dom, f.cod
-        found = []
-        for p in inst.hom(X, X):
-            if not is_quasibijection(p, inst):
-                continue
-            for e in inst.hom(X, Y):
-                if not finskel.is_order_preserving(e):
-                    continue
-                if inst.compose(p, e) != f:
-                    continue
-                if all(
-                    finskel.is_order_preserving(inst.fibre_morphism(p, e, i))
-                    for i in range(1, e.cod + 1)
-                ):
-                    found.append((p, e))
+        tau = finskel.identity(Y)
+        found = [
+            (p, e)
+            for p in inst.hom(X, X)
+            if is_quasibijection(p, inst)
+            for e in inst.hom(X, Y)
+            if finskel.is_order_preserving(e)
+            and inst.compose(p, e) == f
+            and is_fop_square(p, tau, f, e, inst)
+        ]
         if len(found) != 1:
             raise NotFactorisableError(
                 f"{len(found)} fop splittings of {f}: {found[:4]}"
             )
-        p, e = found[0]
-        return PitaFactorisation(f=f, pi=p, eta=e)
+        split = PitaFactorisation(f)
+        if found[0] != (split.pi, split.eta):
+            raise IntegrityError("the searched split is not finskel.pita(f)")
+        return split
     raise ShapeError(f"unknown mode {mode!r}")
 
 

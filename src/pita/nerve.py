@@ -74,7 +74,7 @@ class Chain:
 
     @cached_property
     def _down(self):
-        acc = self.inst.identity(self.objects[-1])
+        acc = finskel.identity(self.objects[-1])
         out = [acc]
         for f in reversed(self.maps):
             acc = self.inst.compose(f, acc)
@@ -164,9 +164,8 @@ class FopDiagram:
 
 
 def identity_ladder(chain: Chain) -> FopDiagram:
-    inst = chain.inst
     return FopDiagram(
-        chain, chain, tuple(inst.identity(X) for X in chain.objects)
+        chain, chain, tuple(map(finskel.identity, chain.objects))
     )
 
 
@@ -234,7 +233,7 @@ def degeneracy(i: int, chain: Chain) -> Chain:
     n = chain.length
     if not 0 <= i <= n:
         raise IndexError(f"degeneracy {i} undefined on a chain of length {n}")
-    ident = chain.inst.identity(chain.objects[i])
+    ident = finskel.identity(chain.objects[i])
     return Chain(
         chain.inst,
         chain.objects[: i + 1] + chain.objects[i:],
@@ -269,7 +268,7 @@ def reflect_chain(inst: OperadicInstance, chain: Chain):
     it, and the unit ladder's k-th horizontal is the quasibijection part
     of that composite. Idempotent: locally order-preserving chains are
     fixed. Returns (reflected chain, unit ladder)."""
-    unit = _lift(inst, chain, inst.identity(chain.objects[-1]))
+    unit = _lift(inst, chain, finskel.identity(chain.objects[-1]))
     return unit.target, unit
 
 
@@ -368,7 +367,8 @@ def verify_strict_identities(
     degeneracy-degeneracy, the three families mixing the top face with
     faces and degeneracies, the locally order-preserving postcondition of
     the top face, and naturality and idempotence of the reflection on
-    arbitrary chains (lengths 1 and 2)."""
+    arbitrary chains (lengths 1 and 2). A chain whose operators raise on
+    a broken instance is a strict-identities-error witness."""
     rep = Report(
         f"strict-identities[{inst.name}, bound={bound}, maxlen={maxlen}]",
         max_violations=max_violations,
@@ -380,80 +380,96 @@ def verify_strict_identities(
             witness.update(extra)
         rep.add(tag, witness, "differs", "equal chains")
 
-    for n in range(1, maxlen + 1):
-        for c in enumerate_p(inst, n, bound):
-            top = top_face(c)
-            rep.count("top-face-not-locally-op")
-            if not top.locally_op:
-                bad("top-face-not-locally-op", c)
-            for j in range(n):
-                for i in range(j):
-                    rep.count("face-face")
-                    if face(i, face(j, c)) != face(j - 1, face(i, c)):
-                        bad("face-face", c, {"i": i, "j": j})
-            for i in range(n - 1):
-                rep.count("face-top-face")
-                if face(i, top) != top_face(face(i, c)):
-                    bad("face-top-face", c, {"i": i})
-            for j in range(n + 1):
-                d = degeneracy(j, c)
-                for i in range(n + 1):
-                    rep.count("face-degeneracy")
-                    got = face(i, d)
-                    if i in (j, j + 1):
-                        expect = c
-                    elif i < j:
-                        expect = degeneracy(j - 1, face(i, c))
-                    else:
-                        expect = degeneracy(j, face(i - 1, c))
-                    if got != expect:
-                        bad("face-degeneracy", c, {"i": i, "j": j})
-                tag = (
-                    "top-face-bottom-degeneracy"
-                    if j == n
-                    else "degeneracy-top-face"
-                )
-                rep.count(tag)
-                expect = c if j == n else degeneracy(j, top)
-                if top_face(d) != expect:
-                    bad(tag, c, {"j": j})
-                for i in range(j + 1):
-                    rep.count("degeneracy-degeneracy")
-                    if degeneracy(i, d) != degeneracy(j + 1, degeneracy(i, c)):
-                        bad("degeneracy-degeneracy", c, {"i": i, "j": j})
+    def simplicial(n, c):
+        rep.count("top-face-not-locally-op")
+        top = top_face(c)
+        if not top.locally_op:
+            bad("top-face-not-locally-op", c)
+        for j in range(n):
+            for i in range(j):
+                rep.count("face-face")
+                if face(i, face(j, c)) != face(j - 1, face(i, c)):
+                    bad("face-face", c, {"i": i, "j": j})
+        for i in range(n - 1):
+            rep.count("face-top-face")
+            if face(i, top) != top_face(face(i, c)):
+                bad("face-top-face", c, {"i": i})
+        for j in range(n + 1):
+            d = degeneracy(j, c)
+            for i in range(n + 1):
+                rep.count("face-degeneracy")
+                got = face(i, d)
+                if i in (j, j + 1):
+                    expect = c
+                elif i < j:
+                    expect = degeneracy(j - 1, face(i, c))
+                else:
+                    expect = degeneracy(j, face(i - 1, c))
+                if got != expect:
+                    bad("face-degeneracy", c, {"i": i, "j": j})
+            tag = (
+                "top-face-bottom-degeneracy"
+                if j == n
+                else "degeneracy-top-face"
+            )
+            rep.count(tag)
+            expect = c if j == n else degeneracy(j, top)
+            if top_face(d) != expect:
+                bad(tag, c, {"j": j})
+            for i in range(j + 1):
+                rep.count("degeneracy-degeneracy")
+                if degeneracy(i, d) != degeneracy(j + 1, degeneracy(i, c)):
+                    bad("degeneracy-degeneracy", c, {"i": i, "j": j})
 
     # reflection on arbitrary chains: idempotence, the unit ladder, and
     # naturality along every conjugating ladder of quasibijections
+    def reflection(n, c):
+        rep.count("reflection-not-locally-op")
+        rc, unit = reflect_chain(inst, c)
+        if not rc.locally_op:
+            bad("reflection-not-locally-op", c)
+        if reflect_chain(inst, rc)[0] != rc:
+            bad("reflection-idempotent", c)
+        if unit.source != c or unit.target != rc or not unit.is_valid():
+            bad("reflection-unit-invalid", c)
+        perms = [quasibijections(inst, X, X) for X in c.objects]
+        for ladder in _conjugate_ladders(c, perms):
+            if not ladder.is_valid():
+                continue
+            rep.count("reflection-naturality")
+            sig = ladder.horizontals
+            rc2, unit2 = reflect_chain(inst, ladder.target)
+            lifted = opfibration_lift(rc, sig[-1])
+            mismatch = lifted.target != rc2
+            for j in range(n + 1):
+                if inst.compose(
+                    unit.horizontals[j], lifted.horizontals[j]
+                ) != inst.compose(sig[j], unit2.horizontals[j]):
+                    mismatch = True
+            if mismatch:
+                bad(
+                    "reflection-naturality",
+                    c,
+                    {"horizontals": [finmap_to_json(s) for s in sig]},
+                )
+
+    def guarded(check, n, c):
+        # a broken instance can make the chain operators raise; that is
+        # a witness against the instance, and the sweep runs on
+        try:
+            check(n, c)
+        except PitaError as exc:
+            rep.add(
+                "strict-identities-error", {"chain": chain_to_json(c)},
+                str(exc), "equal chains",
+            )
+
+    for n in range(1, maxlen + 1):
+        for c in enumerate_p(inst, n, bound):
+            guarded(simplicial, n, c)
     for n in range(1, min(maxlen, 2) + 1):
         for c in _all_chains(inst, n, bound, locally_op=False):
-            rep.count("reflection-not-locally-op")
-            rc, unit = reflect_chain(inst, c)
-            if not rc.locally_op:
-                bad("reflection-not-locally-op", c)
-            if reflect_chain(inst, rc)[0] != rc:
-                bad("reflection-idempotent", c)
-            if unit.source != c or unit.target != rc or not unit.is_valid():
-                bad("reflection-unit-invalid", c)
-            perms = [quasibijections(inst, X, X) for X in c.objects]
-            for ladder in _conjugate_ladders(c, perms):
-                if not ladder.is_valid():
-                    continue
-                rep.count("reflection-naturality")
-                sig = ladder.horizontals
-                rc2, unit2 = reflect_chain(inst, ladder.target)
-                lifted = opfibration_lift(rc, sig[-1])
-                mismatch = lifted.target != rc2
-                for j in range(n + 1):
-                    if inst.compose(
-                        unit.horizontals[j], lifted.horizontals[j]
-                    ) != inst.compose(sig[j], unit2.horizontals[j]):
-                        mismatch = True
-                if mismatch:
-                    bad(
-                        "reflection-naturality",
-                        c,
-                        {"horizontals": [finmap_to_json(s) for s in sig]},
-                    )
+            guarded(reflection, n, c)
     return rep
 
 
@@ -557,7 +573,8 @@ def verify_opfibration(
     quasibijection out of its bottom object: the constructed lift is a
     valid ladder into a locally order-preserving chain, and brute-force
     enumeration of all candidate ladders over that quasibijection finds
-    exactly the constructed one."""
+    exactly the constructed one. A lift that raises on a broken instance
+    is an opfibration-lift-error witness."""
     rep = Report(
         f"opfibration[{inst.name}, n={n}, bound={bound}]",
         max_violations=max_violations,
@@ -569,13 +586,21 @@ def verify_opfibration(
             witness = {
                 "chain": chain_to_json(chain), "sigma0": finmap_to_json(sigma0),
             }
-            lift = opfibration_lift(chain, sigma0)
-            if not lift.is_valid() or not lift.target.locally_op:
+            try:
+                lift = opfibration_lift(chain, sigma0)
+                valid = lift.is_valid() and lift.target.locally_op
+                found = _lift_candidates(chain, sigma0)
+            except PitaError as exc:
+                rep.add(
+                    "opfibration-lift-error", witness, str(exc),
+                    "a valid ladder",
+                )
+                continue
+            if not valid:
                 rep.add(
                     "opfibration-lift-invalid", witness,
                     "an invalid ladder", "a valid ladder",
                 )
-            found = _lift_candidates(chain, sigma0)
             if len(found) != 1:
                 rep.add("opfibration-lift-count", witness, len(found), 1)
             elif found[0] != lift:

@@ -29,12 +29,15 @@ _TRIPLE_LOOP_CUTOFF = 300_000
 class OperadicInstance:
     """Query interface for a desk-scale operadic category.
 
-    Object handles are natural numbers and morphism handles are FinMaps
-    between them: handles are their own cardinalities, so the cardinality
-    functor is read off the handle (X, f, f.cod) and has no query. The
-    fibre query answers with an object, so by default it counts the points
-    of f over i; finskel.fibre gives the inclusion itself. Subclasses fill
-    in the object range and the hom filter.
+    The queries are objects, hom, compose, chosen_terminal, fibre and
+    fibre_morphism. Object handles are natural numbers and morphism
+    handles are FinMaps between them: handles are their own
+    cardinalities, so the cardinality functor is read off the handle
+    (X, f, f.cod) and has no query, and since a functor keeps identities
+    the identity of X is finskel.identity(X), with no query either. The
+    fibre query answers with an object, so by default it counts the
+    points of f over i; finskel.fibre gives the inclusion itself.
+    Subclasses fill in the object range and the hom filter.
     """
 
     name = "abstract"
@@ -47,9 +50,6 @@ class OperadicInstance:
 
     def compose(self, g: FinMap, f: FinMap) -> FinMap:
         return finskel.compose(g, f)
-
-    def identity(self, X: int) -> FinMap:
-        return finskel.identity(X)
 
     def chosen_terminal(self, X: int):
         raise NotImplementedError
@@ -252,7 +252,7 @@ class Universe:
             X: [k for Y in objs for k in self.homs[(X, Y)]] for X in objs
         }
         self.identities = {
-            X: index.get(inst.identity(X), -1) for X in objs
+            X: index.get(finskel.identity(X), -1) for X in objs
         }
 
         self.order_preserving = [finskel.is_order_preserving(f) for f in maps]
@@ -451,11 +451,11 @@ def verify_axioms(
                 "not a morphism", f"hom({X}, {U})",
             )
         U2, tau2 = inst.chosen_terminal(U)
-        if U2 != U or tau2 != inst.identity(U):
+        if U2 != U or tau2 != finskel.identity(U):
             rep.add(
                 "terminal-idempotence", {"object": X, "terminal": U},
                 {"object": U2, "map": finmap_to_json(tau2)},
-                {"object": U, "map": finmap_to_json(inst.identity(U))},
+                {"object": U, "map": finmap_to_json(finskel.identity(U))},
             )
         if U in comp_of and comp_of.get(X) != comp_of.get(U):
             rep.add(
@@ -475,7 +475,7 @@ def verify_axioms(
 
     # fibres of identities are chosen terminals
     for X in objs:
-        idX = inst.identity(X)
+        idX = finskel.identity(X)
         for i in range(1, X + 1):
             F = inst.fibre(idX, i)
             rep.count("identity-fibre-not-terminal")

@@ -7,7 +7,7 @@ fail with a witness naming the corrupted query.
 
 from collections import Counter
 
-from pita.finskel import FinMap, compose
+from pita.finskel import FinMap, compose, identity
 
 
 class Wrapper:
@@ -42,7 +42,7 @@ class WrongTerminal(Wrapper):
 
     def chosen_terminal(self, X):
         if X == 2:
-            return 2, self._base.identity(2)
+            return 2, identity(2)
         return self._base.chosen_terminal(X)
 
 

@@ -34,6 +34,7 @@ from pita.finskel import (
     pita,
 )
 from pita.instances import make_fin, make_fin_surj
+from pita.opcat import quasibijections
 
 from helpers import CorruptFibre, CorruptFibreMap
 
@@ -339,7 +340,40 @@ def test_morphisms_need_the_fop_square():
     y = (swap, _fold(2))
     assert x in g.c1_objects and y in g.c1_objects
     assert not g.is_c1_morphism(swap, x, y)
-    assert g.c1_morphisms(x, y) == []
+    assert g._morphism(x, y, g.middle) is None
+
+
+def test_solved_morphisms_match_the_search(monkeypatch):
+    # every groupoid the bound-3 sweep builds (folds, 2-chains, 3-chains):
+    # the morphism solved from the first triangle is exactly what a
+    # search over all middle quasibijections finds
+    built = []
+    real = decomp._verify_fibre_pair
+
+    def record(rep, groupoid, tag):
+        built.append(groupoid)
+        return real(rep, groupoid, tag)
+
+    monkeypatch.setattr(decomp, "_verify_fibre_pair", record)
+    assert verify_decomposition_fibres(SURJ, 3).ok
+    assert len(built) == 25 + 121
+    kinds = Counter()
+    for g in built:
+        eta_middle = pita(g.middle)[1]
+        for objs, below in (
+            (g.c1_objects, g.middle), (g.c2_objects, eta_middle)
+        ):
+            for x in objs:
+                for y in objs:
+                    mid = x[1].dom
+                    search = [
+                        s for s in quasibijections(SURJ, mid, mid)
+                        if g._is_morphism(s, x, y, below)
+                    ]
+                    solved = g._morphism(x, y, below)
+                    assert search == ([] if solved is None else [solved])
+                    kinds[solved is not None, x == y] += 1
+    assert kinds[True, True] and kinds[True, False] and kinds[False, False]
 
 
 def test_fibre_suite_passes_at_bound_four():

@@ -11,7 +11,7 @@ from helpers import (
     RemoveHom,
     WrongTerminal,
 )
-from pita import opcat
+from pita import finskel, opcat
 from pita.errors import (
     IntegrityError,
     NotFactorisableError,
@@ -74,39 +74,53 @@ def test_split_of_op_map_and_of_quasibijection():
     assert s.pi == q and s.eta == identity(3)
 
 
-def test_split_dataclass_rejects_loose_pairs():
-    # [1,1] also factors through the swap, but that triangle is not fop
-    f = FinMap(2, 1, (1, 1))
-    with pytest.raises(IntegrityError):
-        PitaFactorisation(f=f, pi=FinMap(2, 2, (2, 1)), eta=f)
-    swap = FinMap(2, 2, (2, 1))
-    with pytest.raises(IntegrityError):
-        PitaFactorisation(f=swap, pi=identity(2), eta=swap)
-    with pytest.raises(IntegrityError):
-        PitaFactorisation(f=f, pi=FinMap(2, 2, (1, 1)), eta=f)
-    with pytest.raises(ShapeError):
-        PitaFactorisation(f=f, pi=identity(2), eta=FinMap(3, 1, (1, 1, 1)))
-
-
 def test_split_dataclass_accepts_exactly_the_unique_split():
     # every (p, p^-1;f) with p a bijection and p^-1;f order-preserving
-    # recomposes to f, so the only one that is the fop split is pita(f)
-    seen = rejected = 0
+    # recomposes to f; its triangle is fop exactly when it is pita(f),
+    # the only split PitaFactorisation(f) can hold
+    fin = make_fin()
+    seen = fop = 0
     for m in range(4):
         for n in range(4):
             for f in enumerate_maps(m, n):
+                split = PitaFactorisation(f)
                 for p in enumerate_bijections(m):
                     e = compose(inverse(p), f)
                     if not is_order_preserving(e):
                         continue
                     seen += 1
-                    if (p, e) == pita(f):
-                        PitaFactorisation(f, p, e)
-                        continue
-                    rejected += 1
-                    with pytest.raises(IntegrityError):
-                        PitaFactorisation(f, p, e)
-    assert seen > rejected > 0
+                    square = is_fop_square(p, identity(n), f, e, fin)
+                    assert square == ((p, e) == pita(f)), (f, p)
+                    assert square == ((p, e) == (split.pi, split.eta))
+                    fop += square
+    assert seen > fop > 0
+
+
+def test_production_splits_with_one_pita_call(monkeypatch):
+    calls = Counter()
+    real = finskel.pita
+
+    def counted(f):
+        calls[f] += 1
+        return real(f)
+
+    monkeypatch.setattr(finskel, "pita", counted)
+    fin = make_fin()
+    maps = _all_maps(fin, 3)
+    for f in maps:
+        s = pita_general(fin, f)
+        assert (s.f, s.pi, s.eta) == (f,) + real(f)
+    assert calls == Counter(maps)
+
+
+def test_oracle_refuses_a_wrong_production_split(monkeypatch):
+    # [1,1] also factors through the swap, but that triangle is not fop
+    f = FinMap(2, 1, (1, 1))
+    swap = FinMap(2, 2, (2, 1))
+    monkeypatch.setattr(finskel, "pita", lambda g: (swap, g))
+    assert pita_general(make_fin(), f).pi == swap
+    with pytest.raises(IntegrityError):
+        pita_general(make_fin(), f, mode="oracle")
 
 
 @pytest.mark.parametrize(

@@ -299,7 +299,7 @@ def test_lift_matches_the_relative_op_parts(inst, maxlen, bound):
             T0 = c.objects[-1]
             rc, unit = reflect_chain(inst, c)
             assert (rc.maps, unit.horizontals) == _reference_lift(
-                inst, c, inst.identity(T0)
+                inst, c, identity(T0)
             )
             if not c.locally_op:
                 continue
@@ -436,6 +436,31 @@ def test_bottom_degeneracy_failures_are_reported(mutant, checks, lhs):
     assert {(v["lhs"], v["rhs"]) for v in site} == {
         (lhs, "the identity ladder")
     }
+
+
+@pytest.mark.parametrize(
+    "factory, strict_errors, lift_errors",
+    [(make_fin, 327, 18), (make_fin_surj, 40, 6), (make_op, 225, 10)],
+    ids=["fin", "fin-surj", "op"],
+)
+def test_strict_and_opfibration_failures_are_reported(
+    factory, strict_errors, lift_errors
+):
+    # composites outside the homs make the chain operators raise; both
+    # sweeps report each failing chain as a witness and run on
+    inst = CompositeOutsideHoms(factory())
+    strict = verify_strict_identities(inst, 2, 3, max_violations=10**6)
+    lift = verify_opfibration(inst, 1, 2, max_violations=10**6)
+    lhs = "map 0 does not end at object 1"
+    for rep, tag, errors in (
+        (strict, "strict-identities-error", strict_errors),
+        (lift, "opfibration-lift-error", lift_errors),
+    ):
+        assert not rep.ok and rep.checks >= errors
+        assert [(v["axiom"], v["lhs"]) for v in rep.violations] == (
+            [(tag, lhs)] * errors
+        )
+    assert all("sigma0" in v["witness"] for v in lift.violations)
 
 
 def test_coherence_scalar_witness():
