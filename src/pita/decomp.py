@@ -10,7 +10,8 @@ classical composition coefficients drop the k! and the two tables
 already disagree in degree 2, which keeps the routes distinguishable.
 
 The decomposition-space part compares two fibres of the composition
-face over a locally order-preserving chain (f, middle, bottom), f first.
+face over a locally order-preserving 3-chain (f, middle, bottom), f
+first.
 The fibre C_1 consists of the factorisations (g, e) of f with
 compose(e, compose(middle, bottom)) order-preserving, with a morphism
 x -> y for every middle quasibijection sigma satisfying both
@@ -25,11 +26,12 @@ comparison functors land exactly:
                 compose(h2, inverse(pi(middle))))
 
 with F after G the identity and the unit at (g, e) the quasibijection
-pi(compose(e, middle)). With middle the identity this is the comparison
-over the 2-chain (f, bottom), where F(g, e) = (eta_rel(g, e), eta(e))
-and G(h, e) = (compose(pi(f), h), e); with a proper middle map it is the
-same comparison one chain level up. verify_decomposition_fibres checks
-all of this by enumeration at both levels.
+pi(compose(e, middle)). The comparison over a 2-chain c = (f, bottom)
+is the one over its degeneracy(1, c) = (f, identity, bottom), where
+F(g, e) = (eta_rel(g, e), eta(e)) and G(h, e) = (compose(pi(f), h), e);
+with a proper middle map it is the same comparison one chain level up.
+verify_decomposition_fibres checks all of this by enumeration at both
+levels.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .finskel import (
     inverse,
     ordinal_sum,
 )
-from .nerve import enumerate_p
+from .nerve import Chain, degeneracy, enumerate_p
 from .opcat import (
     OperadicInstance,
     Report,
@@ -145,7 +147,7 @@ def factorisations(f: FinMap):
 def comult(inst: OperadicInstance, f: FinMap) -> CoalgebraElement:
     """Sum of eta(h) (x) e over factorisations f = compose(h, e), e op."""
     _require_surjection_instance(inst)
-    if f.dom and not finskel.is_surjective(f):
+    if not finskel.is_surjective(f):
         raise ValueError(f"not a surjection: {f}")
     if not finskel.is_order_preserving(f):
         raise ValueError(f"comultiplication needs an order-preserving map, got {f}")
@@ -353,13 +355,14 @@ def verify_counit(
 @dataclass
 class FactorisationGroupoid:
     """Both fibres of the composition face over a locally order-preserving
-    chain (f, middle, bottom), where f runs first.
+    3-chain (f, middle, bottom), where f runs first.
 
-    The middle map defaults to the identity on cod(f), which gives the
-    comparison over the 2-chain (f, bottom); a proper middle map gives
-    the same comparison one chain level up. C_1 objects are the
-    factorisations (g, e) of f that keep the extended chain locally
-    order-preserving, so compose(e, compose(middle, bottom)) must be op.
+    The comparison over a 2-chain c = (f, bottom) is the groupoid over
+    degeneracy(1, c), whose middle map is the identity on cod(f); a
+    proper middle map gives the same comparison one chain level up. C_1
+    objects are the factorisations (g, e) of f that keep the extended
+    chain locally order-preserving, so compose(e, compose(middle,
+    bottom)) must be op.
     C_2 objects are the factorisations (h, h2) of eta_rel(f, middle)
     with compose(h2, eta(middle)) op. A morphism x -> y is a middle
     quasibijection satisfying both factorisation triangles whose square
@@ -369,29 +372,19 @@ class FactorisationGroupoid:
     than searched. C_2 is checked to be discrete rather than assumed.
     """
 
-    inst: OperadicInstance
-    f: FinMap
-    bottom: FinMap
-    middle: FinMap | None = None
+    chain: Chain
 
     def __post_init__(self):
-        if self.middle is None:
-            self.middle = identity(self.f.cod)
-        if self.middle.dom != self.f.cod or self.bottom.dom != self.middle.cod:
-            raise ShapeError(
-                f"the chain {self.f}, {self.middle}, {self.bottom} "
-                "is not composable"
-            )
-        lower = compose(self.middle, self.bottom)
-        if not all(
-            finskel.is_order_preserving(d)
-            for d in (self.bottom, lower, compose(self.f, lower))
-        ):
+        if self.chain.length != 3:
+            raise ShapeError("the fibres lie over 3-chains")
+        if not self.chain.locally_op:
             raise ShapeError("the chain is not locally order-preserving")
+        self.inst = self.chain.inst
+        self.f, self.middle, self.bottom = self.chain.maps
 
     @cached_property
     def c1_objects(self) -> list[tuple[FinMap, FinMap]]:
-        lower = compose(self.middle, self.bottom)
+        lower = self.chain.down_composite(2)
         return [
             (g, e)
             for g, e in factorisations(self.f)
@@ -560,12 +553,12 @@ def verify_decomposition_fibres(
 ) -> Report:
     """Fibre comparison across all desk-scale chains.
 
-    Compares the fibres over every fold m -> 1 with m <= bound and every
-    locally order-preserving 2-chain (f, bottom) with objects up to
-    min(bound, 3), tagging violations fibre-*; then over every locally
-    order-preserving 3-chain (f, middle, bottom) with objects up to
-    min(bound, 3), tagging them chain-fibre-*. Above bound 3 the title
-    names that cap.
+    Compares the fibres over the degeneracy(1, c) of every 2-chain c
+    that is a fold m -> 1 over the identity with m <= bound or a locally
+    order-preserving 2-chain with objects up to min(bound, 3), tagging
+    violations fibre-*; then over every locally order-preserving
+    3-chain with objects up to min(bound, 3), tagging them chain-fibre-*.
+    Above bound 3 the title names that cap.
     """
     _require_surjection_instance(inst)
     chain_bound = min(bound, 3)
@@ -574,12 +567,15 @@ def verify_decomposition_fibres(
         f"decomposition-fibres[{inst.name}, bound={bound}{cap}]",
         max_violations=max_violations,
     )
-    seen = {(_terminal_surjection(m), identity(1)) for m in range(1, bound + 1)}
-    seen.update(c.maps for c in enumerate_p(inst, 2, chain_bound))
-    for f, btm in sorted(seen, key=lambda p: (p[0].dom, p[0].values, p[1].values)):
-        _verify_fibre_pair(rep, FactorisationGroupoid(inst, f, btm), "fibre")
+    seen = {
+        Chain(inst, (_terminal_surjection(m), identity(1)), 1)
+        for m in range(1, bound + 1)
+    }
+    seen.update(enumerate_p(inst, 2, chain_bound))
+    for c in sorted(seen, key=lambda c: (c.objects[0], c.maps[0].values,
+                                         c.maps[1].values)):
+        groupoid = FactorisationGroupoid(degeneracy(1, c))
+        _verify_fibre_pair(rep, groupoid, "fibre")
     for c in enumerate_p(inst, 3, chain_bound):
-        f, middle, btm = c.maps
-        groupoid = FactorisationGroupoid(inst, f, btm, middle=middle)
-        _verify_fibre_pair(rep, groupoid, "chain-fibre")
+        _verify_fibre_pair(rep, FactorisationGroupoid(c), "chain-fibre")
     return rep

@@ -19,9 +19,6 @@ import itertools
 
 from .errors import CompositionError, ShapeError
 
-# An object of the skeletal category is identified with its cardinality.
-FinObj = int
-
 
 class FinMap:
     """A map between finite ordinals, given by its 1-based value table."""

@@ -245,7 +245,3 @@ def weak_blowup_report(inst, bound: int, max_violations: int = 50) -> Report:
                             {"g_matches": 1, "f_matches": 1},
                         )
     return rep
-
-
-def satisfies_weak_blowup(inst, bound: int) -> bool:
-    return weak_blowup_report(inst, bound).ok

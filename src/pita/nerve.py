@@ -30,7 +30,7 @@ the top, face(i) is the i-th face and the top face is face n.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import finskel
@@ -47,25 +47,26 @@ from .opcat import (
 
 @dataclass(frozen=True)
 class Chain:
-    """A composable string of morphisms, top object first.
+    """A composable string of morphisms running down to a bottom object.
 
-    objects = (T_n, ..., T_0) and maps = (f_n, ..., f_1) with
-    f_k: T_k -> T_{k-1}, so maps[j] runs from objects[j] to objects[j+1].
+    maps = (f_n, ..., f_1) with f_k: T_k -> T_{k-1} and bottom = T_0.
+    The maps fix every other object: objects = (T_n, ..., T_0) is
+    derived, so maps[j] runs from objects[j] to objects[j+1]. Equality
+    and hashing read the instance, the maps and the bottom.
     """
 
     inst: OperadicInstance
-    objects: tuple
     maps: tuple
+    bottom: int
+    objects: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "objects", tuple(self.objects))
-        object.__setattr__(self, "maps", tuple(self.maps))
-        if len(self.objects) != len(self.maps) + 1:
-            raise ShapeError("a chain needs one more object than maps")
-        for j, f in enumerate(self.maps):
-            if f.dom != self.objects[j]:
-                raise ShapeError(f"map {j} does not start at object {j}")
-            if f.cod != self.objects[j + 1]:
+        maps = tuple(self.maps)
+        objects = tuple(f.dom for f in maps) + (self.bottom,)
+        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "objects", objects)
+        for j, f in enumerate(maps):
+            if f.cod != objects[j + 1]:
                 raise ShapeError(f"map {j} does not end at object {j + 1}")
 
     @property
@@ -74,7 +75,7 @@ class Chain:
 
     @cached_property
     def _down(self):
-        acc = finskel.identity(self.objects[-1])
+        acc = finskel.identity(self.bottom)
         out = [acc]
         for f in reversed(self.maps):
             acc = self.inst.compose(f, acc)
@@ -100,11 +101,14 @@ def chain_to_json(chain: Chain) -> dict:
 
 
 def chain_from_json(inst: OperadicInstance, data: dict) -> Chain:
-    return Chain(
-        inst,
-        tuple(data["objects"]),
-        tuple(finskel.finmap_from_json(m) for m in data["maps"]),
-    )
+    """The chain of a chain_to_json document, whose objects must be the
+    ones its maps fix."""
+    objects = list(data["objects"])
+    maps = tuple(map(finskel.finmap_from_json, data["maps"]))
+    chain = Chain(inst, maps, objects[-1] if objects else None)
+    if list(chain.objects) != objects:
+        raise ShapeError("the chain's objects disagree with its maps")
+    return chain
 
 
 @dataclass(frozen=True)
@@ -174,7 +178,7 @@ def identity_ladder(chain: Chain) -> FopDiagram:
 
 def _all_chains(inst: OperadicInstance, n: int, bound: int, locally_op: bool):
     objs = list(inst.objects(bound))
-    level = [Chain(inst, (X,), ()) for X in objs]
+    level = [Chain(inst, (), X) for X in objs]
     for _ in range(n):
         nxt = []
         for c in level:
@@ -186,7 +190,7 @@ def _all_chains(inst: OperadicInstance, n: int, bound: int, locally_op: bool):
                         inst.compose(f, full)
                     ):
                         continue
-                    nxt.append(Chain(inst, (X,) + c.objects, (f,) + c.maps))
+                    nxt.append(Chain(inst, (f,) + c.maps, c.bottom))
         level = nxt
     return level
 
@@ -209,13 +213,10 @@ def face(i: int, chain: Chain) -> Chain:
     if not 0 <= i <= n - 1:
         raise IndexError(f"face {i} undefined on a chain of length {n}")
     if i == 0:
-        return Chain(chain.inst, chain.objects[1:], chain.maps[1:])
+        return Chain(chain.inst, chain.maps[1:], chain.bottom)
     merged = chain.inst.compose(chain.maps[i - 1], chain.maps[i])
-    return Chain(
-        chain.inst,
-        chain.objects[:i] + chain.objects[i + 1 :],
-        chain.maps[: i - 1] + (merged,) + chain.maps[i + 1 :],
-    )
+    maps = chain.maps[: i - 1] + (merged,) + chain.maps[i + 1 :]
+    return Chain(chain.inst, maps, chain.bottom)
 
 
 def top_face(chain: Chain) -> Chain:
@@ -224,8 +225,8 @@ def top_face(chain: Chain) -> Chain:
     n = chain.length
     if n < 1:
         raise IndexError("top face needs a chain of length at least 1")
-    trunc = Chain(chain.inst, chain.objects[:-1], chain.maps[:-1])
-    return reflect_chain(chain.inst, trunc)[0]
+    trunc = Chain(chain.inst, chain.maps[:-1], chain.objects[-2])
+    return reflect_chain(trunc).target
 
 
 def degeneracy(i: int, chain: Chain) -> Chain:
@@ -235,9 +236,7 @@ def degeneracy(i: int, chain: Chain) -> Chain:
         raise IndexError(f"degeneracy {i} undefined on a chain of length {n}")
     ident = finskel.identity(chain.objects[i])
     return Chain(
-        chain.inst,
-        chain.objects[: i + 1] + chain.objects[i:],
-        chain.maps[:i] + (ident,) + chain.maps[i:],
+        chain.inst, chain.maps[:i] + (ident,) + chain.maps[i:], chain.bottom
     )
 
 
@@ -253,31 +252,31 @@ def opfibration_lift(chain: Chain, sigma0: FinMap) -> FopDiagram:
     inst = chain.inst
     if not chain.locally_op:
         raise ShapeError("lifts start from locally order-preserving chains")
-    if sigma0.dom != chain.objects[-1]:
+    if sigma0.dom != chain.bottom:
         raise ShapeError("bottom map does not start at the bottom object")
     if not is_quasibijection(sigma0, inst):
         raise ShapeError("bottom map must be a quasibijection")
-    return _lift(inst, chain, sigma0)
+    return _lift(chain, sigma0)
 
 
-def reflect_chain(inst: OperadicInstance, chain: Chain):
-    """Reflect a chain onto its locally order-preserving representative:
-    the lift of the chain, which need not be locally order-preserving,
-    through the identity on its bottom object. The k-th reflected map is
-    the relative op part of the k-th chain map over the composite below
-    it, and the unit ladder's k-th horizontal is the quasibijection part
-    of that composite. Idempotent: locally order-preserving chains are
-    fixed. Returns (reflected chain, unit ladder)."""
-    unit = _lift(inst, chain, finskel.identity(chain.objects[-1]))
-    return unit.target, unit
+def reflect_chain(chain: Chain) -> FopDiagram:
+    """The unit ladder of the reflection onto locally order-preserving
+    chains: the lift of the chain, which need not be locally
+    order-preserving, through the identity on its bottom object. Its
+    target is the reflected chain, whose k-th map is the relative op part
+    of the k-th chain map over the composite below it; its k-th
+    horizontal is the quasibijection part of that composite. Idempotent:
+    locally order-preserving chains reflect onto themselves."""
+    return _lift(chain, finskel.identity(chain.bottom))
 
 
-def _lift(inst: OperadicInstance, chain: Chain, sigma0: FinMap) -> FopDiagram:
+def _lift(chain: Chain, sigma0: FinMap) -> FopDiagram:
     """The lift loop of opfibration_lift and reflect_chain, without their
     preconditions. Each step splits the pushed composite once: its
     quasibijection part is the step's horizontal and, with the previous
     step's, unwinds the step's map to its relative op part (the first
     step unwinds against the quasibijection part of sigma0)."""
+    inst = chain.inst
     horizontals = [sigma0]
     new_maps = []
     pushed = sigma0
@@ -288,11 +287,7 @@ def _lift(inst: OperadicInstance, chain: Chain, sigma0: FinMap) -> FopDiagram:
         new_maps.append(_unwind(inst, above, hk, below))
         horizontals.append(above)
         below = above
-    target = Chain(
-        inst,
-        chain.objects[:-1] + (sigma0.cod,),
-        tuple(reversed(new_maps)),
-    )
+    target = Chain(inst, tuple(reversed(new_maps)), sigma0.cod)
     return FopDiagram(chain, target, tuple(reversed(horizontals)))
 
 
@@ -340,7 +335,7 @@ def beta(n: int, chain: Chain, mode: str = "production") -> FopDiagram:
     if mode == "oracle":
         if ladder.target != top_face(top_face(chain)):
             raise IntegrityError("beta ladder missed the double top face")
-        above = Chain(inst, chain.objects[:-2], chain.maps[:-2])
+        above = Chain(inst, chain.maps[:-2], chain.objects[-3])
         for k in range(n + 1):
             pushed = inst.compose(
                 pita_general(inst, above.down_composite(k)).eta, sigma0
@@ -425,12 +420,13 @@ def verify_strict_identities(
     # naturality along every conjugating ladder of quasibijections
     def reflection(n, c):
         rep.count("reflection-not-locally-op")
-        rc, unit = reflect_chain(inst, c)
+        unit = reflect_chain(c)
+        rc = unit.target
         if not rc.locally_op:
             bad("reflection-not-locally-op", c)
-        if reflect_chain(inst, rc)[0] != rc:
+        if reflect_chain(rc).target != rc:
             bad("reflection-idempotent", c)
-        if unit.source != c or unit.target != rc or not unit.is_valid():
+        if unit.source != c or not unit.is_valid():
             bad("reflection-unit-invalid", c)
         perms = [quasibijections(inst, X, X) for X in c.objects]
         for ladder in _conjugate_ladders(c, perms):
@@ -438,9 +434,9 @@ def verify_strict_identities(
                 continue
             rep.count("reflection-naturality")
             sig = ladder.horizontals
-            rc2, unit2 = reflect_chain(inst, ladder.target)
+            unit2 = reflect_chain(ladder.target)
             lifted = opfibration_lift(rc, sig[-1])
-            mismatch = lifted.target != rc2
+            mismatch = lifted.target != unit2.target
             for j in range(n + 1):
                 if inst.compose(
                     unit.horizontals[j], lifted.horizontals[j]
@@ -504,7 +500,7 @@ def verify_beta_coherence(
         for c in enumerate_p(inst, m + 3, bound):
             if m == 0:
                 rep.count("coherence-0-direct")
-                direct_l, direct_r = _scalar_coherence_0(inst, c)
+                direct_l, direct_r = _scalar_coherence_0(c)
                 if direct_l != direct_r:
                     rep.add(
                         "coherence-0-direct", w(c),
@@ -552,9 +548,10 @@ def verify_beta_coherence(
     return rep
 
 
-def _scalar_coherence_0(inst: OperadicInstance, chain: Chain):
+def _scalar_coherence_0(chain: Chain):
     """Both sides of the coherence-0 equation at a 3-chain (f3, f2, f1),
     written directly in splits rather than through ladders."""
+    inst = chain.inst
     f3, f2 = chain.maps[0], chain.maps[1]
     lhs = inst.compose(
         pita_general(inst, inst.compose(f3, f2)).pi,
@@ -580,8 +577,7 @@ def verify_opfibration(
         max_violations=max_violations,
     )
     for chain in enumerate_p(inst, n, bound):
-        T0 = chain.objects[-1]
-        for sigma0 in quasibijections(inst, T0, T0):
+        for sigma0 in quasibijections(inst, chain.bottom, chain.bottom):
             rep.count("opfibration-lift-invalid")
             witness = {
                 "chain": chain_to_json(chain), "sigma0": finmap_to_json(sigma0),
@@ -628,8 +624,7 @@ def _conjugate_ladders(chain: Chain, perms):
                 break
             maps.append(g)
         else:
-            objects = chain.objects[:-1] + (sig[-1].cod,)
-            yield FopDiagram(chain, Chain(inst, objects, tuple(maps)), sig)
+            yield FopDiagram(chain, Chain(inst, tuple(maps), sig[-1].cod), sig)
 
 
 def _lift_candidates(chain: Chain, sigma0: FinMap):

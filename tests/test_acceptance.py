@@ -29,6 +29,8 @@ from pita.finskel import (
 )
 from pita.instances import make_fin, make_fin_surj
 from pita.nerve import (
+    Chain,
+    degeneracy,
     verify_beta_coherence,
     verify_opfibration,
     verify_strict_identities,
@@ -177,7 +179,8 @@ def test_criterion_7_fibre_equivalences():
     with _Budget("criterion 7 (fibre equivalences)", None):
         counts = {1: 1, 2: 3, 3: 13, 4: 75}
         for m in range(1, 5):
-            g = FactorisationGroupoid(SURJ, _fold(m), identity(1))
+            c = Chain(SURJ, (_fold(m), identity(1)), 1)
+            g = FactorisationGroupoid(degeneracy(1, c))
             for y in g.c2_objects:
                 assert g.forward(g.backward(y)) == y
             for x in g.c1_objects:

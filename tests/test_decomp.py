@@ -34,7 +34,8 @@ from pita.finskel import (
     pita,
 )
 from pita.instances import make_fin, make_fin_surj
-from pita.opcat import quasibijections
+from pita.nerve import Chain, degeneracy, enumerate_p
+from pita.opcat import Report, quasibijections
 
 from helpers import CorruptFibre, CorruptFibreMap
 
@@ -44,6 +45,13 @@ FIN = make_fin()
 
 def _fold(n):
     return FinMap(n, 1, (1,) * n)
+
+
+def _groupoid(*maps):
+    """The groupoid over the chain of the maps, a 2-chain through its
+    middle degeneracy."""
+    c = Chain(SURJ, maps, maps[-1].cod)
+    return FactorisationGroupoid(c if c.length == 3 else degeneracy(1, c))
 
 
 # ------------------------------------------------------- labels and terms
@@ -110,6 +118,8 @@ def test_comult_rejects_non_order_preserving_maps():
         comult(SURJ, FinMap(2, 2, (2, 1)))
     with pytest.raises(ValueError):
         comult(SURJ, FinMap(2, 3, (1, 2)))
+    with pytest.raises(ValueError):
+        comult(SURJ, FinMap(0, 2, ()))
 
 
 def test_comult_rejects_other_instances():
@@ -270,19 +280,22 @@ def test_factorisation_count_is_the_ordered_bell_number(m, data):
 
 
 def test_groupoid_rejects_bad_chains():
-    with pytest.raises(ShapeError):
-        FactorisationGroupoid(SURJ, _fold(2), identity(2))
-    with pytest.raises(ShapeError):
-        FactorisationGroupoid(SURJ, FinMap(2, 2, (2, 1)), identity(2))
-    with pytest.raises(ShapeError):
-        FactorisationGroupoid(SURJ, _fold(2), identity(1), middle=_fold(2))
     swap = FinMap(2, 2, (2, 1))
     with pytest.raises(ShapeError):
-        FactorisationGroupoid(SURJ, swap, identity(2), middle=swap)
+        _groupoid(_fold(2), identity(2))
+    with pytest.raises(ShapeError):
+        _groupoid(swap, identity(2))
+    with pytest.raises(ShapeError):
+        _groupoid(_fold(2), _fold(2), identity(1))
+    with pytest.raises(ShapeError):
+        _groupoid(identity(2), swap, identity(2))
+    for n in (2, 4):
+        with pytest.raises(ShapeError, match="3-chains"):
+            FactorisationGroupoid(Chain(SURJ, (identity(1),) * n, 1))
 
 
 def test_fold_of_two_has_three_rigid_classes():
-    g = FactorisationGroupoid(SURJ, _fold(2), identity(1))
+    g = _groupoid(_fold(2), identity(1))
     assert len(g.c1_objects) == 3
     assert len(g.c1_iso_classes()) == 3
     assert len(g.c2_objects) == 3
@@ -292,9 +305,7 @@ def test_fold_of_two_has_three_rigid_classes():
 def test_general_fibre_frozen_counts():
     # (1,1,2) over the fold: eight factorisations in three classes,
     # matching the three objects of the reflected fibre
-    g = FactorisationGroupoid(
-        SURJ, FinMap(3, 2, (1, 1, 2)), FinMap(2, 1, (1, 1))
-    )
+    g = _groupoid(FinMap(3, 2, (1, 1, 2)), FinMap(2, 1, (1, 1)))
     assert len(g.c1_objects) == 8
     classes = g.c1_iso_classes()
     assert sorted(len(c) for c in classes) == [2, 3, 3]
@@ -304,24 +315,20 @@ def test_general_fibre_frozen_counts():
 
 def test_fold_fibres_count_ordered_set_partitions():
     for m, count in zip(range(1, 5), (1, 3, 13, 75)):
-        g = FactorisationGroupoid(SURJ, _fold(m), identity(1))
+        g = _groupoid(_fold(m), identity(1))
         assert len(g.c1_objects) == count
         assert len(g.c1_iso_classes()) == count
         assert len(g.c2_objects) == count
 
 
 def test_forward_after_backward_is_the_identity():
-    g = FactorisationGroupoid(
-        SURJ, FinMap(3, 2, (1, 1, 2)), FinMap(2, 1, (1, 1))
-    )
+    g = _groupoid(FinMap(3, 2, (1, 1, 2)), FinMap(2, 1, (1, 1)))
     for y in g.c2_objects:
         assert g.forward(g.backward(y)) == y
 
 
 def test_unit_is_an_invertible_morphism():
-    g = FactorisationGroupoid(
-        SURJ, FinMap(3, 2, (1, 1, 2)), FinMap(2, 1, (1, 1))
-    )
+    g = _groupoid(FinMap(3, 2, (1, 1, 2)), FinMap(2, 1, (1, 1)))
     for x in g.c1_objects:
         unit = g.unit_at(x)
         target = g.backward(g.forward(x))
@@ -334,7 +341,7 @@ def test_morphisms_need_the_fop_square():
     # between the two bijective-middle factorisations of the fold the
     # only candidate square has the swap over a merged fibre, so the
     # objects stay in separate classes
-    g = FactorisationGroupoid(SURJ, _fold(2), identity(1))
+    g = _groupoid(_fold(2), identity(1))
     swap = FinMap(2, 2, (2, 1))
     x = (identity(2), _fold(2))
     y = (swap, _fold(2))
@@ -402,10 +409,29 @@ def test_fibre_suite_passes_at_bound_three():
 
 
 def test_middle_identity_is_the_two_chain_comparison():
-    # with the default middle the chain formulas reduce to the 2-chain
-    # ones: eta(f) for eta_rel(f, middle), eta(e) for eta_rel(e, middle)
+    # the fibre-* sites of the bound-3 sweep are the groupoids over the
+    # middle degeneracies of the 2-chains, the folds among them
+    chains = set(enumerate_p(SURJ, 2, 3))
+    assert all(
+        Chain(SURJ, (_fold(m), identity(1)), 1) in chains for m in (1, 2, 3)
+    )
+    rep = Report("fibres over degeneracies")
+    for c in chains:
+        decomp._verify_fibre_pair(
+            rep, FactorisationGroupoid(degeneracy(1, c)), "fibre"
+        )
+    assert rep.ok
+    assert rep.by_axiom == {
+        "fibre-retraction": 55,
+        "fibre-c2-not-discrete": 25,
+        "fibre-unit-not-a-morphism": 121,
+        "fibre-class-count": 25,
+    }
+    # with the identity in the middle the chain formulas reduce to the
+    # 2-chain ones: eta(f) for eta_rel(f, middle), eta(e) for
+    # eta_rel(e, middle)
     f, bottom = FinMap(3, 2, (1, 1, 2)), FinMap(2, 1, (1, 1))
-    g = FactorisationGroupoid(SURJ, f, bottom)
+    g = _groupoid(f, bottom)
     assert g.middle == identity(2)
     assert g.c2_objects == [
         (h, e) for h, e in factorisations(pita(f)[1]) if is_order_preserving(e)

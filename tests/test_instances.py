@@ -16,7 +16,6 @@ from pita.instances import (
     make_fin_surj,
     make_instance,
     make_op,
-    satisfies_weak_blowup,
     weak_blowup_report,
 )
 from strategies import composable_pairs
@@ -116,7 +115,7 @@ def test_weak_blowup_holds_at_bound_3(factory):
     rep = weak_blowup_report(factory(), 3)
     assert rep.ok, rep.violations[:3]
     assert rep.checks > 0
-    assert satisfies_weak_blowup(factory(), 2)
+    assert weak_blowup_report(factory(), 2).ok
 
 
 def test_weak_blowup_fails_with_a_missing_map():

@@ -35,21 +35,24 @@ OP = make_op()
 
 
 def _chain(inst, *maps):
-    objs = tuple(f.dom for f in maps) + (maps[-1].cod,)
-    return Chain(inst, objs, maps)
+    return Chain(inst, maps, maps[-1].cod)
 
 
 # ---------------------------------------------------------------- chains
 
 
 def test_chain_shape_validation():
-    with pytest.raises(ShapeError):
-        Chain(FIN, (2, 3), (FinMap(2, 2, (1, 2)),))
-    with pytest.raises(ShapeError):
-        Chain(FIN, (2, 2, 2), (identity(2),))
+    with pytest.raises(ShapeError, match="map 0 does not end at object 1"):
+        Chain(FIN, (FinMap(2, 2, (1, 2)),), 3)
+    with pytest.raises(ShapeError, match="map 0 does not end at object 1"):
+        Chain(FIN, (FinMap(2, 1, (1, 1)), identity(2)), 2)
     c = _chain(FIN, FinMap(2, 2, (2, 1)), FinMap(2, 1, (1, 1)))
     assert c.length == 2
     assert c.objects == (2, 2, 1)
+    assert Chain(FIN, (), 2).objects == (2,)
+    # the objects are derived from the maps and take no part in equality
+    assert c == Chain(FIN, list(c.maps), 1)
+    assert hash(c) == hash((FIN, c.maps, 1))
 
 
 def test_down_composites_and_locally_op():
@@ -69,6 +72,25 @@ def test_chain_json_roundtrip():
     blob = chain_to_json(c)
     assert blob["objects"] == [2, 2, 1]
     assert chain_from_json(SURJ, blob) == c
+    chains = [c for n in range(4) for c in enumerate_p(SURJ, n, 3)]
+    chains += [
+        c for n in range(3)
+        for c in nerve._all_chains(FIN, n, 2, locally_op=False)
+    ]
+    for c in chains:
+        back = chain_from_json(c.inst, chain_to_json(c))
+        assert back == c and back.objects == c.objects
+
+
+@pytest.mark.parametrize(
+    "objects", [[2, 1, 1], [3, 2, 1], [2, 2], [], [2, 1, 1, 1]]
+)
+def test_chain_json_objects_must_match_the_maps(objects):
+    c = _chain(FIN, FinMap(2, 2, (2, 1)), FinMap(2, 1, (1, 1)))
+    blob = chain_to_json(c)
+    blob["objects"] = objects
+    with pytest.raises(ShapeError):
+        chain_from_json(FIN, blob)
 
 
 # --------------------------------------------------------------- ladders
@@ -162,9 +184,9 @@ def test_top_face_reflects():
     t = top_face(c)
     assert t == _chain(SURJ, identity(2))
     assert t.locally_op
-    assert top_face(t) == Chain(SURJ, (2,), ())
+    assert top_face(t) == Chain(SURJ, (), 2)
     with pytest.raises(IndexError):
-        top_face(Chain(SURJ, (2,), ()))
+        top_face(Chain(SURJ, (), 2))
 
 
 def test_unreflected_top_face_leaves_the_locally_op_world():
@@ -173,12 +195,12 @@ def test_unreflected_top_face_leaves_the_locally_op_world():
     # locally order-preserving postcondition instead
     c = _chain(FIN, identity(2), FinMap(2, 2, (2, 1)), FinMap(2, 1, (1, 1)))
     assert c.locally_op
-    trunc = Chain(FIN, c.objects[:-1], c.maps[:-1])
+    trunc = Chain(FIN, c.maps[:-1], c.objects[-2])
     assert not trunc.locally_op
     assert top_face(c) != trunc
     assert top_face(c).locally_op
     # the commutation family alone cannot tell the two apart
-    assert face(0, trunc) == Chain(FIN, trunc.objects[1:], trunc.maps[1:])
+    assert face(0, trunc) == Chain(FIN, trunc.maps[1:], trunc.bottom)
 
 
 # ------------------------------------------------------------ reflection
@@ -186,26 +208,25 @@ def test_unreflected_top_face_leaves_the_locally_op_world():
 
 def test_reflection_fixes_locally_op_chains():
     c = _chain(SURJ, FinMap(2, 2, (2, 1)), FinMap(2, 1, (1, 1)))
-    rc, unit = reflect_chain(SURJ, c)
-    assert rc == c
-    assert unit == identity_ladder(c)
+    assert reflect_chain(c) == identity_ladder(c)
 
 
 def test_reflection_of_a_single_map():
     c = _chain(FIN, FinMap(2, 2, (2, 1)))
-    rc, unit = reflect_chain(FIN, c)
-    assert rc == _chain(FIN, identity(2))
+    unit = reflect_chain(c)
+    assert unit.target == _chain(FIN, identity(2))
     assert unit.horizontals == (FinMap(2, 2, (2, 1)), identity(2))
     assert unit.is_valid()
 
 
 def test_reflection_is_idempotent_and_unit_is_fop():
     c = _chain(FIN, identity(2), FinMap(2, 2, (2, 1)))
-    rc, unit = reflect_chain(FIN, c)
+    unit = reflect_chain(c)
+    rc = unit.target
     assert rc == _chain(FIN, identity(2), identity(2))
     assert rc.locally_op
-    assert reflect_chain(FIN, rc)[0] == rc
-    assert unit.source == c and unit.target == rc
+    assert reflect_chain(rc).target == rc
+    assert unit.source == c
     assert unit.is_valid()
 
 
@@ -213,10 +234,10 @@ def test_reflection_is_idempotent_and_unit_is_fop():
 @given(composable_pairs(max_card=5))
 def test_reflection_properties_hold_on_random_chains(pair):
     g, f = pair
-    c = Chain(FIN, (g.dom, g.cod, f.cod), (g, f))
-    rc, unit = reflect_chain(FIN, c)
+    unit = reflect_chain(Chain(FIN, (g, f), f.cod))
+    rc = unit.target
     assert rc.locally_op
-    assert reflect_chain(FIN, rc)[0] == rc
+    assert reflect_chain(rc).target == rc
     assert unit.is_valid()
     # the bottom-degeneracy identity lives on locally op chains only
     assert top_face(degeneracy(2, rc)) == rc
@@ -296,9 +317,9 @@ def _reference_lift(inst, chain, sigma0):
 def test_lift_matches_the_relative_op_parts(inst, maxlen, bound):
     for n in range(maxlen + 1):
         for c in nerve._all_chains(inst, n, bound, locally_op=False):
-            T0 = c.objects[-1]
-            rc, unit = reflect_chain(inst, c)
-            assert (rc.maps, unit.horizontals) == _reference_lift(
+            T0 = c.bottom
+            unit = reflect_chain(c)
+            assert (unit.target.maps, unit.horizontals) == _reference_lift(
                 inst, c, identity(T0)
             )
             if not c.locally_op:
@@ -323,10 +344,10 @@ def test_lifting_an_n_chain_splits_n_plus_one_times(monkeypatch):
     for n in range(4):
         for c in enumerate_p(SURJ, n, 3):
             calls.clear()
-            opfibration_lift(c, identity(c.objects[-1]))
+            opfibration_lift(c, identity(c.bottom))
             assert len(calls) == n + 1
             calls.clear()
-            reflect_chain(SURJ, c)
+            reflect_chain(c)
             assert len(calls) == n + 1
 
 
@@ -343,7 +364,7 @@ def test_opfibration_uniqueness_sweeps():
 def test_composites_of_lifts_are_valid_ladders():
     # horizontal composability of the ladders, exhaustively at bound 2
     for c in enumerate_p(SURJ, 2, 2):
-        T0 = c.objects[-1]
+        T0 = c.bottom
         for s0 in quasibijections(SURJ, T0, T0):
             first = opfibration_lift(c, s0)
             assert first.is_valid()
@@ -360,13 +381,13 @@ def test_beta_frozen_example():
     c = _chain(SURJ, FinMap(2, 2, (2, 1)), FinMap(2, 1, (1, 1)))
     cell = beta(0, c, mode="oracle")
     assert cell.horizontals == (FinMap(2, 2, (2, 1)),)
-    assert cell.source == Chain(SURJ, (2,), ())
-    assert cell.target == Chain(SURJ, (2,), ())
+    assert cell.source == Chain(SURJ, (), 2)
+    assert cell.target == Chain(SURJ, (), 2)
 
 
 def test_beta_is_trivial_when_the_second_map_is_op():
     c = _chain(SURJ, identity(2), FinMap(2, 1, (1, 1)))
-    assert beta(0, c, mode="oracle") == identity_ladder(Chain(SURJ, (2,), ()))
+    assert beta(0, c, mode="oracle") == identity_ladder(Chain(SURJ, (), 2))
 
 
 def test_beta_shape_errors():
@@ -387,9 +408,9 @@ def test_beta_oracle_checks_the_target_of_its_lift(monkeypatch):
         # lifts of 0-chains land one object too high
         if chain.length:
             return lift(chain, sigma0)
-        X = chain.objects[0]
+        X = chain.bottom
         up = FinMap(X, X + 1, tuple(range(1, X + 1)))
-        return FopDiagram(chain, Chain(chain.inst, (X + 1,), ()), (up,))
+        return FopDiagram(chain, Chain(chain.inst, (), X + 1), (up,))
 
     monkeypatch.setattr(nerve, "opfibration_lift", misdirected)
     c = _chain(SURJ, FinMap(2, 2, (2, 1)), FinMap(2, 1, (1, 1)))
