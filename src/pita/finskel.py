@@ -11,10 +11,17 @@ followed by an order-preserving map eta, f = eta after pi, and this splitting
 is unique. A fibre is its strictly increasing inclusion, fibre(f, i), and
 its cardinality is that map's domain; fibre_map(g, f, i) restricts g to the
 fibres over i.
+
+Derived maps (compose, fibre_map, pita, inverse) are valid by
+construction and are built with FinMap._trusted, which skips the range
+check; the public FinMap constructor always validates. identity is
+cached per object: FinMap is immutable, so every caller may share one
+identity, which is validated once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import CompositionError, ShapeError
@@ -34,10 +41,23 @@ class FinMap:
         for v in values:
             if not 1 <= v <= cod:
                 raise ValueError(f"value {v} outside 1..{cod}")
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_hash", hash((dom, cod, values)))
+        # the slots are set through their descriptors, past __setattr__
+        _SET_DOM(self, dom)
+        _SET_COD(self, cod)
+        _SET_VALUES(self, values)
+        _SET_HASH(self, hash((dom, cod, values)))
+
+    @classmethod
+    def _trusted(cls, dom: int, cod: int, values: tuple) -> FinMap:
+        """A map whose values are already a valid tuple for dom -> cod;
+        only the primitives that build valid maps by construction call
+        this."""
+        f = object.__new__(cls)
+        _SET_DOM(f, dom)
+        _SET_COD(f, cod)
+        _SET_VALUES(f, values)
+        _SET_HASH(f, hash((dom, cod, values)))
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("FinMap is immutable")
@@ -66,7 +86,15 @@ class FinMap:
         return f"{list(self.values)}:{self.dom}->{self.cod}"
 
 
+_SET_DOM = FinMap.dom.__set__
+_SET_COD = FinMap.cod.__set__
+_SET_VALUES = FinMap.values.__set__
+_SET_HASH = FinMap._hash.__set__
+
+
+@functools.cache
 def identity(n: int) -> FinMap:
+    """The identity of n, one shared map per object."""
     return FinMap(n, n, range(1, n + 1))
 
 
@@ -77,7 +105,9 @@ def compose(g: FinMap, f: FinMap) -> FinMap:
             f"cannot compose: first map ends at {g.cod}, "
             f"second starts at {f.dom}"
         )
-    return FinMap(g.dom, f.cod, tuple(f.values[v - 1] for v in g.values))
+    return FinMap._trusted(
+        g.dom, f.cod, tuple([f.values[v - 1] for v in g.values])
+    )
 
 
 def is_order_preserving(f: FinMap) -> bool:
@@ -102,7 +132,7 @@ def inverse(f: FinMap) -> FinMap:
     inv = [0] * f.dom
     for j, v in enumerate(f.values, 1):
         inv[v - 1] = j
-    return FinMap(f.dom, f.dom, inv)
+    return FinMap._trusted(f.dom, f.dom, tuple(inv))
 
 
 def fibre(f: FinMap, i: int) -> FinMap:
@@ -137,8 +167,8 @@ def fibre_map(g: FinMap, f: FinMap, i: int) -> FinMap:
         if v == i:
             size += 1
             rank[p] = size
-    values = [r for r in map(rank.__getitem__, g.values) if r]
-    return FinMap(len(values), size, values)
+    values = tuple([r for r in map(rank.__getitem__, g.values) if r])
+    return FinMap._trusted(len(values), size, values)
 
 
 def pita(f: FinMap) -> tuple[FinMap, FinMap]:
@@ -154,7 +184,10 @@ def pita(f: FinMap) -> tuple[FinMap, FinMap]:
     for r, j in enumerate(order, 1):
         pi_values[j - 1] = r
     eta_values = tuple(f.values[j - 1] for j in order)
-    return FinMap(f.dom, f.dom, pi_values), FinMap(f.dom, f.cod, eta_values)
+    return (
+        FinMap._trusted(f.dom, f.dom, tuple(pi_values)),
+        FinMap._trusted(f.dom, f.cod, eta_values),
+    )
 
 
 def ordinal_sum(f: FinMap, g: FinMap) -> FinMap:

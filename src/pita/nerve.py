@@ -143,10 +143,17 @@ class FopDiagram:
         horizontal fibrewise order-preserving with respect to the bottom
         one over the composite verticals."""
         inst = self.source.inst
+        return (
+            all(is_quasibijection(s, inst) for s in self.horizontals)
+            and self._squares_hold()
+        )
+
+    def _squares_hold(self) -> bool:
+        """is_valid without the quasibijection test, for ladders whose
+        horizontals were drawn from quasibijections()."""
+        inst = self.source.inst
         n = self.source.length
         sig = self.horizontals
-        if not all(is_quasibijection(s, inst) for s in sig):
-            return False
         for j in range(n):
             if inst.compose(sig[j], self.target.maps[j]) != inst.compose(
                 self.source.maps[j], sig[j + 1]
@@ -417,7 +424,12 @@ def verify_strict_identities(
                     bad("degeneracy-degeneracy", c, {"i": i, "j": j})
 
     # reflection on arbitrary chains: idempotence, the unit ladder, and
-    # naturality along every conjugating ladder of quasibijections
+    # naturality along every conjugating ladder of quasibijections. The
+    # ladders of a sweep share few targets and bottom lifts, so each is
+    # computed once: reflected by target chain, lifts by (rc, sigma0).
+    reflected = {}
+    lifts = {}
+
     def reflection(n, c):
         rep.count("reflection-not-locally-op")
         unit = reflect_chain(c)
@@ -430,12 +442,18 @@ def verify_strict_identities(
             bad("reflection-unit-invalid", c)
         perms = [quasibijections(inst, X, X) for X in c.objects]
         for ladder in _conjugate_ladders(c, perms):
-            if not ladder.is_valid():
+            # the horizontals come from quasibijections(): only the
+            # squares are left to decide
+            if not ladder._squares_hold():
                 continue
             rep.count("reflection-naturality")
             sig = ladder.horizontals
-            unit2 = reflect_chain(ladder.target)
-            lifted = opfibration_lift(rc, sig[-1])
+            target, key = ladder.target, (rc, sig[-1])
+            if target not in reflected:
+                reflected[target] = reflect_chain(target)
+            if key not in lifts:
+                lifts[key] = opfibration_lift(*key)
+            unit2, lifted = reflected[target], lifts[key]
             mismatch = lifted.target != unit2.target
             for j in range(n + 1):
                 if inst.compose(
@@ -614,16 +632,18 @@ def _conjugate_ladders(chain: Chain, perms):
     Tuples with a conjugate outside the instance's homs are skipped;
     validity of the ladder is left to the caller."""
     inst = chain.inst
-    for sig in itertools.product(*perms):
+    objects = chain.objects
+    homs = [frozenset(inst.hom(X, Y)) for X, Y in zip(objects, objects[1:])]
+    drawn = [[(s, finskel.inverse(s)) for s in p] for p in perms]
+    for pairs in itertools.product(*drawn):
         maps = []
         for j, f in enumerate(chain.maps):
-            g = inst.compose(
-                finskel.inverse(sig[j]), inst.compose(f, sig[j + 1])
-            )
-            if g not in inst.hom(chain.objects[j], chain.objects[j + 1]):
+            g = inst.compose(pairs[j][1], inst.compose(f, pairs[j + 1][0]))
+            if g not in homs[j]:
                 break
             maps.append(g)
         else:
+            sig = tuple(s for s, _ in pairs)
             yield FopDiagram(chain, Chain(inst, tuple(maps), sig[-1].cod), sig)
 
 

@@ -108,6 +108,34 @@ def test_inverse():
         inverse(FinMap(2, 1, (1, 1)))
 
 
+def test_derived_maps_pass_the_public_constructor_exhaustive_bound_3():
+    # compose, fibre_map, pita, inverse and identity skip validation;
+    # every map they build must be one the validating constructor accepts,
+    # with a tuple value table and the same hash
+    def check(r):
+        assert type(r.values) is tuple
+        public = FinMap(r.dom, r.cod, r.values)
+        assert r == public and hash(r) == hash(public)
+        return 1
+
+    checked = 0
+    for n in range(4):
+        checked += check(identity(n))
+        assert identity(n) is identity(n)
+    for a, b in itertools.product(range(4), repeat=2):
+        for f in enumerate_maps(a, b):
+            checked += sum(map(check, pita(f)))
+            if is_bijective(f):
+                checked += check(inverse(f))
+    for a, b, c in itertools.product(range(4), repeat=3):
+        for g in enumerate_maps(a, b):
+            for f in enumerate_maps(b, c):
+                checked += check(compose(g, f))
+                for i in range(1, c + 1):
+                    checked += check(fibre_map(g, f, i))
+    assert checked == 6_334
+
+
 # ---------------------------------------------------------------- fibres
 
 

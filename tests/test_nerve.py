@@ -263,6 +263,44 @@ def test_strict_identities_fin_surj_bound_3():
     }
 
 
+def test_strict_sweep_lifts_each_naturality_target_once(monkeypatch):
+    calls = {"_lift": [], "opfibration_lift": [], "is_quasibijection": []}
+
+    def counting(name):
+        original = getattr(nerve, name)
+
+        def counted(*args):
+            calls[name].append(args)
+            return original(*args)
+
+        monkeypatch.setattr(nerve, name, counted)
+
+    for name in calls:
+        counting(name)
+    rep = verify_strict_identities(SURJ, 3, 4)
+    assert rep.checks == 50_968
+    # 25,054 when every naturality ladder reflected its target and lifted
+    # its bottom afresh
+    assert len(calls["_lift"]) == 7_468
+    # one opfibration lift per distinct (reflected chain, bottom): 37 on
+    # 2-chains and 15 on 1-chains
+    lifts = calls["opfibration_lift"]
+    assert len(lifts) == len(set(lifts)) == 52
+    assert sum(c.length == 2 for c, _ in lifts) == 37
+    # is_quasibijection is asked only of the unit ladders' horizontals
+    # (one per object of each arbitrary chain) and of each lift's bottom;
+    # the naturality ladders' horizontals, drawn from quasibijections(),
+    # are never asked again
+    units = [
+        c for n in (1, 2)
+        for c in nerve._all_chains(SURJ, n, 3, locally_op=False)
+    ]
+    assert len(units) == 122
+    assert len(calls["is_quasibijection"]) == (
+        sum(len(c.objects) for c in units) + len(lifts)
+    )
+
+
 def test_strict_identities_fin_bound_2():
     rep = verify_strict_identities(FIN, 2, 3)
     assert rep.ok, rep.summary()
