@@ -21,19 +21,8 @@ from pita.decomp import (
     comult_composition_form,
     verify_coassociativity,
 )
-from pita.finskel import FinMap
+from pita.finskel import fold
 from pita.instances import make_fin_surj
-
-
-def _label_text(label):
-    return ".".join(f"A{p}" for p in label) if label else "1"
-
-
-def _element_text(element):
-    return " + ".join(
-        f"{coeff} {_label_text(left)} (x) {_label_text(right)}"
-        for (left, right), coeff in element.sorted_terms()
-    )
 
 
 def main(argv=None) -> int:
@@ -50,13 +39,13 @@ def main(argv=None) -> int:
 
     inst = make_fin_surj()
     for n in range(1, args.max_n + 1):
-        direct = comult(inst, FinMap(n, 1, (1,) * n))
+        direct = comult(inst, fold(n))
         closed = comult_closed_form(n)
         tag = "ok" if direct == closed else "MISMATCH"
-        print(f"Delta(A_{n}) = {_element_text(direct)}   [closed form {tag}]")
+        print(f"Delta(A_{n}) = {direct.text()}   [closed form {tag}]")
         classical = comult_composition_form(n)
         if classical != direct:
-            print(f"   classical: {_element_text(classical)}")
+            print(f"   classical: {classical.text()}")
 
     if args.defect:
         print()

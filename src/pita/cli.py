@@ -38,7 +38,7 @@ from .decomp import (
 )
 from .errors import PitaError, UnsupportedInstanceError
 from .factorisation import pita_general, verify_eta_identities
-from .finskel import FinMap, compose, finmap_to_json, pita
+from .finskel import FinMap, compose, finmap_to_json, fold, pita
 from .instances import make_fin_surj, make_instance
 from .nerve import (
     verify_beta_coherence,
@@ -131,20 +131,6 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _label_text(label) -> str:
-    if not label:
-        return "1"
-    return ".".join(f"A{part}" for part in label)
-
-
-def _coalg_text(element) -> str:
-    pieces = [
-        f"{coeff} {_label_text(left)} (x) {_label_text(right)}"
-        for (left, right), coeff in element.sorted_terms()
-    ]
-    return " + ".join(pieces) if pieces else "0"
-
-
 def _emit_report(rep: Report, args, out) -> None:
     if not args.json:
         print(rep.summary(), file=out)
@@ -217,11 +203,11 @@ def _run_factor(args, out) -> int:
 
 def _run_coalg(args, out) -> int:
     inst = make_instance(args.instance)
-    element = comult(inst, FinMap(args.n, 1, (1,) * args.n))
+    element = comult(inst, fold(args.n))
     if args.json:
         print(_dumps(element.to_json()), file=out)
     else:
-        print(_coalg_text(element), file=out)
+        print(element.text(), file=out)
     return 0
 
 
@@ -254,7 +240,7 @@ def _closed_form_report(max_n: int) -> Report:
     inst = make_fin_surj()
     for n in range(1, max_n + 1):
         rep.count("closed-form")
-        direct = comult(inst, FinMap(n, 1, (1,) * n))
+        direct = comult(inst, fold(n))
         closed = comult_closed_form(n)
         if direct != closed:
             rep.add(

@@ -48,6 +48,7 @@ from .finskel import (
     FinMap,
     compose,
     finmap_to_json,
+    fold,
     identity,
     inverse,
     ordinal_sum,
@@ -115,6 +116,18 @@ class CoalgebraElement:
                 for (left, right), coeff in self.sorted_terms()
             ]
         }
+
+    def text(self) -> str:
+        """`coeff left (x) right` terms joined by ` + `, a label as the
+        product of its A_k; the empty label is 1, the zero element 0."""
+        return " + ".join(
+            f"{coeff} {_label_text(left)} (x) {_label_text(right)}"
+            for (left, right), coeff in self.sorted_terms()
+        ) or "0"
+
+
+def _label_text(label: IsoClassLabel) -> str:
+    return ".".join(f"A{part}" for part in label) or "1"
 
 
 def _merge(a: IsoClassLabel, b: IsoClassLabel) -> IsoClassLabel:
@@ -217,10 +230,6 @@ def comult_composition_form(n: int) -> CoalgebraElement:
     return out
 
 
-def _terminal_surjection(n: int) -> FinMap:
-    return FinMap(n, 1, (1,) * n)
-
-
 def _op_surjections(lo: int, bound: int):
     """Order-preserving surjections with domain from lo up to the bound,
     by domain, then codomain, then value table."""
@@ -262,7 +271,7 @@ def verify_coassociativity(
     def generator(part: int) -> CoalgebraElement:
         if part not in cache:
             if table == "incidence":
-                cache[part] = comult(inst, _terminal_surjection(part))
+                cache[part] = comult(inst, fold(part))
             else:
                 cache[part] = comult_composition_form(part)
         return cache[part]
@@ -568,7 +577,7 @@ def verify_decomposition_fibres(
         max_violations=max_violations,
     )
     seen = {
-        Chain(inst, (_terminal_surjection(m), identity(1)), 1)
+        Chain(inst, (fold(m), identity(1)), 1)
         for m in range(1, bound + 1)
     }
     seen.update(enumerate_p(inst, 2, chain_bound))

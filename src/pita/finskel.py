@@ -14,9 +14,9 @@ fibres over i.
 
 Derived maps (compose, fibre_map, pita, inverse) are valid by
 construction and are built with FinMap._trusted, which skips the range
-check; the public FinMap constructor always validates. identity is
-cached per object: FinMap is immutable, so every caller may share one
-identity, which is validated once.
+check; the public FinMap constructor always validates. identity and
+fold (the map n -> 1) are cached per object: FinMap is immutable, so
+every caller may share one, which is validated once.
 """
 
 from __future__ import annotations
@@ -96,6 +96,12 @@ _SET_HASH = FinMap._hash.__set__
 def identity(n: int) -> FinMap:
     """The identity of n, one shared map per object."""
     return FinMap(n, n, range(1, n + 1))
+
+
+@functools.cache
+def fold(n: int) -> FinMap:
+    """The map n -> 1, one shared map per object."""
+    return FinMap(n, 1, (1,) * n)
 
 
 def compose(g: FinMap, f: FinMap) -> FinMap:

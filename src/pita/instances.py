@@ -1,17 +1,16 @@
 """The three shipped instances: all finite maps, surjections only, and
 order-preserving maps only.
 
-Objects are ordinals identified with their cardinality and morphism handles
-are the FinMaps themselves, so every handle is its own cardinality. Every
-instance chooses the ordinal 1 with the constant map as its local terminal.
-The surjections instance starts at the ordinal 1: the empty ordinal has no
-surjection onto 1, so it would sit in its own component with a 0-element
-terminal and break the axioms.
+Each instance is the maps it admits: hom(X, Y) is the maps X -> Y that
+pass its `_admits` predicate, in value-table order. Objects are ordinals
+identified with their cardinality and morphisms are the FinMaps
+themselves. Every instance chooses the ordinal 1 with the shared fold as
+its local terminal. The surjections instance starts at the ordinal 1: the
+empty ordinal has no surjection onto 1, so it would sit in its own
+component with a 0-element terminal and break the axioms.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from . import finskel
 from .errors import ShapeError
@@ -20,43 +19,41 @@ from .opcat import OperadicInstance, Report
 
 
 class _FinMapInstance(OperadicInstance):
+    """The ordinals from `_min_object` up with the maps `_admits` accepts;
+    each hom is filtered from all maps once and cached."""
+
+    _min_object = 0
+
     def __init__(self):
         self._hom_cache: dict = {}
 
-    def _enumerate_hom(self, X: int, Y: int):
-        raise NotImplementedError
-
-    def _min_object(self) -> int:
-        return 0
+    @staticmethod
+    def _admits(f: FinMap) -> bool:
+        return True
 
     def objects(self, bound: int):
-        return list(range(self._min_object(), bound + 1))
+        return list(range(self._min_object, bound + 1))
 
     def hom(self, X: int, Y: int):
         key = (X, Y)
         if key not in self._hom_cache:
-            self._hom_cache[key] = tuple(self._enumerate_hom(X, Y))
+            maps = finskel.enumerate_maps(X, Y)
+            self._hom_cache[key] = tuple(filter(self._admits, maps))
         return self._hom_cache[key]
 
     def chosen_terminal(self, X: int):
-        return 1, FinMap(X, 1, (1,) * X)
+        return 1, finskel.fold(X)
 
     def is_morphism(self, f: FinMap) -> bool:
         """Whether f lies in hom(f.dom, f.cod), without enumerating it."""
-        lo = self._min_object()
+        lo = self._min_object
         return f.dom >= lo and f.cod >= lo and self._admits(f)
-
-    def _admits(self, f: FinMap) -> bool:
-        return True
 
 
 class FinInstance(_FinMapInstance):
     """All maps between finite ordinals."""
 
     name = "fin"
-
-    def _enumerate_hom(self, X, Y):
-        return finskel.enumerate_maps(X, Y)
 
 
 class FinSurjInstance(_FinMapInstance):
@@ -65,15 +62,8 @@ class FinSurjInstance(_FinMapInstance):
     surjections, so the instance is closed."""
 
     name = "fin-surj"
-
-    def _min_object(self) -> int:
-        return 1
-
-    def _enumerate_hom(self, X, Y):
-        return finskel.enumerate_surjections(X, Y)
-
-    def _admits(self, f):
-        return finskel.is_surjective(f)
+    _min_object = 1
+    _admits = staticmethod(finskel.is_surjective)
 
 
 class OrderPreservingInstance(_FinMapInstance):
@@ -81,20 +71,7 @@ class OrderPreservingInstance(_FinMapInstance):
     quasibijections are identities and every morphism is op."""
 
     name = "op"
-
-    def _enumerate_hom(self, X, Y):
-        if X == 0:
-            yield FinMap(0, Y, ())
-            return
-        if Y == 0:
-            return
-        for comb in itertools.combinations_with_replacement(
-            range(1, Y + 1), X
-        ):
-            yield FinMap(X, Y, comb)
-
-    def _admits(self, f):
-        return finskel.is_order_preserving(f)
+    _admits = staticmethod(finskel.is_order_preserving)
 
 
 def make_fin() -> FinInstance:

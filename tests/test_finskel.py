@@ -15,6 +15,7 @@ from pita.finskel import (
     fibre_map,
     finmap_from_json,
     finmap_to_json,
+    fold,
     identity,
     inverse,
     is_bijective,
@@ -111,7 +112,8 @@ def test_inverse():
 def test_derived_maps_pass_the_public_constructor_exhaustive_bound_3():
     # compose, fibre_map, pita, inverse and identity skip validation;
     # every map they build must be one the validating constructor accepts,
-    # with a tuple value table and the same hash
+    # with a tuple value table and the same hash; identity and fold are
+    # shared per object
     def check(r):
         assert type(r.values) is tuple
         public = FinMap(r.dom, r.cod, r.values)
@@ -122,6 +124,9 @@ def test_derived_maps_pass_the_public_constructor_exhaustive_bound_3():
     for n in range(4):
         checked += check(identity(n))
         assert identity(n) is identity(n)
+        assert fold(n) is fold(n)
+        assert fold(n) == FinMap(n, 1, (1,) * n)
+        assert type(fold(n).values) is tuple
     for a, b in itertools.product(range(4), repeat=2):
         for f in enumerate_maps(a, b):
             checked += sum(map(check, pita(f)))

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 
@@ -44,6 +47,30 @@ def test_hom_contents():
     assert len(op.hom(2, 3)) == 6
     assert len(op.hom(3, 3)) == 10
     assert all(is_order_preserving(f) for f in op.hom(3, 2))
+
+
+# sha256 of [(X, Y, [f.values for f in hom(X, Y)]) for X, Y in 0..4]:
+# universe ids and witness order follow hom order, so the pins fix both
+# the contents and the order of every hom
+HOM_ORDER_PINS = {
+    "fin": "76f2b1837c618b9250219fdb1460938030d68011c9b802e0462e9a613dd72adf",
+    "fin-surj": (
+        "8f6a2609a7fe5bdfbd2e430cf9ae40f5b99593245e7503655ec9ad575c5574ce"
+    ),
+    "op": "fc4ab77defafa42610310a73b08b74714de8c6cc94a1d6df96f529a00b6115cc",
+}
+
+
+@pytest.mark.parametrize("factory", [make_fin, make_fin_surj, make_op])
+def test_hom_order_is_pinned(factory):
+    inst = factory()
+    data = [
+        (X, Y, [f.values for f in inst.hom(X, Y)])
+        for X in range(5)
+        for Y in range(5)
+    ]
+    digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()
+    assert digest == HOM_ORDER_PINS[inst.name]
 
 
 def test_hom_is_cached():
@@ -94,6 +121,7 @@ def test_chosen_terminals():
     assert fin.chosen_terminal(3) == (1, FinMap(3, 1, (1, 1, 1)))
     assert fin.chosen_terminal(0) == (1, FinMap(0, 1, ()))
     assert fin.chosen_terminal(1) == (1, identity(1))
+    assert fin.chosen_terminal(3)[1] is fin.chosen_terminal(3)[1]
     surj = make_fin_surj()
     U, tau = surj.chosen_terminal(2)
     assert U == 1 and tau in surj.hom(2, 1)
