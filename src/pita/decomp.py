@@ -9,17 +9,16 @@ table (k! times the partial Bell numbers on connected classes); the
 classical composition coefficients drop the k! and the two tables
 already disagree in degree 2, which keeps the routes distinguishable.
 
-The decomposition-space part compares two fibres of the composition
-face over a locally order-preserving 3-chain (f, middle, bottom), f
-first.
-The fibre C_1 consists of the factorisations (g, e) of f with
-compose(e, compose(middle, bottom)) order-preserving, with a morphism
-x -> y for every middle quasibijection sigma satisfying both
-factorisation triangles whose square over (e_x, e_y) followed by middle
-is fibrewise order-preserving. The fibre C_2 over the reflected chain
-consists of the factorisations (h, h2) of eta_rel(f, middle) with
-compose(h2, eta(middle)) order-preserving, and is discrete. The
-comparison functors land exactly:
+The decomposition-space part compares the fibre of the inner face over
+a locally order-preserving 3-chain (f, middle, bottom), f first, with
+the same fibre over its reflected chain degeneracy(2, top_face(chain))
+= (eta_rel(f, middle), eta(middle), identity). The fibre C_1 over a
+chain consists of the factorisations (g, e) of f with compose(e,
+compose(middle, bottom)) order-preserving, with a morphism x -> y for
+every middle quasibijection sigma satisfying both factorisation
+triangles whose square over (e_x, e_y) followed by middle is fibrewise
+order-preserving. Over the reflected chain it is C_2, which is
+discrete. The comparison functors land exactly:
 
     F(g, e) = (eta_rel(g, compose(e, middle)), eta_rel(e, middle))
     G(h, h2) = (compose(pi(compose(f, middle)), h),
@@ -27,9 +26,7 @@ comparison functors land exactly:
 
 with F after G the identity and the unit at (g, e) the quasibijection
 pi(compose(e, middle)). The comparison over a 2-chain c = (f, bottom)
-is the one over its degeneracy(1, c) = (f, identity, bottom), where
-F(g, e) = (eta_rel(g, e), eta(e)) and G(h, e) = (compose(pi(f), h), e);
-with a proper middle map it is the same comparison one chain level up.
+is the one over its degeneracy(1, c) = (f, identity, bottom).
 verify_decomposition_fibres checks all of this by enumeration at both
 levels.
 """
@@ -53,7 +50,7 @@ from .finskel import (
     inverse,
     ordinal_sum,
 )
-from .nerve import Chain, degeneracy, enumerate_p
+from .nerve import Chain, degeneracy, enumerate_p, top_face
 from .opcat import (
     OperadicInstance,
     Report,
@@ -204,15 +201,20 @@ def bell_partial(n: int, k: int) -> dict[IsoClassLabel, int]:
     return out
 
 
-def comult_closed_form(n: int) -> CoalgebraElement:
-    """k!-weighted partial Bell expansion of the connected class A_n."""
+def _bell_expansion(n: int, weight) -> CoalgebraElement:
+    """Partial Bell expansion of A_n, its k-block terms times weight(k)."""
     if n < 1:
-        raise ShapeError(f"closed form defined for n >= 1, got {n}")
+        raise ShapeError(f"the Bell expansion is defined for n >= 1, got {n}")
     out = CoalgebraElement()
     for k in range(1, n + 1):
         for shape, count in bell_partial(n, k).items():
-            out.add(shape, (k,), factorial(k) * count)
+            out.add(shape, (k,), weight(k) * count)
     return out
+
+
+def comult_closed_form(n: int) -> CoalgebraElement:
+    """k!-weighted partial Bell expansion of the connected class A_n."""
+    return _bell_expansion(n, factorial)
 
 
 def comult_composition_form(n: int) -> CoalgebraElement:
@@ -221,13 +223,7 @@ def comult_composition_form(n: int) -> CoalgebraElement:
     This is the classical composition-of-series table; it first differs
     from comult_closed_form at n = 2.
     """
-    if n < 1:
-        raise ShapeError(f"composition form defined for n >= 1, got {n}")
-    out = CoalgebraElement()
-    for k in range(1, n + 1):
-        for shape, count in bell_partial(n, k).items():
-            out.add(shape, (k,), count)
-    return out
+    return _bell_expansion(n, lambda k: 1)
 
 
 def _op_surjections(lo: int, bound: int):
@@ -363,22 +359,21 @@ def verify_counit(
 
 @dataclass
 class FactorisationGroupoid:
-    """Both fibres of the composition face over a locally order-preserving
+    """The fibre of the inner face over a locally order-preserving
     3-chain (f, middle, bottom), where f runs first.
 
-    The comparison over a 2-chain c = (f, bottom) is the groupoid over
-    degeneracy(1, c), whose middle map is the identity on cod(f); a
-    proper middle map gives the same comparison one chain level up. C_1
-    objects are the factorisations (g, e) of f that keep the extended
-    chain locally order-preserving, so compose(e, compose(middle,
-    bottom)) must be op.
-    C_2 objects are the factorisations (h, h2) of eta_rel(f, middle)
-    with compose(h2, eta(middle)) op. A morphism x -> y is a middle
+    Its objects are the factorisations (g, e) of f that keep the
+    extended chain locally order-preserving, so compose(e,
+    compose(middle, bottom)) must be op. A morphism x -> y is a middle
     quasibijection satisfying both factorisation triangles whose square
-    over the second legs followed by middle (by eta(middle) in C_2) is
-    fibrewise order-preserving. First legs are surjective, so the first
-    triangle leaves at most one candidate, which is solved for rather
-    than searched. C_2 is checked to be discrete rather than assumed.
+    over compose(e, middle), e the second leg, is fibrewise
+    order-preserving. First legs are surjective, so the first triangle
+    leaves at most one candidate, which is solved for rather than
+    searched.
+
+    It is compared with `reflected`, the same fibre over the reflected
+    chain. The comparison over a 2-chain c is the one over
+    degeneracy(1, c), whose middle map is the identity.
     """
 
     chain: Chain
@@ -392,7 +387,7 @@ class FactorisationGroupoid:
         self.f, self.middle, self.bottom = self.chain.maps
 
     @cached_property
-    def c1_objects(self) -> list[tuple[FinMap, FinMap]]:
+    def objects(self) -> list[tuple[FinMap, FinMap]]:
         lower = self.chain.down_composite(2)
         return [
             (g, e)
@@ -401,29 +396,22 @@ class FactorisationGroupoid:
         ]
 
     @cached_property
-    def _split_middle(self):
-        return pita_general(self.inst, self.middle)
+    def reflected(self) -> FactorisationGroupoid:
+        """The same fibre over degeneracy(2, top_face(chain)) =
+        (eta_rel(f, middle), eta(middle), identity)."""
+        return FactorisationGroupoid(degeneracy(2, top_face(self.chain)))
 
-    @cached_property
-    def c2_objects(self) -> list[tuple[FinMap, FinMap]]:
-        eta_middle = self._split_middle.eta
-        return [
-            (h, h2)
-            for h, h2 in factorisations(eta_rel(self.inst, self.f, self.middle))
-            if finskel.is_order_preserving(compose(h2, eta_middle))
-        ]
-
-    def _morphism(self, x, y, below: FinMap) -> FinMap | None:
+    def _morphism(self, x, y) -> FinMap | None:
         """The morphism x -> y, if any: the first triangle solves for it,
         since the first leg of x is surjective."""
         sigma = _quotient(x[0], y[0])
-        if sigma is not None and self._is_morphism(sigma, x, y, below):
+        if sigma is not None and self.is_morphism(sigma, x, y):
             return sigma
         return None
 
-    def _is_morphism(self, sigma: FinMap, x, y, below: FinMap) -> bool:
+    def is_morphism(self, sigma: FinMap, x, y) -> bool:
         """Is sigma a middle quasibijection satisfying both triangles whose
-        square over compose(e, below) is fop, e the second leg?"""
+        square over compose(e, middle) is fop, e the second leg?"""
         g1, e1 = x
         g2, e2 = y
         mid = e1.dom
@@ -436,37 +424,29 @@ class FactorisationGroupoid:
         try:
             return is_fop_square(
                 sigma,
-                identity(below.cod),
-                compose(e1, below),
-                compose(e2, below),
+                identity(self.middle.cod),
+                compose(e1, self.middle),
+                compose(e2, self.middle),
                 self.inst,
             )
         except ShapeError:
             return False
 
-    def is_c1_morphism(self, sigma: FinMap, x, y) -> bool:
-        """Is sigma a C_1 morphism x -> y?"""
-        return self._is_morphism(sigma, x, y, self.middle)
-
-    def c1_iso_classes(self) -> list[list[tuple[FinMap, FinMap]]]:
+    def iso_classes(self) -> list[list[tuple[FinMap, FinMap]]]:
         return equivalence_classes(
-            self.c1_objects,
-            lambda x, y: self._morphism(x, y, self.middle) is not None,
+            self.objects, lambda x, y: self._morphism(x, y) is not None
         )
 
-    def c2_is_discrete(self) -> bool:
+    def is_discrete(self) -> bool:
         # the first triangle forces every morphism x -> x to be the identity
-        objs = self.c2_objects
-        eta_middle = self._split_middle.eta
+        objs = self.objects
         return all(
-            self._morphism(x, y, eta_middle) is None
-            for x in objs
-            for y in objs
-            if x != y
+            self._morphism(x, y) is None for x in objs for y in objs if x != y
         )
 
     def forward(self, x) -> tuple[FinMap, FinMap]:
-        """C_1 -> C_2, the top face: relative op parts over the middle."""
+        """This fibre -> reflected, the top face: relative op parts over
+        the middle."""
         g, e = x
         return (
             eta_rel(self.inst, g, compose(e, self.middle)),
@@ -476,25 +456,26 @@ class FactorisationGroupoid:
     @cached_property
     def _backward_legs(self) -> tuple[FinMap, FinMap]:
         top = pita_general(self.inst, compose(self.f, self.middle)).pi
-        return top, inverse(self._split_middle.pi)
+        return top, inverse(pita_general(self.inst, self.middle).pi)
 
     def backward(self, y) -> tuple[FinMap, FinMap]:
-        """C_2 -> C_1: precompose with the quasibijection part of
-        compose(f, middle), undo the one of middle."""
+        """reflected -> this fibre: precompose with the quasibijection
+        part of compose(f, middle), undo the one of middle."""
         h, h2 = y
         top, undo = self._backward_legs
         return compose(top, h), compose(h2, undo)
 
     def unit_at(self, x) -> FinMap:
-        """The C_1 morphism x -> backward(forward(x))."""
+        """The morphism x -> backward(forward(x))."""
         _, e = x
         return pita_general(self.inst, compose(e, self.middle)).pi
 
 
 def _verify_fibre_pair(rep: Report, groupoid: FactorisationGroupoid, tag: str):
-    """Compare the two fibres: backward lands in C_1 and forward undoes
-    it, C_2 is discrete, the unit is an invertible C_1 morphism, and the
-    iso classes of C_1 match the objects of C_2 one for one."""
+    """Compare the fibre C_1 with the reflected fibre C_2: backward lands
+    in C_1 and forward undoes it, C_2 is discrete, the unit is an
+    invertible C_1 morphism, and the iso classes of C_1 match the objects
+    of C_2 one for one."""
     where = {
         "f": finmap_to_json(groupoid.f),
         "middle": finmap_to_json(groupoid.middle),
@@ -507,8 +488,8 @@ def _verify_fibre_pair(rep: Report, groupoid: FactorisationGroupoid, tag: str):
     def at(obj):
         return {**where, "object": legs(obj)}
 
-    c1 = groupoid.c1_objects
-    c2 = groupoid.c2_objects
+    c1 = groupoid.objects
+    c2 = groupoid.reflected.objects
     members = set(c1)
     for y in c2:
         rep.count(f"{tag}-retraction")
@@ -529,20 +510,20 @@ def _verify_fibre_pair(rep: Report, groupoid: FactorisationGroupoid, tag: str):
                 "a C_1 object",
             )
     rep.count(f"{tag}-c2-not-discrete")
-    if not groupoid.c2_is_discrete():
+    if not groupoid.reflected.is_discrete():
         rep.add(f"{tag}-c2-not-discrete", where, "morphisms found", "discrete")
     for x in c1:
         rep.count(f"{tag}-unit-not-a-morphism")
         unit = groupoid.unit_at(x)
         target = groupoid.backward(groupoid.forward(x))
-        if not groupoid.is_c1_morphism(unit, x, target):
+        if not groupoid.is_morphism(unit, x, target):
             rep.add(
                 f"{tag}-unit-not-a-morphism",
                 at(x),
                 finmap_to_json(unit),
                 "a C_1 morphism to backward(forward(x))",
             )
-        if not finskel.is_bijective(unit) or not groupoid.is_c1_morphism(
+        if not finskel.is_bijective(unit) or not groupoid.is_morphism(
             inverse(unit), target, x
         ):
             rep.add(
@@ -552,7 +533,7 @@ def _verify_fibre_pair(rep: Report, groupoid: FactorisationGroupoid, tag: str):
                 "invertible",
             )
     rep.count(f"{tag}-class-count")
-    classes = groupoid.c1_iso_classes()
+    classes = groupoid.iso_classes()
     if len(classes) != len(c2):
         rep.add(f"{tag}-class-count", where, len(classes), len(c2))
 

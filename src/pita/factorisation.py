@@ -191,13 +191,24 @@ def verify_eta_identities(
     the instance's answers from its universe (the splits, relative parts,
     composites and fibre maps as ids). The unary sites are one pass over
     the maps; for the pair and triple sites large universes take the
-    vectorised table engine.
+    vectorised table engine. An instance whose answers leave its own
+    homs fails the sweep with one splitting-error violation, after the
+    checks made up to that point.
     """
     rep = Report(
         f"splitting[{inst.name}, bound={bound}]",
         max_violations=max_violations,
     )
-    u = universe(inst, bound)
+    try:
+        _sweep_splitting(rep, universe(inst, bound))
+    except IntegrityError as exc:
+        rep.add("splitting-error", None, str(exc), "a closed universe")
+    return rep
+
+
+def _sweep_splitting(rep: Report, u) -> None:
+    """The sites of verify_eta_identities over the universe u; raises
+    IntegrityError where the instance's answers leave its homs."""
     maps, n, w = u.maps, u.n, u.bound
     pis, etas, _ = u.splits()
 
@@ -230,7 +241,7 @@ def verify_eta_identities(
         table = u.table()
         table.sweep_splitting_identities(rep)
         table.sweep_relative_part_cocycle(rep)
-        return rep
+        return
 
     rel = u.relative_parts()
     first, second, composites = u.pair_first, u.pair_second, u.composites
@@ -293,4 +304,3 @@ def verify_eta_identities(
                     json_of(lhs), json_of(rhs),
                 )
     rep.count("relative-part-cocycle", cocycles)
-    return rep

@@ -589,13 +589,19 @@ def verify_opfibration(
     valid ladder into a locally order-preserving chain, and brute-force
     enumeration of all candidate ladders over that quasibijection finds
     exactly the constructed one. A lift that raises on a broken instance
-    is an opfibration-lift-error witness."""
+    is an opfibration-lift-error witness. The identity is always a
+    quasibijection, so an instance that leaves it out is asked to lift
+    it first and fails there, rather than leave a chain unchecked."""
     rep = Report(
         f"opfibration[{inst.name}, n={n}, bound={bound}]",
         max_violations=max_violations,
     )
     for chain in enumerate_p(inst, n, bound):
-        for sigma0 in quasibijections(inst, chain.bottom, chain.bottom):
+        bottoms = quasibijections(inst, chain.bottom, chain.bottom)
+        one = finskel.identity(chain.bottom)
+        if one not in bottoms:
+            bottoms.insert(0, one)
+        for sigma0 in bottoms:
             rep.count("opfibration-lift-invalid")
             witness = {
                 "chain": chain_to_json(chain), "sigma0": finmap_to_json(sigma0),

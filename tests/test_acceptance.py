@@ -181,15 +181,15 @@ def test_criterion_7_fibre_equivalences():
         for m in range(1, 5):
             c = Chain(SURJ, (_fold(m), identity(1)), 1)
             g = FactorisationGroupoid(degeneracy(1, c))
-            for y in g.c2_objects:
+            for y in g.reflected.objects:
                 assert g.forward(g.backward(y)) == y
-            for x in g.c1_objects:
+            for x in g.objects:
                 unit = g.unit_at(x)
                 assert unit == pita(x[1])[0]
                 assert is_bijective(unit)
-                assert g.is_c1_morphism(unit, x, g.backward(g.forward(x)))
-            classes = g.c1_iso_classes()
-            assert len(classes) == len(g.c2_objects) == counts[m]
+                assert g.is_morphism(unit, x, g.backward(g.forward(x)))
+            classes = g.iso_classes()
+            assert len(classes) == len(g.reflected.objects) == counts[m]
         rep = verify_decomposition_fibres(SURJ, 4)
         assert rep.ok, rep.violations[:2]
 

@@ -296,45 +296,45 @@ def test_groupoid_rejects_bad_chains():
 
 def test_fold_of_two_has_three_rigid_classes():
     g = _groupoid(_fold(2), identity(1))
-    assert len(g.c1_objects) == 3
-    assert len(g.c1_iso_classes()) == 3
-    assert len(g.c2_objects) == 3
-    assert g.c2_is_discrete()
+    assert len(g.objects) == 3
+    assert len(g.iso_classes()) == 3
+    assert len(g.reflected.objects) == 3
+    assert g.reflected.is_discrete()
 
 
 def test_general_fibre_frozen_counts():
     # (1,1,2) over the fold: eight factorisations in three classes,
     # matching the three objects of the reflected fibre
     g = _groupoid(FinMap(3, 2, (1, 1, 2)), FinMap(2, 1, (1, 1)))
-    assert len(g.c1_objects) == 8
-    classes = g.c1_iso_classes()
+    assert len(g.objects) == 8
+    classes = g.iso_classes()
     assert sorted(len(c) for c in classes) == [2, 3, 3]
-    assert len(g.c2_objects) == 3
-    assert g.c2_is_discrete()
+    assert len(g.reflected.objects) == 3
+    assert g.reflected.is_discrete()
 
 
 def test_fold_fibres_count_ordered_set_partitions():
     for m, count in zip(range(1, 5), (1, 3, 13, 75)):
         g = _groupoid(_fold(m), identity(1))
-        assert len(g.c1_objects) == count
-        assert len(g.c1_iso_classes()) == count
-        assert len(g.c2_objects) == count
+        assert len(g.objects) == count
+        assert len(g.iso_classes()) == count
+        assert len(g.reflected.objects) == count
 
 
 def test_forward_after_backward_is_the_identity():
     g = _groupoid(FinMap(3, 2, (1, 1, 2)), FinMap(2, 1, (1, 1)))
-    for y in g.c2_objects:
+    for y in g.reflected.objects:
         assert g.forward(g.backward(y)) == y
 
 
 def test_unit_is_an_invertible_morphism():
     g = _groupoid(FinMap(3, 2, (1, 1, 2)), FinMap(2, 1, (1, 1)))
-    for x in g.c1_objects:
+    for x in g.objects:
         unit = g.unit_at(x)
         target = g.backward(g.forward(x))
         assert is_bijective(unit)
-        assert g.is_c1_morphism(unit, x, target)
-        assert g.is_c1_morphism(inverse(unit), target, x)
+        assert g.is_morphism(unit, x, target)
+        assert g.is_morphism(inverse(unit), target, x)
 
 
 def test_morphisms_need_the_fop_square():
@@ -345,15 +345,14 @@ def test_morphisms_need_the_fop_square():
     swap = FinMap(2, 2, (2, 1))
     x = (identity(2), _fold(2))
     y = (swap, _fold(2))
-    assert x in g.c1_objects and y in g.c1_objects
-    assert not g.is_c1_morphism(swap, x, y)
-    assert g._morphism(x, y, g.middle) is None
+    assert x in g.objects and y in g.objects
+    assert not g.is_morphism(swap, x, y)
+    assert g._morphism(x, y) is None
 
 
-def test_solved_morphisms_match_the_search(monkeypatch):
-    # every groupoid the bound-3 sweep builds (folds, 2-chains, 3-chains):
-    # the morphism solved from the first triangle is exactly what a
-    # search over all middle quasibijections finds
+def _sweep_groupoids(monkeypatch):
+    """Every groupoid the bound-3 sweep builds: folds, 2-chains through
+    their middle degeneracy, 3-chains."""
     built = []
     real = decomp._verify_fibre_pair
 
@@ -364,20 +363,42 @@ def test_solved_morphisms_match_the_search(monkeypatch):
     monkeypatch.setattr(decomp, "_verify_fibre_pair", record)
     assert verify_decomposition_fibres(SURJ, 3).ok
     assert len(built) == 25 + 121
-    kinds = Counter()
-    for g in built:
+    return built
+
+
+def test_reflected_fibre_is_the_fibre_over_the_reflected_chain(monkeypatch):
+    # C_2 is the fibre over (eta_rel(f, middle), eta(middle), identity):
+    # the factorisations (h, h2) of eta_rel(f, middle) with
+    # compose(h2, eta(middle)) op, in factorisation order
+    for g in _sweep_groupoids(monkeypatch):
+        rel = eta_rel(SURJ, g.f, g.middle)
         eta_middle = pita(g.middle)[1]
-        for objs, below in (
-            (g.c1_objects, g.middle), (g.c2_objects, eta_middle)
-        ):
+        assert g.reflected.chain.maps == (
+            rel, eta_middle, identity(g.middle.cod)
+        )
+        assert g.reflected.objects == [
+            (h, h2)
+            for h, h2 in factorisations(rel)
+            if is_order_preserving(compose(h2, eta_middle))
+        ]
+
+
+def test_solved_morphisms_match_the_search(monkeypatch):
+    # in every fibre the bound-3 sweep compares, and in its reflected
+    # fibre, the morphism solved from the first triangle is exactly what
+    # a search over all middle quasibijections finds
+    kinds = Counter()
+    for g in _sweep_groupoids(monkeypatch):
+        for fibre in (g, g.reflected):
+            objs = fibre.objects
             for x in objs:
                 for y in objs:
                     mid = x[1].dom
                     search = [
                         s for s in quasibijections(SURJ, mid, mid)
-                        if g._is_morphism(s, x, y, below)
+                        if fibre.is_morphism(s, x, y)
                     ]
-                    solved = g._morphism(x, y, below)
+                    solved = fibre._morphism(x, y)
                     assert search == ([] if solved is None else [solved])
                     kinds[solved is not None, x == y] += 1
     assert kinds[True, True] and kinds[True, False] and kinds[False, False]
@@ -433,14 +454,14 @@ def test_middle_identity_is_the_two_chain_comparison():
     f, bottom = FinMap(3, 2, (1, 1, 2)), FinMap(2, 1, (1, 1))
     g = _groupoid(f, bottom)
     assert g.middle == identity(2)
-    assert g.c2_objects == [
+    assert g.reflected.objects == [
         (h, e) for h, e in factorisations(pita(f)[1]) if is_order_preserving(e)
     ]
-    for x in g.c1_objects:
+    for x in g.objects:
         h, e = x
         assert g.forward(x) == (eta_rel(SURJ, h, e), pita(e)[1])
         assert g.unit_at(x) == pita(e)[0]
-    for y in g.c2_objects:
+    for y in g.reflected.objects:
         assert g.backward(y) == (compose(pita(f)[0], y[0]), y[1])
 
 

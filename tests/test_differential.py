@@ -5,14 +5,18 @@ meets them in is free), or the error the sweep raises. A refactor that
 keeps these pins keeps every report those sweeps make.
 
 The pins live in differential_pins.json next to this file. To rewrite
-them from the code as it stands, which is only right when a change is
-meant to alter a sweep's outcome, run
+the named pins from the code as it stands, which is only right when a
+change is meant to alter those sweeps' outcomes, run
 
-    PYTHONPATH=src python tests/test_differential.py
+    PYTHONPATH=src python tests/test_differential.py fin/clean/beta ...
+
+It prints each named pin as old -> new. With no case named it rewrites
+every pin and prints the cases that moved.
 """
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,5 +103,20 @@ def test_sweep_keeps_its_pin(case):
 
 
 if __name__ == "__main__":
-    pins = {case: outcome(case) for case in sorted(CASES)}
+    named = sys.argv[1:]
+    unknown = sorted(set(named) - set(CASES))
+    if unknown:
+        sys.exit(f"no such case: {', '.join(unknown)}")
+    old = json.loads(PINS.read_text())
+    pins = {case: old[case] for case in CASES if case in old}
+    for case in named or sorted(CASES):
+        pins[case] = outcome(case)
+        if named:
+            before, after = (
+                json.dumps(pin, sort_keys=True)
+                for pin in (old.get(case), pins[case])
+            )
+            print(f"{case}: {before} -> {after}")
+        elif pins[case] != old.get(case):
+            print(f"moved: {case}")
     PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")

@@ -522,6 +522,19 @@ def test_strict_and_opfibration_failures_are_reported(
     assert all("sigma0" in v["witness"] for v in lift.violations)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_opfibration_sweep_lifts_the_identity_of_a_corrupt_instance(n):
+    # CorruptFibre counts no map as a quasibijection, the identity
+    # included; the sweep still asks for the lift of the identity out of
+    # every chain's bottom and reports each refusal
+    rep = verify_opfibration(CorruptFibre(make_fin_surj()), n, 3)
+    assert not rep.ok
+    assert rep.checks == len(list(enumerate_p(SURJ, n, 3)))
+    assert [(v["axiom"], v["lhs"]) for v in rep.violations] == [
+        ("opfibration-lift-error", "bottom map must be a quasibijection")
+    ] * rep.checks
+
+
 def test_coherence_scalar_witness():
     # the lowest coherence equation at (swap, id, fold): both sides are
     # the swap
