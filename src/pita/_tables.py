@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .finskel import finmap_to_json
 from .errors import IntegrityError
 from .opcat import default_threads
 
@@ -32,7 +31,7 @@ class MapTable:
         universe.require_closed()
         self.universe = universe
         self.bound = bound = universe.bound
-        self.maps = maps = universe.maps
+        maps = universe.maps
         self.n = n = universe.n
         self.DOM = _array([f.dom for f in maps])
         self.COD = _array([f.cod for f in maps])
@@ -73,13 +72,26 @@ class MapTable:
         self.PI, self.ETA = _array(pis), _array(etas)
         self.ER = _array(self.universe.relative_parts())
 
-    def _per_chunk(self, fn, ids):
-        """Run fn over chunk indices, in order, on PITA_THREADS workers."""
+    def _merge(self, report, tag, chunk):
+        """Run chunk(g) for every middle id g on PITA_THREADS workers,
+        then, in chunk order, count its checks under tag and report its
+        hits. A chunk returns its check count and its hits, each
+        (ids, extra, lhs, rhs): the ids of the witness morphisms by
+        name, the other witness entries, and the ids of both sides."""
         threads = default_threads()
         if threads <= 1:
-            return [fn(k) for k in ids]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, ids))
+            results = map(chunk, range(self.n))
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as ex:
+                results = list(ex.map(chunk, range(self.n)))
+        json_of = self.universe.json_of
+        for checks, hits in results:
+            report.count(tag, checks)
+            for ids, extra, lhs, rhs in hits:
+                witness = {name: json_of(k) for name, k in ids.items()}
+                report.add(
+                    tag, {**witness, **extra}, json_of(lhs), json_of(rhs)
+                )
 
     # ------------------------------------------------- axiom A-style sweep
 
@@ -123,30 +135,14 @@ class MapTable:
                     bad = mask[None, :] & (lhs != rhs)
                     if bad.any():
                         for hk, fk in np.argwhere(bad)[: cap - len(hits)]:
-                            hits.append(
-                                (
-                                    int(h_ids[hk]), int(g), int(f_ids[fk]),
-                                    i, j,
-                                    int(lhs[hk, fk]), int(rhs[hk, fk]),
-                                )
-                            )
+                            hits.append((
+                                {"h": h_ids[hk], "g": g, "f": f_ids[fk]},
+                                {"i": i, "j": j},
+                                lhs[hk, fk], rhs[hk, fk],
+                            ))
             return local_checks, hits
 
-        for checks, hits in self._per_chunk(chunk, range(self.n)):
-            report.count("iterated-fibre-map", checks)
-            for h, g, f, i, j, lhs, rhs in hits:
-                report.add(
-                    "iterated-fibre-map",
-                    {
-                        "h": finmap_to_json(self.maps[h]),
-                        "g": finmap_to_json(self.maps[g]),
-                        "f": finmap_to_json(self.maps[f]),
-                        "i": i,
-                        "j": j,
-                    },
-                    finmap_to_json(self.maps[lhs]) if lhs >= 0 else None,
-                    finmap_to_json(self.maps[rhs]) if rhs >= 0 else None,
-                )
+        self._merge(report, "iterated-fibre-map", chunk)
 
     # ------------------------------------------- splitting pairwise sweep
 
@@ -156,7 +152,7 @@ class MapTable:
         cases, the op-part composition law through the twisted middle
         term, and fibrewise order-preservation of every unit square."""
         self.ensure_pita()
-        maps = self.maps
+        json_of = self.universe.json_of
         pa, pb, ER = self.pa, self.pb, self.ER
         AB = self.C[pa, pb]
 
@@ -165,12 +161,9 @@ class MapTable:
             for p in np.flatnonzero(bad):
                 report.add(
                     tag,
-                    {
-                        "f": finmap_to_json(maps[int(pa[p])]),
-                        "g": finmap_to_json(maps[int(pb[p])]),
-                    },
-                    finmap_to_json(maps[int(lhs[p])]),
-                    finmap_to_json(maps[int(rhs[p])]),
+                    {"f": json_of(pa[p]), "g": json_of(pb[p])},
+                    json_of(lhs[p]),
+                    json_of(rhs[p]),
                 )
 
         emit_pair(
@@ -228,12 +221,8 @@ class MapTable:
         for p, i in np.argwhere(valid & ~self.OP[F]):
             report.add(
                 "unit-square-not-fop",
-                {
-                    "f": finmap_to_json(maps[int(pa[p])]),
-                    "g": finmap_to_json(maps[int(pb[p])]),
-                    "i": int(i) + 1,
-                },
-                finmap_to_json(maps[int(F[p, i])]),
+                {"f": json_of(pa[p]), "g": json_of(pb[p]), "i": int(i) + 1},
+                json_of(F[p, i]),
                 "an order-preserving fibre map",
             )
 
@@ -258,27 +247,11 @@ class MapTable:
             lhs = self.C[er1, er_gh[None, :]]
             FG = self.C[f_ids, g]
             rhs = self.ER[self.PIDX[FG[:, None], h_ids[None, :]]]
-            bad = lhs != rhs
-            if bad.any():
-                for fk, hk in np.argwhere(bad)[:cap]:
-                    hits.append(
-                        (
-                            int(f_ids[fk]), int(g), int(h_ids[hk]),
-                            int(lhs[fk, hk]), int(rhs[fk, hk]),
-                        )
-                    )
+            for fk, hk in np.argwhere(lhs != rhs)[:cap]:
+                hits.append((
+                    {"f": f_ids[fk], "g": g, "h": h_ids[hk]}, {},
+                    lhs[fk, hk], rhs[fk, hk],
+                ))
             return lhs.size, hits
 
-        for checks, hits in self._per_chunk(chunk, range(self.n)):
-            report.count("relative-part-cocycle", checks)
-            for f, g, h, lhs, rhs in hits:
-                report.add(
-                    "relative-part-cocycle",
-                    {
-                        "f": finmap_to_json(self.maps[f]),
-                        "g": finmap_to_json(self.maps[g]),
-                        "h": finmap_to_json(self.maps[h]),
-                    },
-                    finmap_to_json(self.maps[lhs]),
-                    finmap_to_json(self.maps[rhs]),
-                )
+        self._merge(report, "relative-part-cocycle", chunk)

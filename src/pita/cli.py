@@ -76,14 +76,6 @@ def _add_common(sub, instance=None, sweep=True, maxlen=False):
     sub.add_argument("--json", action="store_true")
 
 
-def _add_mode(sub):
-    sub.add_argument(
-        "--mode", choices=("production", "oracle"), default="production",
-        help="split the map (for all, the worked example) by the closed "
-        "formula or by brute-force search",
-    )
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pita",
@@ -95,7 +87,10 @@ def _parser() -> argparse.ArgumentParser:
     factor.add_argument("--map", required=True, metavar="JSON_LIST")
     factor.add_argument("--cod", type=_natural, required=True)
     _add_common(factor, "fin", sweep=False)
-    _add_mode(factor)
+    factor.add_argument(
+        "--mode", choices=("production", "oracle"), default="production",
+        help="split the map by the closed formula or by brute-force search",
+    )
 
     axioms = subs.add_parser(
         "axioms", help="category axioms and the splitting calculus"
@@ -119,7 +114,6 @@ def _parser() -> argparse.ArgumentParser:
 
     everything = subs.add_parser("all", help="the full default suite")
     _add_common(everything, maxlen=True)
-    _add_mode(everything)
 
     return parser
 
@@ -282,10 +276,10 @@ def _witness_report() -> Report:
     return rep
 
 
-def _introduction_report(mode: str) -> Report:
+def _introduction_report() -> Report:
     rep = Report("factorisation-example")
     f = FinMap(7, 4, (3, 2, 1, 1, 4, 2, 3))
-    split = pita_general(make_instance("fin"), f, mode=mode)
+    split = pita_general(make_instance("fin"), f)
     rep.count("worked-example")
     expected_pi = (5, 3, 1, 2, 7, 4, 6)
     expected_eta = (1, 1, 2, 2, 3, 3, 4)
@@ -307,8 +301,8 @@ def _run_sweep(report_iter, args, out) -> int:
     return _finish(reports, args, out)
 
 
-def _all_reports(bound: int, maxlen: int, mode: str):
-    yield _introduction_report(mode)
+def _all_reports(bound: int, maxlen: int):
+    yield _introduction_report()
     for name in ("fin", "fin-surj"):
         yield from _axioms_reports(name, bound)
     yield from _nerve_reports("fin-surj", bound, maxlen, "all")
@@ -344,7 +338,7 @@ def main(argv=None) -> int:
             reports = _decomp_reports(args.instance, args.bound)
             code = _run_sweep(reports, args, out)
         else:
-            reports = _all_reports(args.bound, args.maxlen, args.mode)
+            reports = _all_reports(args.bound, args.maxlen)
             code = _run_sweep(reports, args, out)
         out.flush()
         return code

@@ -1,13 +1,15 @@
 """Incidence comultiplication of surjections and the factorisation fibres.
 
 On the surjection instance the comultiplication of an order-preserving
-map f sums, over all two-step factorisations of f whose second leg is
-order-preserving, the op part of the first leg tensored with the second
-leg, both recorded up to isomorphism as weakly decreasing fibre-size
-labels. With unit weights this reproduces the exponential coefficient
-table (k! times the partial Bell numbers on connected classes); the
-classical composition coefficients drop the k! and the two tables
-already disagree in degree 2, which keeps the routes distinguishable.
+map f sums, over all two-step factorisations f = compose(h, e) whose
+second leg is order-preserving, the op part eta(h) of the first leg
+tensored with e, both recorded up to isomorphism as weakly decreasing
+fibre-size labels. Precomposing with the bijection pi(h) keeps fibre
+sizes, so eta(h) has the label of h and h is never split. With unit
+weights this reproduces the exponential coefficient table (k! times the
+partial Bell numbers on connected classes); the classical composition
+coefficients drop the k! and the two tables already disagree in degree
+2, which keeps the routes distinguishable.
 
 The decomposition-space part compares the fibre of the inner face over
 a locally order-preserving 3-chain (f, middle, bottom), f first, with
@@ -50,7 +52,7 @@ from .finskel import (
     inverse,
     ordinal_sum,
 )
-from .nerve import Chain, degeneracy, enumerate_p, top_face
+from .nerve import Chain, chain_to_json, degeneracy, enumerate_p, top_face
 from .opcat import (
     OperadicInstance,
     Report,
@@ -155,7 +157,8 @@ def factorisations(f: FinMap):
 
 
 def comult(inst: OperadicInstance, f: FinMap) -> CoalgebraElement:
-    """Sum of eta(h) (x) e over factorisations f = compose(h, e), e op."""
+    """Sum of eta(h) (x) e over factorisations f = compose(h, e), e op,
+    as labels; label(h) is label(eta(h))."""
     _require_surjection_instance(inst)
     if not finskel.is_surjective(f):
         raise ValueError(f"not a surjection: {f}")
@@ -168,7 +171,7 @@ def comult(inst: OperadicInstance, f: FinMap) -> CoalgebraElement:
     for h, e in factorisations(f):
         if not finskel.is_order_preserving(e):
             continue
-        out.add(label(pita_general(inst, h).eta), label(e))
+        out.add(label(h), label(e))
     return out
 
 
@@ -548,7 +551,8 @@ def verify_decomposition_fibres(
     order-preserving 2-chain with objects up to min(bound, 3), tagging
     violations fibre-*; then over every locally order-preserving
     3-chain with objects up to min(bound, 3), tagging them chain-fibre-*.
-    Above bound 3 the title names that cap.
+    A comparison that raises on a broken instance is one fibre-error or
+    chain-fibre-error witness. Above bound 3 the title names that cap.
     """
     _require_surjection_instance(inst)
     chain_bound = min(bound, 3)
@@ -562,10 +566,15 @@ def verify_decomposition_fibres(
         for m in range(1, bound + 1)
     }
     seen.update(enumerate_p(inst, 2, chain_bound))
+
+    def compare(c, over, tag):
+        witness = {"chain": chain_to_json(c)}
+        with rep.guard(f"{tag}-error", witness, "comparable fibres"):
+            _verify_fibre_pair(rep, FactorisationGroupoid(over), tag)
+
     for c in sorted(seen, key=lambda c: (c.objects[0], c.maps[0].values,
                                          c.maps[1].values)):
-        groupoid = FactorisationGroupoid(degeneracy(1, c))
-        _verify_fibre_pair(rep, groupoid, "fibre")
+        compare(c, degeneracy(1, c), "fibre")
     for c in enumerate_p(inst, 3, chain_bound):
-        _verify_fibre_pair(rep, FactorisationGroupoid(c), "chain-fibre")
+        compare(c, c, "chain-fibre")
     return rep

@@ -27,7 +27,7 @@ from .errors import (
     ShapeError,
     UnsupportedInstanceError,
 )
-from .finskel import FinMap, finmap_to_json
+from .finskel import FinMap
 from .opcat import (
     OperadicInstance,
     Report,
@@ -199,21 +199,16 @@ def verify_eta_identities(
         f"splitting[{inst.name}, bound={bound}]",
         max_violations=max_violations,
     )
-    try:
+    with rep.guard("splitting-error", None, "a closed universe"):
         _sweep_splitting(rep, universe(inst, bound))
-    except IntegrityError as exc:
-        rep.add("splitting-error", None, str(exc), "a closed universe")
     return rep
 
 
 def _sweep_splitting(rep: Report, u) -> None:
     """The sites of verify_eta_identities over the universe u; raises
     IntegrityError where the instance's answers leave its homs."""
-    maps, n, w = u.maps, u.n, u.bound
+    maps, n, w, json_of = u.maps, u.n, u.bound, u.json_of
     pis, etas, _ = u.splits()
-
-    def json_of(k):
-        return finmap_to_json(maps[k]) if k >= 0 else None
 
     def one(k):
         return u.identities[maps[k].dom]

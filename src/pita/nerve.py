@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import finskel
-from .errors import IntegrityError, PitaError, ShapeError
+from .errors import IntegrityError, ShapeError
 from .factorisation import _unwind, eta_rel, pita_general
 from .finskel import FinMap, finmap_to_json
 from .opcat import (
@@ -467,23 +467,22 @@ def verify_strict_identities(
                     {"horizontals": [finmap_to_json(s) for s in sig]},
                 )
 
-    def guarded(check, n, c):
+    def guard(c):
         # a broken instance can make the chain operators raise; that is
         # a witness against the instance, and the sweep runs on
-        try:
-            check(n, c)
-        except PitaError as exc:
-            rep.add(
-                "strict-identities-error", {"chain": chain_to_json(c)},
-                str(exc), "equal chains",
-            )
+        return rep.guard(
+            "strict-identities-error", {"chain": chain_to_json(c)},
+            "equal chains",
+        )
 
     for n in range(1, maxlen + 1):
         for c in enumerate_p(inst, n, bound):
-            guarded(simplicial, n, c)
+            with guard(c):
+                simplicial(n, c)
     for n in range(1, min(maxlen, 2) + 1):
         for c in _all_chains(inst, n, bound, locally_op=False):
-            guarded(reflection, n, c)
+            with guard(c):
+                reflection(n, c)
     return rep
 
 
@@ -510,10 +509,8 @@ def verify_beta_coherence(
     for m in range(max(maxlen, 3) - 2):
         for c in enumerate_p(inst, m + 2, bound):
             rep.count(f"beta-{m}-construction")
-            try:
+            with rep.guard(f"beta-{m}-construction", w(c), "agreement"):
                 beta(m, c, mode="oracle")
-            except PitaError as exc:
-                rep.add(f"beta-{m}-construction", w(c), str(exc), "agreement")
 
         for c in enumerate_p(inst, m + 3, bound):
             if m == 0:
@@ -525,44 +522,32 @@ def verify_beta_coherence(
                         finmap_to_json(direct_l), finmap_to_json(direct_r),
                     )
             rep.count(f"coherence-{m}")
-            try:
+            with rep.guard(f"coherence-{m}-error", w(c), "composable cells"):
                 lhs = compose_ladders(
                     beta(m, face(m + 1, c)), beta(m, top_face(c))
                 )
                 rhs = compose_ladders(
                     beta(m, face(m + 2, c)), ladder_top_face(beta(m + 1, c))
                 )
-            except PitaError as exc:
-                rep.add(
-                    f"coherence-{m}-error", w(c), str(exc), "composable cells"
-                )
-                continue
-            if lhs != rhs:
-                rep.add(f"coherence-{m}", w(c), "differs", "equal ladders")
-            elif m == 0 and lhs.horizontals[0] != direct_l:
-                rep.add(
-                    "coherence-0-cross", w(c),
-                    finmap_to_json(lhs.horizontals[0]),
-                    finmap_to_json(direct_l),
-                )
+                if lhs != rhs:
+                    rep.add(f"coherence-{m}", w(c), "differs", "equal ladders")
+                elif m == 0 and lhs.horizontals[0] != direct_l:
+                    rep.add(
+                        "coherence-0-cross", w(c),
+                        finmap_to_json(lhs.horizontals[0]),
+                        finmap_to_json(direct_l),
+                    )
 
         for c in enumerate_p(inst, m + 1, bound):
             rep.count("beta-at-bottom-degeneracy")
-            try:
+            trivial = "the identity ladder"
+            with rep.guard("beta-at-bottom-degeneracy", w(c), trivial):
                 cell = beta(m, degeneracy(m + 1, c))
-            except PitaError as exc:
-                rep.add(
-                    "beta-at-bottom-degeneracy", w(c), str(exc),
-                    "the identity ladder",
-                )
-                continue
-            if cell != identity_ladder(cell.source):
-                rep.add(
-                    "beta-at-bottom-degeneracy",
-                    w(c),
-                    "a nontrivial ladder",
-                    "the identity ladder",
-                )
+                if cell != identity_ladder(cell.source):
+                    rep.add(
+                        "beta-at-bottom-degeneracy", w(c),
+                        "a nontrivial ladder", trivial,
+                    )
     return rep
 
 
@@ -606,28 +591,26 @@ def verify_opfibration(
             witness = {
                 "chain": chain_to_json(chain), "sigma0": finmap_to_json(sigma0),
             }
-            try:
+            with rep.guard(
+                "opfibration-lift-error", witness, "a valid ladder"
+            ):
+                # all three are made before any add, so a lift that is
+                # invalid and whose candidates raise reports only the error
                 lift = opfibration_lift(chain, sigma0)
                 valid = lift.is_valid() and lift.target.locally_op
                 found = _lift_candidates(chain, sigma0)
-            except PitaError as exc:
-                rep.add(
-                    "opfibration-lift-error", witness, str(exc),
-                    "a valid ladder",
-                )
-                continue
-            if not valid:
-                rep.add(
-                    "opfibration-lift-invalid", witness,
-                    "an invalid ladder", "a valid ladder",
-                )
-            if len(found) != 1:
-                rep.add("opfibration-lift-count", witness, len(found), 1)
-            elif found[0] != lift:
-                rep.add(
-                    "opfibration-lift-mismatch", witness,
-                    "a different ladder", "the constructed lift",
-                )
+                if not valid:
+                    rep.add(
+                        "opfibration-lift-invalid", witness,
+                        "an invalid ladder", "a valid ladder",
+                    )
+                if len(found) != 1:
+                    rep.add("opfibration-lift-count", witness, len(found), 1)
+                elif found[0] != lift:
+                    rep.add(
+                        "opfibration-lift-mismatch", witness,
+                        "a different ladder", "the constructed lift",
+                    )
     return rep
 
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 import os
 import weakref
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import finskel
-from .errors import IntegrityError, ShapeError
+from .errors import IntegrityError, PitaError, ShapeError
 from .finskel import FinMap, finmap_to_json
 
 # Above this many composable triples the sweeps over a universe switch to
@@ -75,7 +76,9 @@ class Report:
     is their sum. by_axiom stays out of to_json so the JSON document is
     unchanged by it. max_violations caps the violation list, never the
     sweep: past the cap add drops the violation and sets truncated, and
-    the sweep runs on and counts every check.
+    the sweep runs on and counts every check. A check site that a
+    broken instance can make raise runs inside guard, which turns the
+    raise into one violation of the site's error tag.
     """
 
     title: str
@@ -103,6 +106,16 @@ class Report:
     def count(self, axiom: str, n: int = 1):
         """Record n checks made at the site keyed by axiom."""
         self.by_axiom[axiom] += n
+
+    @contextmanager
+    def guard(self, axiom: str, witness, rhs):
+        """A PitaError raised inside is one violation of axiom, its text
+        as lhs, and the sweep runs on; any other exception is a fault of
+        the program and propagates."""
+        try:
+            yield
+        except PitaError as exc:
+            self.add(axiom, witness, str(exc), rhs)
 
     def to_json(self) -> dict:
         return {
@@ -342,6 +355,10 @@ class Universe:
                 "maps outside its own homs"
             )
 
+    def json_of(self, k: int):
+        """The JSON form of the morphism with id k, None for -1."""
+        return finmap_to_json(self.maps[k]) if k >= 0 else None
+
     def pair(self, a: int, b: int) -> int:
         """Id of the pair (a, b), -1 when either is -1 or they do not
         compose."""
@@ -499,9 +516,7 @@ def verify_axioms(
     n, w = u.n, u.bound
     pair_index, fms = u.pair_index, u.fibre_maps
     fibres, inclusions = u.fibres, u.inclusions
-
-    def json_of(k):
-        return finmap_to_json(maps[k]) if k >= 0 else None
+    json_of = u.json_of
 
     def answer_json(k):
         """An instance answer as a witness side: -1 was outside its homs."""

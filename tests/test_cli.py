@@ -222,9 +222,10 @@ def test_non_surjection_is_not_a_fin_surj_morphism(capsys):
 
 
 def test_mode_is_only_offered_where_it_is_used(capsys):
-    code, _, err = _run(capsys, ["axioms", "--mode", "oracle"])
-    assert code == 2
-    assert "unrecognized arguments" in err
+    for argv in (["axioms", "--mode", "oracle"], ["all", "--mode", "oracle"]):
+        code, _, err = _run(capsys, argv)
+        assert code == 2
+        assert "unrecognized arguments" in err
 
 
 def test_bound_must_be_positive(capsys):

@@ -37,7 +37,7 @@ from pita.instances import make_fin, make_fin_surj
 from pita.nerve import Chain, degeneracy, enumerate_p
 from pita.opcat import Report, quasibijections
 
-from helpers import CorruptFibre, CorruptFibreMap
+from helpers import CompositeOutsideHoms, CorruptFibre, CorruptFibreMap
 
 SURJ = make_fin_surj()
 FIN = make_fin()
@@ -102,6 +102,24 @@ def test_comult_frozen_tables_for_connected_classes():
         ((2, 2), (2,)): 6,
         ((4,), (1,)): 1,
     }
+
+
+def test_the_first_leg_has_the_label_of_its_op_part():
+    # precomposing with the bijection pi keeps fibre sizes, which is why
+    # comult labels h without splitting it
+    for m in range(6):
+        for k in range(m + 1):
+            for h in enumerate_surjections(m, k):
+                assert label(h) == label(pita(h)[1]), h
+
+
+def test_comult_splits_no_first_leg(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("comult split a map")
+
+    monkeypatch.setattr(decomp, "pita_general", refuse)
+    for n in range(1, 6):
+        assert comult(SURJ, _fold(n)) == comult_closed_form(n), n
 
 
 def test_comult_of_the_empty_map_is_the_unit():
@@ -475,6 +493,22 @@ def test_fibre_suite_fails_on_mutants_at_both_levels(mutant):
     tags = {v["axiom"] for v in rep.violations}
     # both chain levels catch it
     assert {"fibre-class-count", "chain-fibre-class-count"} <= tags, tags
+
+
+def test_a_comparison_that_raises_is_a_fibre_error():
+    # composites outside the homs make every reflected chain ill-formed:
+    # each comparison is one error witness, and the sweep runs on
+    inst = CompositeOutsideHoms(make_fin_surj())
+    inst.name = "fin-surj"
+    rep = verify_decomposition_fibres(inst, 2, max_violations=10_000)
+    assert not rep.ok
+    assert rep.checks == 0
+    assert {v["axiom"] for v in rep.violations} == {
+        "fibre-error", "chain-fibre-error",
+    }
+    v = rep.violations[0]
+    assert v["lhs"] == "map 0 does not end at object 1"
+    assert v["witness"]["chain"]["objects"] == [1, 1, 1]
 
 
 def test_fibre_suite_needs_the_surjection_instance():

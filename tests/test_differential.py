@@ -11,7 +11,11 @@ change is meant to alter those sweeps' outcomes, run
     PYTHONPATH=src python tests/test_differential.py fin/clean/beta ...
 
 It prints each named pin as old -> new. With no case named it rewrites
-every pin and prints the cases that moved.
+every pin and prints the cases that moved. With --dry-run first it
+prints the same lines and writes nothing, so a change can show which
+pins it moves before it rewrites any:
+
+    PYTHONPATH=src python tests/test_differential.py --dry-run
 """
 
 import hashlib
@@ -25,10 +29,12 @@ from helpers import (
     CompositeOutsideHoms,
     CorruptFibre,
     CorruptFibreMap,
+    RemoveHom,
     WrongTerminal,
 )
 from pita.decomp import verify_decomposition_fibres
 from pita.factorisation import verify_eta_identities
+from pita.finskel import FinMap
 from pita.instances import make_fin, make_fin_surj, make_op
 from pita.nerve import (
     verify_beta_coherence,
@@ -47,6 +53,7 @@ MUTANTS = {
     "CorruptFibreMap": CorruptFibreMap,
     "WrongTerminal": WrongTerminal,
     "CompositeOutsideHoms": CompositeOutsideHoms,
+    "RemoveHom": lambda base: RemoveHom(base, 2, 1, FinMap(2, 1, (1, 1))),
 }
 SWEEPS = {
     "axioms": lambda inst: verify_axioms(inst, 2, EVERY),
@@ -69,7 +76,9 @@ CASES = {
     for mutant in MUTANTS
     for sweep, run in SWEEPS.items()
 }
-for _mutant in ("CorruptFibre", "CorruptFibreMap"):
+for _mutant in (
+    "CorruptFibre", "CorruptFibreMap", "CompositeOutsideHoms", "RemoveHom",
+):
     CASES[f"fin-surj/{_mutant}/fibres"] = (
         make_fin_surj, MUTANTS[_mutant], _fibres,
     )
@@ -103,7 +112,8 @@ def test_sweep_keeps_its_pin(case):
 
 
 if __name__ == "__main__":
-    named = sys.argv[1:]
+    dry_run = sys.argv[1:2] == ["--dry-run"]
+    named = sys.argv[1 + dry_run:]
     unknown = sorted(set(named) - set(CASES))
     if unknown:
         sys.exit(f"no such case: {', '.join(unknown)}")
@@ -119,4 +129,5 @@ if __name__ == "__main__":
             print(f"{case}: {before} -> {after}")
         elif pins[case] != old.get(case):
             print(f"moved: {case}")
-    PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+    if not dry_run:
+        PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")

@@ -71,6 +71,33 @@ def test_report_mechanics():
     assert "by_axiom" not in data
 
 
+def test_a_pita_error_inside_the_guard_is_one_violation():
+    rep = Report("demo")
+    rep.count("law", 2)
+    with rep.guard("law-error", {"x": 1}, "a lawful instance"):
+        rep.count("law")
+        raise ShapeError("map 0 does not end at object 1")
+    rep.count("law", 3)
+    assert rep.violations == [{
+        "axiom": "law-error",
+        "witness": {"x": 1},
+        "lhs": "map 0 does not end at object 1",
+        "rhs": "a lawful instance",
+    }]
+    assert rep.by_axiom == {"law": 6}
+    assert not rep.ok
+
+
+def test_a_program_fault_inside_the_guard_propagates():
+    # only a PitaError speaks against the instance; anything else is a
+    # fault of the program and must not be reported as the instance's
+    rep = Report("demo")
+    with pytest.raises(TypeError):
+        with rep.guard("law-error", None, "a lawful instance"):
+            raise TypeError("unsupported operand")
+    assert rep.violations == []
+
+
 # ------------------------------------------------------------ predicates
 
 
