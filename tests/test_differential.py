@@ -11,11 +11,11 @@ change is meant to alter those sweeps' outcomes, run
     PYTHONPATH=src python tests/test_differential.py fin/clean/beta ...
 
 It prints each named pin as old -> new. With no case named it rewrites
-every pin and prints the cases that moved. With --dry-run first it
-prints the same lines and writes nothing, so a change can show which
-pins it moves before it rewrites any:
+every pin and prints the cases that moved. To see which pins a change
+moves before rewriting any, run the pin test, which names each moved
+case with its old and new outcome and writes nothing:
 
-    PYTHONPATH=src python tests/test_differential.py --dry-run
+    PYTHONPATH=src pytest tests/test_differential.py -k test_sweep_keeps_its_pin
 """
 
 import hashlib
@@ -112,8 +112,7 @@ def test_sweep_keeps_its_pin(case):
 
 
 if __name__ == "__main__":
-    dry_run = sys.argv[1:2] == ["--dry-run"]
-    named = sys.argv[1 + dry_run:]
+    named = sys.argv[1:]
     unknown = sorted(set(named) - set(CASES))
     if unknown:
         sys.exit(f"no such case: {', '.join(unknown)}")
@@ -129,5 +128,4 @@ if __name__ == "__main__":
             print(f"{case}: {before} -> {after}")
         elif pins[case] != old.get(case):
             print(f"moved: {case}")
-    if not dry_run:
-        PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+    PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")

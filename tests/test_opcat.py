@@ -18,7 +18,7 @@ from helpers import (
     WrongTerminal,
 )
 from pita import opcat
-from pita.errors import IntegrityError, ShapeError
+from pita.errors import ShapeError
 from pita.finskel import (
     FinMap,
     compose,
@@ -366,8 +366,28 @@ def test_table_engine_rejects_maps_outside_the_universe(monkeypatch):
             return FinMap(g.dom, 9, (9,) * g.dom)
 
     monkeypatch.setattr(opcat, "_TRIPLE_LOOP_CUTOFF", 0)
-    with pytest.raises(IntegrityError):
-        verify_axioms(BadCompose(make_fin()), 2)
+    rep = verify_axioms(BadCompose(make_fin()), 2)
+    errors = [v for v in rep.violations if v["axiom"] == "axioms-error"]
+    assert not rep.ok
+    assert len(errors) == 1
+    assert "outside its own homs" in errors[0]["lhs"]
+
+
+def test_an_open_universe_is_reported_on_both_routes(monkeypatch):
+    # composites still land on the removed [1, 1] in hom(2, 1); the loop
+    # route reports the triples that meet it, the table route one error
+    # in their place, and both report the same sites before them
+    def run(cutoff):
+        monkeypatch.setattr(opcat, "_TRIPLE_LOOP_CUTOFF", cutoff)
+        broken = RemoveHom(make_fin(), 2, 1, FinMap(2, 1, (1, 1)))
+        return verify_axioms(broken, 2, max_violations=10_000).violations
+
+    loop, table = run(opcat._TRIPLE_LOOP_CUTOFF), run(0)
+    assert [v for v in table if v["axiom"] != "axioms-error"] == [
+        v for v in loop if v["axiom"] != "iterated-fibre-map"
+    ]
+    assert Counter(v["axiom"] for v in table)["axioms-error"] == 1
+    assert Counter(v["axiom"] for v in loop)["iterated-fibre-map"] == 28
 
 
 # ------------------------------------------- squares stacked and pasted
