@@ -7,6 +7,9 @@ composition, fibre maps, the permutation/order-preserving splitting and
 the relative order-preserving parts. The triple sweeps become chunked
 numpy gathers, one chunk per middle morphism.
 
+The splitting sweeps evaluate the identities defined in factorisation on
+id arrays; only the iterated fibre-map equation is written out here.
+
 The universe asked the instance (not the raw finite-set functions), so a
 deliberately corrupted instance poisons the tables and the sweeps still
 report it.
@@ -19,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import IntegrityError
+from .factorisation import _COCYCLE, _cocycle_sides, _pair_sites, _unit_square
 from .opcat import default_threads
 
 
@@ -36,12 +40,9 @@ class MapTable:
         self.DOM = _array([f.dom for f in maps])
         self.COD = _array([f.cod for f in maps])
         self.OP = np.array(universe.order_preserving, dtype=bool)
+        self.ID = _array(universe.dom_identity)
         self.by_dom = {X: _array(ks) for X, ks in universe.out_of.items()}
         self.by_cod = {Y: _array(ks) for Y, ks in universe.into.items()}
-
-        self.ID_BY_CARD = np.full(bound + 1, -1, dtype=np.int32)
-        for X, k in universe.identities.items():
-            self.ID_BY_CARD[X] = k
 
         # composition table and the composable-pair index
         self.pa = _array(universe.pair_first)
@@ -60,9 +61,7 @@ class MapTable:
                 self.EPS[k, i, : len(eps)] = eps
         self.FM = _array(universe.fibre_maps).reshape(self.pairs, bound)
 
-        self.PI = None
-        self.ETA = None
-        self.ER = None
+        self.PI = self.ETA = self.ER = None
 
     def ensure_pita(self):
         """Splitting and relative order-preserving-part tables."""
@@ -146,73 +145,34 @@ class MapTable:
 
     # ------------------------------------------- splitting pairwise sweep
 
+    def _composite(self, x, y):
+        return self.C[x, y]
+
+    def _relative_part(self, x, y):
+        return self.ER[self.PIDX[x, y]]
+
     def sweep_splitting_identities(self, report):
-        """Pairwise identities of the quasibijection/op splitting: the two
-        defining equations of relative op parts with their degenerate
-        cases, the op-part composition law through the twisted middle
-        term, and fibrewise order-preservation of every unit square."""
+        """The pair sites of the splitting calculus and the fibrewise
+        order-preservation of every unit square, evaluated on the arrays
+        of all composable pairs at once, site by site."""
         self.ensure_pita()
         json_of = self.universe.json_of
         pa, pb, ER = self.pa, self.pb, self.ER
         AB = self.C[pa, pb]
 
-        def emit_pair(tag, bad, lhs, rhs, count=None):
-            report.count(tag, int(bad.size if count is None else count))
-            for p in np.flatnonzero(bad):
-                report.add(
-                    tag,
-                    {"f": json_of(pa[p]), "g": json_of(pb[p])},
-                    json_of(lhs[p]),
-                    json_of(rhs[p]),
-                )
+        def where(p):
+            return {"f": json_of(pa[p]), "g": json_of(pb[p])}
 
-        emit_pair(
-            "relative-part-left-triangle",
-            self.C[ER, self.ETA[pb]] != self.ETA[AB],
-            self.C[ER, self.ETA[pb]],
-            self.ETA[AB],
-        )
-        emit_pair(
-            "relative-part-defining-square",
-            self.C[self.PI[AB], ER] != self.C[pa, self.PI[pb]],
-            self.C[self.PI[AB], ER],
-            self.C[pa, self.PI[pb]],
-        )
-        mid = self.C[self.ETA[pa], self.PI[pb]]
-        emit_pair(
-            "op-part-composition",
-            self.C[self.ETA[mid], self.ETA[pb]] != self.ETA[AB],
-            self.C[self.ETA[mid], self.ETA[pb]],
-            self.ETA[AB],
-        )
-        g_is_id = pb == self.ID_BY_CARD[self.DOM[pb]]
-        emit_pair(
-            "relative-part-over-identity",
-            g_is_id & (ER != self.ETA[pa]),
-            ER,
-            self.ETA[pa],
-            count=g_is_id.sum(),
-        )
-        f_is_id = pa == self.ID_BY_CARD[self.DOM[pa]]
-        emit_pair(
-            "relative-part-of-identity",
-            f_is_id & (ER != pa),
-            ER,
-            pa,
-            count=f_is_id.sum(),
-        )
-        op_pair = self.OP[pb] & self.OP[AB]
-        emit_pair(
-            "relative-part-op-pair",
-            op_pair & (ER != pa),
-            ER,
-            pa,
-            count=op_pair.sum(),
-        )
+        for tag, applies, lhs, rhs in _pair_sites(
+            self._composite, self.PI, self.ETA, self.ID, self.OP,
+            pa, pb, AB, ER,
+        ):
+            applies = np.broadcast_to(applies, pa.shape)
+            report.count(tag, int(applies.sum()))
+            for p in np.flatnonzero(applies & (lhs != rhs)):
+                report.add(tag, where(p), json_of(lhs[p]), json_of(rhs[p]))
 
-        # every unit square is fop: the fibre maps of pi(a;b) over the
-        # relative op part are all order-preserving
-        Q = self.PIDX[self.PI[AB], ER]
+        Q = self.PIDX[_unit_square(self.PI, AB, ER)]
         if (Q < 0).any():
             raise IntegrityError("unit square is not composable")
         F = self.FM[Q]
@@ -220,18 +180,16 @@ class MapTable:
         report.count("unit-square-not-fop", int(valid.sum()))
         for p, i in np.argwhere(valid & ~self.OP[F]):
             report.add(
-                "unit-square-not-fop",
-                {"f": json_of(pa[p]), "g": json_of(pb[p]), "i": int(i) + 1},
-                json_of(F[p, i]),
-                "an order-preserving fibre map",
+                "unit-square-not-fop", {**where(p), "i": int(i) + 1},
+                json_of(F[p, i]), "an order-preserving fibre map",
             )
 
     # ---------------------------------------------- relative-part triples
 
     def sweep_relative_part_cocycle(self, report):
-        """The relative order-preserving parts compose: for f then g then
-        h, the relative part of f over g;h composed with the relative part
-        of g over h equals the relative part of f;g over h."""
+        """The relative-part cocycle over every composable triple (f, g,
+        h), one chunk per middle id g: f_ids down the rows, h_ids across
+        the columns."""
         self.ensure_pita()
         cap = report.max_violations + 1
 
@@ -241,12 +199,10 @@ class MapTable:
             h_ids = self.by_dom.get(self.COD[g])
             if f_ids is None or h_ids is None or not len(f_ids) or not len(h_ids):
                 return 0, hits
-            GH = self.C[g, h_ids]
-            er_gh = self.ER[self.PIDX[g, h_ids]]
-            er1 = self.ER[self.PIDX[f_ids[:, None], GH[None, :]]]
-            lhs = self.C[er1, er_gh[None, :]]
-            FG = self.C[f_ids, g]
-            rhs = self.ER[self.PIDX[FG[:, None], h_ids[None, :]]]
+            lhs, rhs = _cocycle_sides(
+                self._composite, self._relative_part,
+                f_ids[:, None], g, h_ids[None, :],
+            )
             for fk, hk in np.argwhere(lhs != rhs)[:cap]:
                 hits.append((
                     {"f": f_ids[fk], "g": g, "h": h_ids[hk]}, {},
@@ -254,4 +210,4 @@ class MapTable:
                 ))
             return lhs.size, hits
 
-        self._merge(report, "relative-part-cocycle", chunk)
+        self._merge(report, _COCYCLE, chunk)

@@ -19,6 +19,7 @@ output to a single JSON document with deterministic key and term
 ordering, so repeated runs are byte-identical.  PITA_THREADS is the one
 thread setting: it caps the worker threads of the numpy triple sweeps
 that ``axioms`` runs above 300,000 composable triples (fin, bound 4).
+Set to anything but a positive integer it is a usage error.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .nerve import (
     verify_opfibration,
     verify_strict_identities,
 )
-from .opcat import Report, verify_axioms
+from .opcat import Report, default_threads, verify_axioms
 
 
 def _natural(text: str) -> int:
@@ -319,6 +320,11 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    try:
+        default_threads()
+    except ValueError as exc:
+        print(f"pita: {exc}", file=sys.stderr)
+        return 2
 
     out = sys.stdout
     try:

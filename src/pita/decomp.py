@@ -376,10 +376,12 @@ class FactorisationGroupoid:
 
     It is compared with `reflected`, the same fibre over the reflected
     chain. The comparison over a 2-chain c is the one over
-    degeneracy(1, c), whose middle map is the identity.
+    degeneracy(1, c), whose middle map is the identity. Groupoids that
+    share fibres, the groupoids built so far by chain, build each once.
     """
 
     chain: Chain
+    fibres: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.chain.length != 3:
@@ -402,7 +404,7 @@ class FactorisationGroupoid:
     def reflected(self) -> FactorisationGroupoid:
         """The same fibre over degeneracy(2, top_face(chain)) =
         (eta_rel(f, middle), eta(middle), identity)."""
-        return FactorisationGroupoid(degeneracy(2, top_face(self.chain)))
+        return _fibre(degeneracy(2, top_face(self.chain)), self.fibres)
 
     def _morphism(self, x, y) -> FinMap | None:
         """The morphism x -> y, if any: the first triangle solves for it,
@@ -435,11 +437,13 @@ class FactorisationGroupoid:
         except ShapeError:
             return False
 
+    @cached_property
     def iso_classes(self) -> list[list[tuple[FinMap, FinMap]]]:
         return equivalence_classes(
             self.objects, lambda x, y: self._morphism(x, y) is not None
         )
 
+    @cached_property
     def is_discrete(self) -> bool:
         # the first triangle forces every morphism x -> x to be the identity
         objs = self.objects
@@ -472,6 +476,13 @@ class FactorisationGroupoid:
         """The morphism x -> backward(forward(x))."""
         _, e = x
         return pita_general(self.inst, compose(e, self.middle)).pi
+
+
+def _fibre(chain: Chain, fibres: dict) -> FactorisationGroupoid:
+    """The groupoid over chain kept in fibres, built there on first use."""
+    if chain not in fibres:
+        fibres[chain] = FactorisationGroupoid(chain, fibres)
+    return fibres[chain]
 
 
 def _verify_fibre_pair(rep: Report, groupoid: FactorisationGroupoid, tag: str):
@@ -513,7 +524,7 @@ def _verify_fibre_pair(rep: Report, groupoid: FactorisationGroupoid, tag: str):
                 "a C_1 object",
             )
     rep.count(f"{tag}-c2-not-discrete")
-    if not groupoid.reflected.is_discrete():
+    if not groupoid.reflected.is_discrete:
         rep.add(f"{tag}-c2-not-discrete", where, "morphisms found", "discrete")
     for x in c1:
         rep.count(f"{tag}-unit-not-a-morphism")
@@ -536,7 +547,7 @@ def _verify_fibre_pair(rep: Report, groupoid: FactorisationGroupoid, tag: str):
                 "invertible",
             )
     rep.count(f"{tag}-class-count")
-    classes = groupoid.iso_classes()
+    classes = groupoid.iso_classes
     if len(classes) != len(c2):
         rep.add(f"{tag}-class-count", where, len(classes), len(c2))
 
@@ -566,11 +577,13 @@ def verify_decomposition_fibres(
         for m in range(1, bound + 1)
     }
     seen.update(enumerate_p(inst, 2, chain_bound))
+    # the groupoids of this sweep by chain, each built once
+    fibres: dict = {}
 
     def compare(c, over, tag):
         witness = {"chain": chain_to_json(c)}
         with rep.guard(f"{tag}-error", witness, "comparable fibres"):
-            _verify_fibre_pair(rep, FactorisationGroupoid(over), tag)
+            _verify_fibre_pair(rep, _fibre(over, fibres), tag)
 
     for c in sorted(seen, key=lambda c: (c.objects[0], c.maps[0].values,
                                          c.maps[1].values)):

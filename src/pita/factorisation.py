@@ -14,6 +14,10 @@ splitting) and an oracle route (exhaustive filler search over the
 instance's homs, erroring unless exactly one filler exists); tests run
 both and compare. Composition is diagrammatic: compose(g, f) applies g
 first.
+
+The pair and triple identities of verify_eta_identities are written once
+here, over id lookups; its loop evaluates them on single ids and _tables
+on numpy id arrays.
 """
 
 from __future__ import annotations
@@ -171,6 +175,45 @@ def omega(
     raise ShapeError(f"unknown mode {mode!r}")
 
 
+# ------------------------------------------------ the splitting identities
+
+# Both routes of verify_eta_identities evaluate these. They read ids
+# through C(x, y), the composite of x then y, R(x, y), the relative op
+# part of x over y, and PI, ETA (the splits), ID (the identity on the
+# domain) and OP (order-preserving) indexed by id. Only indexing, ==, !=
+# and & occur, so they run on single ids and on broadcast numpy id arrays.
+
+
+def _pair_sites(C, PI, ETA, ID, OP, a, b, c, er):
+    """(tag, applies, lhs, rhs) of each pair site over the pair (a, b) with
+    composite c and relative op part er: the defining equations of er,
+    the op-part composition law and the three degenerate cases of er."""
+    return (
+        ("relative-part-left-triangle", True, C(er, ETA[b]), ETA[c]),
+        ("relative-part-defining-square", True, C(PI[c], er), C(a, PI[b])),
+        (
+            "op-part-composition", True,
+            C(ETA[C(ETA[a], PI[b])], ETA[b]), ETA[c],
+        ),
+        ("relative-part-over-identity", b == ID[b], er, ETA[a]),
+        ("relative-part-of-identity", a == ID[a], er, a),
+        ("relative-part-op-pair", OP[b] & OP[c], er, a),
+    )
+
+
+def _unit_square(PI, c, er):
+    """The pair whose fibre maps must all be op: (pi(c), er)."""
+    return PI[c], er
+
+
+_COCYCLE = "relative-part-cocycle"
+
+
+def _cocycle_sides(C, R, a, b, h):
+    """Both sides of the relative-part cocycle over the triple (a, b, h)."""
+    return C(R(a, C(b, h)), R(b, h)), R(C(a, b), h)
+
+
 # ----------------------------------------------------------- the verifier
 
 
@@ -183,17 +226,14 @@ def verify_eta_identities(
 
     Covers the unary splitting identities (splitting a quasibijection or
     an op morphism is trivial on the matching side), the criterion that
-    order-preserving quasibijections are identities, the two defining
-    equations of relative op parts plus their degenerate special cases,
-    the composition law for op parts through the twisted middle term, the
-    fibrewise order-preservation of every unit square, and the cocycle
-    rule for relative op parts over composable triples. Both routes read
-    the instance's answers from its universe (the splits, relative parts,
-    composites and fibre maps as ids). The unary sites are one pass over
-    the maps; for the pair and triple sites large universes take the
-    vectorised table engine. An instance whose answers leave its own
-    homs fails the sweep with one splitting-error violation, after the
-    checks made up to that point.
+    order-preserving quasibijections are identities, the pair sites of
+    _pair_sites, the fibrewise order-preservation of every unit square,
+    and the cocycle rule for relative op parts over composable triples,
+    on the instance's answers as ids in its universe. The unary sites are
+    one pass over the maps; the pair and triple sites run in a loop, or
+    on the vectorised table engine for large universes. An instance whose
+    answers leave its own homs fails the sweep with one splitting-error
+    violation, after the checks made up to that point.
     """
     rep = Report(
         f"splitting[{inst.name}, bound={bound}]",
@@ -209,9 +249,7 @@ def _sweep_splitting(rep: Report, u) -> None:
     IntegrityError where the instance's answers leave its homs."""
     maps, n, w, json_of = u.maps, u.n, u.bound, u.json_of
     pis, etas, _ = u.splits()
-
-    def one(k):
-        return u.identities[maps[k].dom]
+    ids = u.dom_identity
 
     for tag in (
         "pi-of-pi", "eta-of-eta", "pi-of-eta", "eta-of-pi",
@@ -219,7 +257,7 @@ def _sweep_splitting(rep: Report, u) -> None:
     ):
         rep.count(tag, n)
     for k in range(n):
-        pi, eta, idk = pis[k], etas[k], one(k)
+        pi, eta, idk = pis[k], etas[k], ids[k]
         found = [
             ("pi-of-pi", pis[pi], pi),
             ("eta-of-eta", etas[eta], eta),
@@ -240,39 +278,18 @@ def _sweep_splitting(rep: Report, u) -> None:
 
     rel = u.relative_parts()
     first, second, composites = u.pair_first, u.pair_second, u.composites
-    op, composite = u.order_preserving, u.composite
-
-    def rel_of(a, b):
-        p = u.pair(a, b)
-        return rel[p] if p >= 0 else -1
-
+    op, C, R = u.order_preserving, u.by_pair(composites), u.by_pair(rel)
     for p, (a, b) in enumerate(zip(first, second)):
         c, er = composites[p], rel[p]
-        found = [
-            ("relative-part-left-triangle", composite(er, etas[b]), etas[c]),
-            (
-                "relative-part-defining-square",
-                composite(pis[c], er), composite(a, pis[b]),
-            ),
-            (
-                "op-part-composition",
-                composite(etas[composite(etas[a], pis[b])], etas[b]),
-                etas[c],
-            ),
-        ]
-        if b == one(b):
-            found.append(("relative-part-over-identity", er, etas[a]))
-        if a == one(a):
-            found.append(("relative-part-of-identity", er, a))
-        if op[b] and op[c]:
-            found.append(("relative-part-op-pair", er, a))
         where = {"f": json_of(a), "g": json_of(b)}
-        for tag, lhs, rhs in found:
-            rep.count(tag)
-            if lhs != rhs:
-                rep.add(tag, where, json_of(lhs), json_of(rhs))
-        # the unit square of the pair: fibre maps of pi(a;b) over er
-        q = u.pair(pis[c], er)
+        for tag, applies, lhs, rhs in _pair_sites(
+            C, pis, etas, ids, op, a, b, c, er
+        ):
+            if applies:
+                rep.count(tag)
+                if lhs != rhs:
+                    rep.add(tag, where, json_of(lhs), json_of(rhs))
+        q = u.pair(*_unit_square(pis, c, er))
         if q < 0:
             raise IntegrityError("unit square is not composable")
         rep.count("unit-square-not-fop", maps[er].cod)
@@ -284,18 +301,14 @@ def _sweep_splitting(rep: Report, u) -> None:
                     json_of(fm), "an order-preserving fibre map",
                 )
 
-    cocycles = 0
-    for p, (a, b) in enumerate(zip(first, second)):
+    for a, b in zip(first, second):
         hs = u.out_of[maps[b].cod]
-        cocycles += len(hs)
+        rep.count(_COCYCLE, len(hs))
         for h in hs:
-            q = u.pair(b, h)
-            lhs = composite(rel_of(a, composites[q]), rel[q])
-            rhs = rel_of(composites[p], h)
+            lhs, rhs = _cocycle_sides(C, R, a, b, h)
             if lhs != rhs:
                 rep.add(
-                    "relative-part-cocycle",
+                    _COCYCLE,
                     {"f": json_of(a), "g": json_of(b), "h": json_of(h)},
                     json_of(lhs), json_of(rhs),
                 )
-    rep.count("relative-part-cocycle", cocycles)

@@ -217,10 +217,13 @@ def equivalence_classes(items: list, related) -> list[list]:
 
 
 def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("PITA_THREADS", "1")))
-    except ValueError:
-        return 1
+    """PITA_THREADS, 1 when unset; ValueError unless a positive integer."""
+    value = os.environ.get("PITA_THREADS", "1")
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise ValueError(
+            f"PITA_THREADS must be a positive integer, not {value!r}"
+        )
+    return int(value)
 
 
 class Universe:
@@ -231,8 +234,10 @@ class Universe:
     through the instance methods, and kept as id lists: composites of the
     composable pairs, fibres and fibre maps. An answer outside the
     instance's homs gets id -1. Next to them sit the finskel inclusions of
-    the fibres of every morphism and two flags per morphism: whether it is
-    order-preserving, and whether the instance calls it a quasibijection.
+    the fibres of every morphism, the id of the identity on its domain
+    (dom_identity, -1 where that identity is not a morphism) and two flags
+    per morphism: whether it is order-preserving, and whether the instance
+    calls it a quasibijection.
     The finskel reference composites and fibre maps that the axioms
     compare against are computed in verify_axioms' pair sweep. The splits
     and relative op parts of the splitting calculus are derived from these
@@ -264,9 +269,8 @@ class Universe:
         self.out_of = {
             X: [k for Y in objs for k in self.homs[(X, Y)]] for X in objs
         }
-        self.identities = {
-            X: index.get(finskel.identity(X), -1) for X in objs
-        }
+        identity = {X: index.get(finskel.identity(X), -1) for X in objs}
+        self.dom_identity = [identity[f.dom] for f in maps]
 
         self.order_preserving = [finskel.is_order_preserving(f) for f in maps]
         self.inclusions = []
@@ -364,10 +368,16 @@ class Universe:
         compose."""
         return self.pair_index[a * self.n + b] if a >= 0 and b >= 0 else -1
 
-    def composite(self, a: int, b: int) -> int:
-        """Id of the composite of a then b, -1 where pair(a, b) is."""
-        p = self.pair(a, b)
-        return self.composites[p] if p >= 0 else -1
+    def by_pair(self, values: list):
+        """(a, b) -> values[pair(a, b)], -1 where pair(a, b) is: with the
+        composites, the id of the composite of a then b."""
+        pair_index, n = self.pair_index, self.n
+
+        def at(a: int, b: int) -> int:
+            p = pair_index[a * n + b] if a >= 0 and b >= 0 else -1
+            return values[p] if p >= 0 else -1
+
+        return at
 
     def relative_parts(self) -> list:
         """Id of the relative op part of every composable pair p = (a, b),
@@ -376,7 +386,7 @@ class Universe:
         if self._relative_parts is None:
             self.require_closed()
             pis, _, inverses = self.splits()
-            compose = self.composite
+            compose = self.by_pair(self.composites)
             rel = [
                 compose(compose(inverses[pis[c]], a), pis[b])
                 for a, b, c in zip(

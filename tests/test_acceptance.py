@@ -188,7 +188,7 @@ def test_criterion_7_fibre_equivalences():
                 assert unit == pita(x[1])[0]
                 assert is_bijective(unit)
                 assert g.is_morphism(unit, x, g.backward(g.forward(x)))
-            classes = g.iso_classes()
+            classes = g.iso_classes
             assert len(classes) == len(g.reflected.objects) == counts[m]
         rep = verify_decomposition_fibres(SURJ, 4)
         assert rep.ok, rep.violations[:2]

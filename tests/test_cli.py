@@ -233,6 +233,22 @@ def test_bound_must_be_positive(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-3", "2.5", ""])
+def test_bad_thread_setting_is_a_usage_error(threads, capsys, monkeypatch):
+    monkeypatch.setenv("PITA_THREADS", threads)
+    code, out, err = _run(capsys, ["axioms", "--bound", "1"])
+    assert code == 2
+    assert out == ""
+    assert "PITA_THREADS must be a positive integer" in err
+
+
+def test_good_thread_setting_runs(capsys, monkeypatch):
+    monkeypatch.setenv("PITA_THREADS", "2")
+    code, out, _ = _run(capsys, ["axioms", "--bound", "2"])
+    assert code == 0
+    assert "result ok=true" in out
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     code, _, _ = _run(capsys, [])
     assert code == 2

@@ -315,9 +315,9 @@ def test_groupoid_rejects_bad_chains():
 def test_fold_of_two_has_three_rigid_classes():
     g = _groupoid(_fold(2), identity(1))
     assert len(g.objects) == 3
-    assert len(g.iso_classes()) == 3
+    assert len(g.iso_classes) == 3
     assert len(g.reflected.objects) == 3
-    assert g.reflected.is_discrete()
+    assert g.reflected.is_discrete
 
 
 def test_general_fibre_frozen_counts():
@@ -325,17 +325,17 @@ def test_general_fibre_frozen_counts():
     # matching the three objects of the reflected fibre
     g = _groupoid(FinMap(3, 2, (1, 1, 2)), FinMap(2, 1, (1, 1)))
     assert len(g.objects) == 8
-    classes = g.iso_classes()
+    classes = g.iso_classes
     assert sorted(len(c) for c in classes) == [2, 3, 3]
     assert len(g.reflected.objects) == 3
-    assert g.reflected.is_discrete()
+    assert g.reflected.is_discrete
 
 
 def test_fold_fibres_count_ordered_set_partitions():
     for m, count in zip(range(1, 5), (1, 3, 13, 75)):
         g = _groupoid(_fold(m), identity(1))
         assert len(g.objects) == count
-        assert len(g.iso_classes()) == count
+        assert len(g.iso_classes) == count
         assert len(g.reflected.objects) == count
 
 
@@ -428,6 +428,31 @@ def test_fibre_suite_passes_at_bound_four():
     assert rep.checks == 1570
     # chains stop at 3-objects, and the title says so
     assert rep.title == "decomposition-fibres[fin-surj, bound=4, chains<=3]"
+
+
+def test_fibre_sweep_builds_each_chains_groupoid_once(monkeypatch):
+    # the bound-4 sweep makes 26 + 121 comparisons, each of a fibre with
+    # its reflected fibre, over 122 distinct chains: one groupoid each
+    built = []
+    real = FactorisationGroupoid.__post_init__
+
+    def record(self):
+        built.append(self.chain)
+        real(self)
+
+    monkeypatch.setattr(FactorisationGroupoid, "__post_init__", record)
+    rep = verify_decomposition_fibres(SURJ, 4)
+    assert len(built) == len(set(built)) == 122
+    assert rep.by_axiom == {
+        "fibre-retraction": 130,
+        "fibre-c2-not-discrete": 26,
+        "fibre-unit-not-a-morphism": 196,
+        "fibre-class-count": 26,
+        "chain-fibre-retraction": 277,
+        "chain-fibre-c2-not-discrete": 121,
+        "chain-fibre-unit-not-a-morphism": 673,
+        "chain-fibre-class-count": 121,
+    }
 
 
 def test_fibre_suite_passes_at_bound_three():

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import pytest
@@ -36,7 +37,9 @@ from pita.finskel import (
 )
 from pita.instances import make_fin, make_fin_surj, make_op
 from pita.opcat import is_fop_square, is_quasibijection, verify_axioms
+from reference import splitting_reference
 from strategies import composable_pairs
+from test_differential import BASES, MUTANTS
 from test_opcat import _all_squares
 
 
@@ -286,18 +289,74 @@ def test_eta_identities_hold_at_bound_3(factory):
     assert rep.by_axiom == dict(zip(SPLITTING_SITES, per_site))
 
 
+def _sorted_json(violations) -> list:
+    return sorted(json.dumps(v, sort_keys=True) for v in violations)
+
+
+def _instance(base: str, mutant: str):
+    make = MUTANTS[mutant]
+    return BASES[base]() if make is None else make(BASES[base]())
+
+
 @pytest.mark.parametrize(
-    "factory,bound", [(make_fin, 2), (make_fin_surj, 3)]
+    "base,bound,mutant",
+    [
+        pytest.param(
+            base, bound, mutant,
+            id=f"{BASES[base].__name__}-{bound}"
+            + ("" if mutant == "clean" else f"-{mutant}"),
+        )
+        for base in BASES
+        for bound in (2, 3)
+        for mutant in MUTANTS
+    ],
 )
 def test_eta_identities_table_and_loop_paths_agree(
-    factory, bound, monkeypatch
+    base, bound, mutant, monkeypatch
 ):
-    loop = verify_eta_identities(factory(), bound)
+    def run():
+        inst = _instance(base, mutant)
+        return verify_eta_identities(inst, bound, max_violations=10**6)
+
+    loop = run()
     monkeypatch.setattr(opcat, "_TRIPLE_LOOP_CUTOFF", 0)
-    table = verify_eta_identities(factory(), bound)
-    assert loop.ok and table.ok
+    table = run()
+    assert not loop.truncated and not table.truncated
     assert loop.checks == table.checks
     assert loop.by_axiom == table.by_axiom
+    assert _sorted_json(loop.violations) == _sorted_json(table.violations)
+    if mutant == "clean":
+        assert loop.ok
+
+
+# the cases whose universe at bound 2 stays inside the instance's homs:
+# every base clean and under the three mutants that keep composites,
+# except the fibre maps of op under CorruptFibreMap; and RemoveHom on
+# fin-surj, where no composite lands on the removed fold
+CLOSED_CASES = [
+    (base, mutant)
+    for base in BASES
+    for mutant in ("clean", "CorruptFibre", "CorruptFibreMap", "WrongTerminal")
+    if (base, mutant) != ("op", "CorruptFibreMap")
+] + [("fin-surj", "RemoveHom")]
+
+
+@pytest.mark.parametrize(
+    "base,mutant", CLOSED_CASES, ids=[f"{b}-{m}" for b, m in CLOSED_CASES]
+)
+def test_splitting_sweep_matches_the_reference(base, mutant):
+    # the pair and triple sites against tests/reference.py, which
+    # recomputes them on value tuples without the sweep's definitions
+    inst = _instance(base, mutant)
+    assert opcat.universe(inst, 2).strays == 0
+    rep = verify_eta_identities(inst, 2, max_violations=10**6)
+    reference = splitting_reference(inst, 2)
+    for tag in SPLITTING_SITES[5:]:
+        checks, found = reference.get(tag, (0, []))
+        mine = [v for v in rep.violations if v["axiom"] == tag]
+        assert (rep.by_axiom[tag], _sorted_json(mine)) == (
+            checks, _sorted_json(found)
+        ), tag
 
 
 def test_eta_identities_catch_corrupted_fibre_maps():
