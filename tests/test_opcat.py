@@ -281,6 +281,24 @@ def test_iterated_fibre_map_violations_are_all_kept(cutoff, monkeypatch):
         assert len(capped.violations) == cap
 
 
+def test_table_route_caps_in_sweep_order_on_any_thread_count(monkeypatch):
+    # the capped list is the head of the uncapped one, and a pool of
+    # workers merges its chunks back into that same order
+    monkeypatch.setattr(opcat, "_TRIPLE_LOOP_CUTOFF", 0)
+
+    def run(cap, threads):
+        monkeypatch.setenv("PITA_THREADS", threads)
+        return verify_axioms(CorruptFibreMap(make_fin()), 3, max_violations=cap)
+
+    full = run(10**6, "1")
+    assert not full.truncated and len(full.violations) > 50
+    capped = run(50, "1")
+    assert capped.truncated
+    assert capped.violations == full.violations[:50]
+    assert run(50, "2").to_json() == capped.to_json()
+    assert run(10**6, "2").to_json() == full.to_json()
+
+
 def test_universe_asks_each_fibre_once():
     inst = Counting(make_fin())
     u = opcat.Universe(inst, 3)
