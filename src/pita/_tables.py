@@ -10,6 +10,14 @@ numpy gathers, one chunk per middle morphism.
 The splitting sweeps evaluate the identities defined in factorisation on
 id arrays; only the iterated fibre-map equation is written out here.
 
+Layout. PIDX is the composable-pair index with one more row and column,
+all -1, so that its flat view answers a * (n + 1) + b with the pair id
+of (a, b), and -1 when they do not compose or either id is -1. FMT holds
+the fibre maps once, transposed: FMT[i - 1][p] is the fibre map of pair
+p over i, -1 past the codomain, and a last column of -1 makes pair -1
+read -1. So a pair that does not compose reads -1, as on the loop route,
+and every lookup of the triple kernel is a 1-D take.
+
 The universe asked the instance (not the raw finite-set functions), so a
 deliberately corrupted instance poisons the tables and the sweeps still
 report it.
@@ -44,22 +52,27 @@ class MapTable:
         self.by_dom = {X: _array(ks) for X, ks in universe.out_of.items()}
         self.by_cod = {Y: _array(ks) for Y, ks in universe.into.items()}
 
-        # composition table and the composable-pair index
+        # composition table and the composable-pair index, padded with -1
         self.pa = _array(universe.pair_first)
         self.pb = _array(universe.pair_second)
         self.pairs = len(self.pa)
-        self.PIDX = _array(universe.pair_index).reshape(n, n)
+        self.PIDX = np.full((n + 1, n + 1), -1, dtype=np.int32)
+        self.PIDX[:n, :n] = _array(universe.pair_index).reshape(n, n)
         self.C = np.full((n, n), -1, dtype=np.int32)
         self.C[self.pa, self.pb] = universe.composites
 
-        # fibre sizes, inclusions and fibre maps
+        # fibre sizes, inclusions and fibre maps, FMT transposed and with
+        # the -1 column
         self.FS = np.zeros((n, bound), dtype=np.int16)
         self.EPS = np.zeros((n, bound, bound), dtype=np.int16)
         for k, inclusions in enumerate(universe.inclusions):
             for i, eps in enumerate(inclusions):
                 self.FS[k, i] = len(eps)
                 self.EPS[k, i, : len(eps)] = eps
-        self.FM = _array(universe.fibre_maps).reshape(self.pairs, bound)
+        self.FMT = np.full((bound, self.pairs + 1), -1, dtype=np.int32)
+        self.FMT[:, :-1] = _array(universe.fibre_maps).reshape(
+            self.pairs, bound
+        ).T
 
         self.PI = self.ETA = self.ER = None
 
@@ -98,48 +111,53 @@ class MapTable:
         """Fibre maps of fibre maps agree with fibre maps over the
         composite, across every composable triple: with pairs (h, g) and
         (g, f), the fibre map of [h over g;f at i] taken over [g over f
-        at i] at j equals the fibre map of h over g at epsilon(j)."""
-        maxc = self.bound
+        at i] at j equals the fibre map of h over g at epsilon(j). One
+        chunk per middle id g, f_ids down the rows and h_ids across the
+        columns; for each i and j only the rows of the f with i <= cod f
+        and j <= |fibre of f over i| are looked up. Where the fibre maps
+        do not compose, the lhs reads -1, as on the loop route."""
+        FS, EPS, FMT = self.FS, self.EPS, self.FMT
+        stride = self.n + 1
+        pair_of = self.PIDX.ravel()
         # one hit past the cap per chunk is enough for Report.add to mark
         # the list truncated
         cap = report.max_violations + 1
 
         def chunk(g):
             hits = []
-            local_checks = 0
+            checks = 0
             h_ids = self.by_cod.get(self.DOM[g])
             f_ids = self.by_dom.get(self.COD[g])
             if h_ids is None or f_ids is None or not len(h_ids) or not len(f_ids):
                 return 0, hits
-            FG = self.C[g, f_ids]
-            PH = self.PIDX[h_ids, g]
-            PGF = self.PIDX[g, f_ids]
-            PHFG = self.PIDX[h_ids[:, None], FG[None, :]]
-            for i in range(1, maxc + 1):
-                valid_i = i <= self.COD[f_ids]
-                if not valid_i.any():
-                    continue
-                B = self.FM[PGF, i - 1]
-                A2 = self.FM[PHFG, i - 1]
-                PAB = self.PIDX[A2, B[None, :]]
-                fs_i = self.FS[f_ids, i - 1]
-                for j in range(1, maxc + 1):
-                    mask = valid_i & (j <= fs_i)
-                    if not mask.any():
-                        continue
-                    lhs = self.FM[PAB, j - 1]
-                    epsj = self.EPS[f_ids, i - 1, j - 1].astype(np.int64)
-                    rhs = self.FM[PH[:, None], epsj[None, :] - 1]
-                    local_checks += int(mask.sum()) * len(h_ids)
-                    bad = mask[None, :] & (lhs != rhs)
+            # R[e - 1, hk]: the fibre map of (h, g) over e
+            R = FMT[:, pair_of.take(h_ids * stride + g)]
+            PGF = pair_of.take(g * stride + f_ids)
+            FG = self.C[g].take(f_ids)
+            PHFG = pair_of.take(FG[:, None] + h_ids * stride)
+            cod_f = self.COD[f_ids]
+            for i in range(1, int(cod_f.max()) + 1):
+                rows = np.flatnonzero(cod_f >= i)
+                fibre_map = FMT[i - 1]
+                B = fibre_map.take(PGF[rows])
+                A = fibre_map.take(PHFG[rows])
+                PAB = pair_of.take(A * stride + B[:, None])
+                sizes = FS[f_ids[rows], i - 1]
+                for j in range(1, int(sizes.max()) + 1):
+                    keep = np.flatnonzero(sizes >= j)
+                    fk = rows[keep]
+                    lhs = FMT[j - 1].take(PAB[keep])
+                    rhs = R[EPS[f_ids[fk], i - 1, j - 1] - 1]
+                    checks += lhs.size
+                    bad = lhs != rhs
                     if bad.any():
-                        for hk, fk in np.argwhere(bad)[: cap - len(hits)]:
+                        for hk, k in np.argwhere(bad.T)[: cap - len(hits)]:
                             hits.append((
-                                {"h": h_ids[hk], "g": g, "f": f_ids[fk]},
+                                {"h": h_ids[hk], "g": g, "f": f_ids[fk[k]]},
                                 {"i": i, "j": j},
-                                lhs[hk, fk], rhs[hk, fk],
+                                lhs[k, hk], rhs[k, hk],
                             ))
-            return local_checks, hits
+            return checks, hits
 
         self._merge(report, "iterated-fibre-map", chunk)
 
@@ -175,7 +193,7 @@ class MapTable:
         Q = self.PIDX[_unit_square(self.PI, AB, ER)]
         if (Q < 0).any():
             raise IntegrityError("unit square is not composable")
-        F = self.FM[Q]
+        F = self.FMT[:, Q].T
         valid = np.arange(self.bound)[None, :] < self.COD[ER][:, None]
         report.count("unit-square-not-fop", int(valid.sum()))
         for p, i in np.argwhere(valid & ~self.OP[F]):

@@ -37,6 +37,18 @@ class CorruptFibreMap(Wrapper):
         return compose(swap, fm)
 
 
+class WidenFibreMap(Wrapper):
+    """Gives every fibre map one more point in its codomain while that
+    stays at most 3, so at bound 3 the fibre maps are still morphisms but
+    no longer compose with one another."""
+
+    def fibre_morphism(self, g, f, i):
+        fm = self._base.fibre_morphism(g, f, i)
+        if fm.cod + 1 <= 3:
+            return FinMap(fm.dom, fm.cod + 1, fm.values)
+        return fm
+
+
 class WrongTerminal(Wrapper):
     """Chooses the ordinal 2 as its own local terminal."""
 
@@ -51,6 +63,17 @@ class CompositeOutsideHoms(Wrapper):
 
     def compose(self, g, f):
         return FinMap(g.dom, 9, (9,) * g.dom)
+
+
+class ShrinkComposite(Wrapper):
+    """Merges the top two points of the codomain of every composite with
+    at least two; the composite stays a morphism of each base instance."""
+
+    def compose(self, g, f):
+        c = self._base.compose(g, f)
+        if c.cod < 2:
+            return c
+        return FinMap(c.dom, c.cod - 1, tuple(min(v, c.cod - 1) for v in c.values))
 
 
 class RemoveHom(Wrapper):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +16,8 @@ from helpers import (
     CorruptFibreMap,
     Counting,
     RemoveHom,
+    ShrinkComposite,
+    WidenFibreMap,
     WrongTerminal,
 )
 from pita import opcat
@@ -40,6 +43,7 @@ from pita.opcat import (
     verify_axioms,
 )
 from strategies import composable_pairs, finmaps
+from test_differential import BASES
 
 # the instance whose composites and fibre maps are finskel's, for squares
 # drawn outside any instance's homs
@@ -166,12 +170,73 @@ def test_axioms_pass(factory, bound):
     assert rep.checks > 0
 
 
-def test_axioms_table_and_loop_paths_agree(monkeypatch):
-    loop = verify_axioms(make_fin(), 2)
+AXIOM_MUTANTS = {
+    "clean": None,
+    "CorruptFibre": CorruptFibre,
+    "CorruptFibreMap": CorruptFibreMap,
+    "WrongTerminal": WrongTerminal,
+    "WidenFibreMap": WidenFibreMap,
+    "ShrinkComposite": ShrinkComposite,
+}
+
+
+def _closed(base, bound, mutant):
+    """Whether the instance's answers stay inside its homs; an open
+    universe is one axioms-error on the table route (see
+    test_an_open_universe_is_reported_on_both_routes)."""
+    if mutant == "WidenFibreMap":
+        # widened fibre maps are morphisms of fin and op at bound 3 only
+        return (base, bound) in {("fin", 3), ("op", 3)}
+    return (base, mutant) != ("op", "CorruptFibreMap")
+
+
+@pytest.mark.parametrize(
+    "base,bound,mutant",
+    [
+        pytest.param(
+            base, bound, mutant,
+            id=f"{BASES[base].__name__}-{bound}"
+            + ("" if mutant == "clean" else f"-{mutant}"),
+        )
+        for base in BASES
+        for bound in (2, 3)
+        for mutant in AXIOM_MUTANTS
+        if _closed(base, bound, mutant)
+    ],
+)
+def test_axioms_table_and_loop_paths_agree(base, bound, mutant, monkeypatch):
+    def run():
+        make = AXIOM_MUTANTS[mutant]
+        inst = BASES[base]() if make is None else make(BASES[base]())
+        assert opcat.universe(inst, bound).strays == 0
+        return verify_axioms(inst, bound, max_violations=10**6)
+
+    loop = run()
     monkeypatch.setattr(opcat, "_TRIPLE_LOOP_CUTOFF", 0)
-    table = verify_axioms(make_fin(), 2)
-    assert loop.ok and table.ok
+    table = run()
+    assert not loop.truncated and not table.truncated
+    assert loop.by_axiom == table.by_axiom
     assert loop.checks == table.checks
+    assert sorted(json.dumps(v, sort_keys=True) for v in loop.violations) == (
+        sorted(json.dumps(v, sort_keys=True) for v in table.violations)
+    )
+    assert loop.ok == (mutant == "clean")
+
+
+def test_fibre_maps_that_do_not_compose_are_violations(monkeypatch):
+    # every fibre map has one point too many in its codomain, so the
+    # fibre map of [h over g;f at i] does not compose with the one of
+    # [g over f at i]: that pair reads -1 on the table route, as it does
+    # on the loop route
+    monkeypatch.setattr(opcat, "_TRIPLE_LOOP_CUTOFF", 0)
+    rep = verify_axioms(WidenFibreMap(make_fin()), 3, max_violations=10**6)
+    assert rep.checks == 149_208
+    assert len(rep.violations) == 106_978
+    iterated = [
+        v for v in rep.violations if v["axiom"] == "iterated-fibre-map"
+    ]
+    assert len(iterated) == 102_676
+    assert all(v["lhs"] is None for v in iterated)
 
 
 def test_axioms_fail_on_corrupted_fibre():
