@@ -10,13 +10,12 @@ numpy gathers, one chunk per middle morphism.
 The splitting sweeps evaluate the identities defined in factorisation on
 id arrays; only the iterated fibre-map equation is written out here.
 
-Layout. PIDX is the composable-pair index with one more row and column,
-all -1, so that its flat view answers a * (n + 1) + b with the pair id
-of (a, b), and -1 when they do not compose or either id is -1. FMT holds
-the fibre maps once, transposed: FMT[i - 1][p] is the fibre map of pair
-p over i, -1 past the codomain, and a last column of -1 makes pair -1
-read -1. So a pair that does not compose reads -1, as on the loop route,
-and every lookup of the triple kernel is a 1-D take.
+Layout. The arrays are the universe's own lists, in the universe's padded
+layout (see opcat.Universe), so -1 reads -1 here by plain indexing, as on
+the loop route, and opcat._by_pair looks composites and relative parts up
+on both routes. The one layout step of this module is FMT, the fibre maps
+transposed into one row per point: FMT[i - 1][p] is the fibre map of
+pair p over i.
 
 The universe asked the instance (not the raw finite-set functions), so a
 deliberately corrupted instance poisons the tables and the sweeps still
@@ -31,7 +30,7 @@ import numpy as np
 
 from .errors import IntegrityError
 from .factorisation import _COCYCLE, _cocycle_sides, _pair_sites, _unit_square
-from .opcat import default_threads
+from .opcat import _by_pair, default_threads
 
 
 def _array(values) -> np.ndarray:
@@ -52,27 +51,27 @@ class MapTable:
         self.by_dom = {X: _array(ks) for X, ks in universe.out_of.items()}
         self.by_cod = {Y: _array(ks) for Y, ks in universe.into.items()}
 
-        # composition table and the composable-pair index, padded with -1
         self.pa = _array(universe.pair_first)
         self.pb = _array(universe.pair_second)
         self.pairs = len(self.pa)
-        self.PIDX = np.full((n + 1, n + 1), -1, dtype=np.int32)
-        self.PIDX[:n, :n] = _array(universe.pair_index).reshape(n, n)
-        self.C = np.full((n, n), -1, dtype=np.int32)
-        self.C[self.pa, self.pb] = universe.composites
+        self.PIDX = _array(universe.pair_index)
+        self.CMP = _array(universe.composites)
 
-        # fibre sizes, inclusions and fibre maps, FMT transposed and with
-        # the -1 column
+        # fibre sizes and inclusions
         self.FS = np.zeros((n, bound), dtype=np.int16)
         self.EPS = np.zeros((n, bound, bound), dtype=np.int16)
         for k, inclusions in enumerate(universe.inclusions):
             for i, eps in enumerate(inclusions):
                 self.FS[k, i] = len(eps)
                 self.EPS[k, i, : len(eps)] = eps
-        self.FMT = np.full((bound, self.pairs + 1), -1, dtype=np.int32)
-        self.FMT[:, :-1] = _array(universe.fibre_maps).reshape(
-            self.pairs, bound
-        ).T
+        # per point, since the triple kernel makes contiguous 1-D takes;
+        # the universe keeps them per pair, as freeing the per-pair array
+        # here raises glibc's mmap threshold and keeps the kernel's chunk
+        # temporaries on the heap (with the threshold pinned at 128 KB the
+        # kernel ran about 3x slower on fin at bound 4)
+        self.FMT = np.ascontiguousarray(
+            _array(universe.fibre_maps).reshape(self.pairs + 1, bound).T
+        )
 
         self.PI = self.ETA = self.ER = None
 
@@ -80,9 +79,9 @@ class MapTable:
         """Splitting and relative order-preserving-part tables."""
         if self.PI is not None:
             return
-        pis, etas, _ = self.universe.splits()
+        pis, etas, _ = self.universe.splits
         self.PI, self.ETA = _array(pis), _array(etas)
-        self.ER = _array(self.universe.relative_parts())
+        self.ER = _array(self.universe.relative_parts)
 
     def _merge(self, report, tag, chunk):
         """Run chunk(g) for every middle id g on PITA_THREADS workers,
@@ -116,9 +115,8 @@ class MapTable:
         columns; for each i and j only the rows of the f with i <= cod f
         and j <= |fibre of f over i| are looked up. Where the fibre maps
         do not compose, the lhs reads -1, as on the loop route."""
-        FS, EPS, FMT = self.FS, self.EPS, self.FMT
+        FS, EPS, FMT, pair_of = self.FS, self.EPS, self.FMT, self.PIDX
         stride = self.n + 1
-        pair_of = self.PIDX.ravel()
         # one hit past the cap per chunk is enough for Report.add to mark
         # the list truncated
         cap = report.max_violations + 1
@@ -126,14 +124,14 @@ class MapTable:
         def chunk(g):
             hits = []
             checks = 0
-            h_ids = self.by_cod.get(self.DOM[g])
-            f_ids = self.by_dom.get(self.COD[g])
-            if h_ids is None or f_ids is None or not len(h_ids) or not len(f_ids):
+            h_ids = self.by_cod[self.DOM[g]]
+            f_ids = self.by_dom[self.COD[g]]
+            if not len(h_ids) or not len(f_ids):
                 return 0, hits
             # R[e - 1, hk]: the fibre map of (h, g) over e
             R = FMT[:, pair_of.take(h_ids * stride + g)]
             PGF = pair_of.take(g * stride + f_ids)
-            FG = self.C[g].take(f_ids)
+            FG = self.CMP.take(PGF)
             PHFG = pair_of.take(FG[:, None] + h_ids * stride)
             cod_f = self.COD[f_ids]
             for i in range(1, int(cod_f.max()) + 1):
@@ -163,34 +161,30 @@ class MapTable:
 
     # ------------------------------------------- splitting pairwise sweep
 
-    def _composite(self, x, y):
-        return self.C[x, y]
-
-    def _relative_part(self, x, y):
-        return self.ER[self.PIDX[x, y]]
-
     def sweep_splitting_identities(self, report):
         """The pair sites of the splitting calculus and the fibrewise
         order-preservation of every unit square, evaluated on the arrays
         of all composable pairs at once, site by site."""
         self.ensure_pita()
         json_of = self.universe.json_of
-        pa, pb, ER = self.pa, self.pb, self.ER
-        AB = self.C[pa, pb]
+        pa, pb, stride = self.pa, self.pb, self.n + 1
+        # the composite and relative part of each pair, without the padding
+        AB, ER = self.CMP[:-1], self.ER[:-1]
 
         def where(p):
             return {"f": json_of(pa[p]), "g": json_of(pb[p])}
 
         for tag, applies, lhs, rhs in _pair_sites(
-            self._composite, self.PI, self.ETA, self.ID, self.OP,
-            pa, pb, AB, ER,
+            _by_pair(self.PIDX, stride, self.CMP),
+            self.PI, self.ETA, self.ID, self.OP, pa, pb, AB, ER,
         ):
             applies = np.broadcast_to(applies, pa.shape)
             report.count(tag, int(applies.sum()))
             for p in np.flatnonzero(applies & (lhs != rhs)):
                 report.add(tag, where(p), json_of(lhs[p]), json_of(rhs[p]))
 
-        Q = self.PIDX[_unit_square(self.PI, AB, ER)]
+        top, side = _unit_square(self.PI, AB, ER)
+        Q = self.PIDX[top * stride + side]
         if (Q < 0).any():
             raise IntegrityError("unit square is not composable")
         F = self.FMT[:, Q].T
@@ -210,17 +204,17 @@ class MapTable:
         the columns."""
         self.ensure_pita()
         cap = report.max_violations + 1
+        stride = self.n + 1
+        C = _by_pair(self.PIDX, stride, self.CMP)
+        R = _by_pair(self.PIDX, stride, self.ER)
 
         def chunk(g):
             hits = []
-            f_ids = self.by_cod.get(self.DOM[g])
-            h_ids = self.by_dom.get(self.COD[g])
-            if f_ids is None or h_ids is None or not len(f_ids) or not len(h_ids):
+            f_ids = self.by_cod[self.DOM[g]]
+            h_ids = self.by_dom[self.COD[g]]
+            if not len(f_ids) or not len(h_ids):
                 return 0, hits
-            lhs, rhs = _cocycle_sides(
-                self._composite, self._relative_part,
-                f_ids[:, None], g, h_ids[None, :],
-            )
+            lhs, rhs = _cocycle_sides(C, R, f_ids[:, None], g, h_ids[None, :])
             for fk, hk in np.argwhere(lhs != rhs)[:cap]:
                 hits.append((
                     {"f": f_ids[fk], "g": g, "h": h_ids[hk]}, {},

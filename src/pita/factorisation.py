@@ -35,6 +35,8 @@ from .finskel import FinMap
 from .opcat import (
     OperadicInstance,
     Report,
+    _by_pair,
+    _require_square,
     is_fop_square,
     is_quasibijection,
     universe,
@@ -150,12 +152,7 @@ def omega(
     w with compose(pi(f), w) == compose(sigma, pi(g)) and
     compose(w, eta(g)) == compose(eta(f), tau). It splits the square into
     a quasibijection square on top of an order-preserving square."""
-    if sigma.dom != f.dom or sigma.cod != g.dom:
-        raise ShapeError("top map does not match the verticals")
-    if tau.dom != f.cod or tau.cod != g.cod:
-        raise ShapeError("bottom map does not match the verticals")
-    if inst.compose(sigma, g) != inst.compose(f, tau):
-        raise ShapeError("square does not commute")
+    _require_square(sigma, tau, f, g, inst)
     if not is_quasibijection(tau, inst):
         raise ShapeError("bottom map must be a quasibijection")
     split_f = pita_general(inst, f)
@@ -179,9 +176,10 @@ def omega(
 
 # Both routes of verify_eta_identities evaluate these. They read ids
 # through C(x, y), the composite of x then y, R(x, y), the relative op
-# part of x over y, and PI, ETA (the splits), ID (the identity on the
-# domain) and OP (order-preserving) indexed by id. Only indexing, ==, !=
-# and & occur, so they run on single ids and on broadcast numpy id arrays.
+# part of x over y (both opcat._by_pair), and PI, ETA (the splits), ID
+# (the identity on the domain) and OP (order-preserving) indexed by id.
+# Only indexing, ==, != and & occur, so they run on single ids and on
+# broadcast numpy id arrays.
 
 
 def _pair_sites(C, PI, ETA, ID, OP, a, b, c, er):
@@ -248,7 +246,7 @@ def _sweep_splitting(rep: Report, u) -> None:
     """The sites of verify_eta_identities over the universe u; raises
     IntegrityError where the instance's answers leave its homs."""
     maps, n, w, json_of = u.maps, u.n, u.bound, u.json_of
-    pis, etas, _ = u.splits()
+    pis, etas, _ = u.splits
     ids = u.dom_identity
 
     for tag in (
@@ -271,14 +269,16 @@ def _sweep_splitting(rep: Report, u) -> None:
                 rep.add(tag, {"f": json_of(k)}, json_of(lhs), json_of(rhs))
 
     if u.vectorised:
-        table = u.table()
+        table = u.table
         table.sweep_splitting_identities(rep)
         table.sweep_relative_part_cocycle(rep)
         return
 
-    rel = u.relative_parts()
+    rel = u.relative_parts
     first, second, composites = u.pair_first, u.pair_second, u.composites
-    op, C, R = u.order_preserving, u.by_pair(composites), u.by_pair(rel)
+    op = u.order_preserving
+    C = _by_pair(u.pair_index, n + 1, composites)
+    R = _by_pair(u.pair_index, n + 1, rel)
     for p, (a, b) in enumerate(zip(first, second)):
         c, er = composites[p], rel[p]
         where = {"f": json_of(a), "g": json_of(b)}

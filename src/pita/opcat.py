@@ -17,6 +17,7 @@ import weakref
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import finskel
 from .errors import IntegrityError, PitaError, ShapeError
@@ -171,16 +172,21 @@ def is_fop_square(
     morphism. The instance is required: composites and fibre maps are
     its answers.
     """
+    _require_square(sigma, tau, f, g, inst)
+    return all(
+        finskel.is_order_preserving(inst.fibre_morphism(sigma, g, i))
+        for i in range(1, g.cod + 1)
+    )
+
+
+def _require_square(sigma, tau, f, g, inst: OperadicInstance) -> None:
+    """ShapeError unless (sigma, tau, f, g) is a commuting square."""
     if sigma.dom != f.dom or sigma.cod != g.dom:
         raise ShapeError("top map does not match the verticals")
     if tau.dom != f.cod or tau.cod != g.cod:
         raise ShapeError("bottom map does not match the verticals")
     if inst.compose(sigma, g) != inst.compose(f, tau):
         raise ShapeError("square does not commute")
-    return all(
-        finskel.is_order_preserving(inst.fibre_morphism(sigma, g, i))
-        for i in range(1, g.cod + 1)
-    )
 
 
 def quasibijections(inst: OperadicInstance, X: int, Y: int):
@@ -241,13 +247,17 @@ class Universe:
     The finskel reference composites and fibre maps that the axioms
     compare against are computed in verify_axioms' pair sweep. The splits
     and relative op parts of the splitting calculus are derived from these
-    lists on first use (splits(), relative_parts()).
+    lists on first use (splits, relative_parts).
 
     Layout: pair p is (pair_first[p], pair_second[p]), the first applied
-    first, with pair_index[a * n + b] == p and -1 where a, b do not
-    compose; pairs run through a in id order, then b in id order. The
-    fibre maps of pair p over i = 1, 2, ... sit at p * bound + i - 1,
-    padded with -1 (no object below the bound has more than bound points).
+    first; pairs run through a in id order, then b in id order. The flat
+    (n + 1) x (n + 1) pair_index has pair_index[a * (n + 1) + b] == p, -1
+    where a, b do not compose, and a last row and column of -1. The lists
+    by pair, composites and relative_parts, end in one -1. The fibre maps
+    of pair p over i = 1, 2, ... sit at p * bound + i - 1, -1 past the
+    codomain (no object below the bound has more than bound points), and
+    end in a block of bound -1s. A negative index lands in the padding,
+    in a list as in a numpy array, so -1 in reads -1 out with no branch.
     """
 
     def __init__(self, inst: OperadicInstance, bound: int):
@@ -285,20 +295,21 @@ class Universe:
             all(_is_point(F, inst) for F in fibres) for fibres in self.fibres
         ]
 
-        self.pair_index = pair_index = [-1] * (n * n)
+        stride = n + 1
+        self.pair_index = pair_index = [-1] * (stride * stride)
         first: list = []
         second: list = []
         for (T, S), gs in self.homs.items():
             for a in gs:
                 for b in self.out_of[S]:
-                    pair_index[a * n + b] = len(first)
+                    pair_index[a * stride + b] = len(first)
                     first.append(a)
                     second.append(b)
         self.pair_first, self.pair_second = first, second
 
         w = bound
         self.composites = []
-        self.fibre_maps = fms = [-1] * (len(first) * w)
+        self.fibre_maps = fms = [-1] * ((len(first) + 1) * w)
         self.strays = 0
         for p, (a, b) in enumerate(zip(first, second)):
             g, f = maps[a], maps[b]
@@ -309,9 +320,7 @@ class Universe:
                 k = index.get(inst.fibre_morphism(g, f, i), -1)
                 fms[p * w + i - 1] = k
                 self.strays += k < 0
-        self._splits = None
-        self._relative_parts = None
-        self._table = None
+        self.composites.append(-1)
 
     @property
     def triples(self) -> int:
@@ -327,20 +336,19 @@ class Universe:
         true above _TRIPLE_LOOP_CUTOFF composable triples."""
         return self.triples > _TRIPLE_LOOP_CUTOFF
 
+    @cached_property
     def splits(self) -> tuple[list, list, list]:
         """Ids of pi and eta of every morphism, and of the inverse
         of every bijective one (-1 for the others), computed on
         first use. IntegrityError when one of them is not a morphism."""
-        if self._splits is None:
-            pis, etas, inverses = [], [], []
-            for f in self.maps:
-                pi, eta = finskel.pita(f)
-                inv = finskel.inverse(f) if finskel.is_bijective(f) else None
-                pis.append(self._member(pi))
-                etas.append(self._member(eta))
-                inverses.append(-1 if inv is None else self._member(inv))
-            self._splits = pis, etas, inverses
-        return self._splits
+        pis, etas, inverses = [], [], []
+        for f in self.maps:
+            pi, eta = finskel.pita(f)
+            inv = finskel.inverse(f) if finskel.is_bijective(f) else None
+            pis.append(self._member(pi))
+            etas.append(self._member(eta))
+            inverses.append(-1 if inv is None else self._member(inv))
+        return pis, etas, inverses
 
     def _member(self, f) -> int:
         k = self.index.get(f)
@@ -366,45 +374,44 @@ class Universe:
     def pair(self, a: int, b: int) -> int:
         """Id of the pair (a, b), -1 when either is -1 or they do not
         compose."""
-        return self.pair_index[a * self.n + b] if a >= 0 and b >= 0 else -1
+        return self.pair_index[a * (self.n + 1) + b]
 
-    def by_pair(self, values: list):
-        """(a, b) -> values[pair(a, b)], -1 where pair(a, b) is: with the
-        composites, the id of the composite of a then b."""
-        pair_index, n = self.pair_index, self.n
-
-        def at(a: int, b: int) -> int:
-            p = pair_index[a * n + b] if a >= 0 and b >= 0 else -1
-            return values[p] if p >= 0 else -1
-
-        return at
-
+    @cached_property
     def relative_parts(self) -> list:
         """Id of the relative op part of every composable pair p = (a, b),
         compose(compose(inverse(pi(a;b)), a), pi(b)), computed on first
-        use. IntegrityError when the instance left its homs on the way."""
-        if self._relative_parts is None:
-            self.require_closed()
-            pis, _, inverses = self.splits()
-            compose = self.by_pair(self.composites)
-            rel = [
-                compose(compose(inverses[pis[c]], a), pis[b])
-                for a, b, c in zip(
-                    self.pair_first, self.pair_second, self.composites
-                )
-            ]
-            if -1 in rel:
-                raise IntegrityError("relative splitting left the universe")
-            self._relative_parts = rel
-        return self._relative_parts
+        use and ending in -1. IntegrityError when the instance left its
+        homs on the way."""
+        self.require_closed()
+        pis, _, inverses = self.splits
+        compose = _by_pair(self.pair_index, self.n + 1, self.composites)
+        rel = [
+            compose(compose(inverses[pis[c]], a), pis[b])
+            for a, b, c in zip(
+                self.pair_first, self.pair_second, self.composites
+            )
+        ]
+        if -1 in rel:
+            raise IntegrityError("relative splitting left the universe")
+        return rel + [-1]
 
+    @cached_property
     def table(self):
         """The numpy view of this universe (see _tables), built once."""
-        if self._table is None:
-            from ._tables import MapTable
+        from ._tables import MapTable
 
-            self._table = MapTable(self)
-        return self._table
+        return MapTable(self)
+
+
+def _by_pair(index, stride: int, values):
+    """(a, b) -> values[pair of (a, b)] on the padded layout of Universe,
+    so -1 where a, b do not compose or either is -1: the universe's lists
+    and single ids on the loop route, numpy arrays of them on the table."""
+
+    def at(a, b):
+        return values[index[a * stride + b]]
+
+    return at
 
 
 # Universes by instance object, then bound. Weak keys let an instance and
@@ -525,8 +532,7 @@ def verify_axioms(
 
     # pair sweep: the instance's composites, fibre sizes and fibre maps
     # against the finskel reference computed on the handles
-    n, w = u.n, u.bound
-    pair_index, fms = u.pair_index, u.fibre_maps
+    w, fms = u.bound, u.fibre_maps
     fibres, inclusions = u.fibres, u.inclusions
     json_of = u.json_of
 
@@ -579,14 +585,10 @@ def verify_axioms(
     # equals the fibre map of h over g at epsilon(j)
     if u.vectorised:
         with rep.guard("axioms-error", None, "a closed universe"):
-            u.table().sweep_iterated_fibre_maps(rep)
+            u.table.sweep_iterated_fibre_maps(rep)
         return rep
 
     pair = u.pair
-
-    def fibre_map(q, i):
-        return fms[q * w + i] if q >= 0 else -1
-
     checks = 0
     for p, (g, f) in enumerate(zip(u.pair_first, u.pair_second)):
         hs, gf = u.into[maps[g].dom], u.composites[p]
@@ -594,10 +596,10 @@ def verify_axioms(
             checks += len(hs) * len(eps)
             for h in hs:
                 # the pair (h over g;f at i, g over f at i)
-                AB = pair(fibre_map(pair(h, gf), i), fms[p * w + i])
-                hg = pair_index[h * n + g]
+                AB = pair(fms[pair(h, gf) * w + i], fms[p * w + i])
+                hg = pair(h, g)
                 for j, e in enumerate(eps):
-                    lhs, rhs = fibre_map(AB, j), fms[hg * w + e - 1]
+                    lhs, rhs = fms[AB * w + j], fms[hg * w + e - 1]
                     if lhs != rhs:
                         rep.add(
                             "iterated-fibre-map",

@@ -1,13 +1,17 @@
-"""An independent reference for the pair and triple identities of the
-splitting sweep (verify_eta_identities).
+"""An independent reference for the pair and triple sites of the
+splitting sweep (verify_eta_identities) and of the axiom sweep
+(verify_axioms).
 
-It recomputes the six pair sites, the unit squares and the relative-part
-cocycle on plain value tuples (dom, cod, values). The split is its own
-stable sort, identities, inverses and order-preservation are read off the
-tuples, and composites and fibre maps are asked of the instance through
-its compose and fibre_morphism. Nothing comes from pita.finskel or from
-the sweep's own definitions, so an equation that both routes of the sweep
-share and get wrong shows up as a difference from this module.
+For the splitting sweep it recomputes the six pair sites, the unit
+squares and the relative-part cocycle on plain value tuples (dom, cod,
+values). The split is its own stable sort, identities, inverses and
+order-preservation are read off the tuples, and composites and fibre maps
+are asked of the instance through its compose and fibre_morphism. For the
+axiom sweep it compares the instance's compose, fibre and fibre_morphism
+with composites, fibres and fibre maps computed here from the values.
+Nothing comes from pita.finskel, from the Universe or from the sweeps' own
+definitions, so an equation that both routes of a sweep share and get
+wrong shows up as a difference from this module.
 
 Composition is diagrammatic: compose(x, y) applies x first.
 """
@@ -37,6 +41,44 @@ def _inverse(x: tuple) -> tuple:
 def _is_op(x: tuple) -> bool:
     values = x[2]
     return all(u <= v for u, v in zip(values, values[1:]))
+
+
+def _compose(x: tuple, y: tuple) -> tuple:
+    return (x[0], y[1], tuple(y[2][v - 1] for v in x[2]))
+
+
+def _inclusion(y: tuple, i: int) -> tuple:
+    """The points of y over i, in increasing order."""
+    return tuple(p for p, v in enumerate(y[2], 1) if v == i)
+
+
+def _fibre_map(x: tuple, y: tuple, i: int) -> tuple:
+    """The fibre map of x over y at i: each point of x;y over i, in
+    order, goes to the rank of its image among the points of y over i."""
+    rank = {p: r for r, p in enumerate(_inclusion(y, i), 1)}
+    values = tuple(rank[v] for v in x[2] if v in rank)
+    return (len(values), len(rank), values)
+
+
+class _Findings:
+    """Check counts and violations per tag, as a sweep's Report keeps
+    them; a check made with count=0 reports without being counted."""
+
+    def __init__(self):
+        self.counts: dict = {}
+        self.found: dict = {}
+
+    def check(self, tag, where, passed, lhs, rhs, count=1):
+        self.counts[tag] = self.counts.get(tag, 0) + count
+        if not passed:
+            self.found.setdefault(tag, []).append(
+                {"axiom": tag, "witness": where, "lhs": lhs, "rhs": rhs}
+            )
+
+    def result(self) -> dict:
+        return {
+            tag: (n, self.found.get(tag, [])) for tag, n in self.counts.items()
+        }
 
 
 def _split(x: tuple) -> tuple[tuple, tuple]:
@@ -74,16 +116,7 @@ def splitting_reference(inst, bound: int) -> dict:
         """The relative op part of x over y, by its closed form."""
         return compose(compose(_inverse(pi(compose(x, y))), x), pi(y))
 
-    counts: dict = {}
-    found: dict = {}
-
-    def check(tag, where, passed, lhs, rhs):
-        counts[tag] = counts.get(tag, 0) + 1
-        if not passed:
-            found.setdefault(tag, []).append(
-                {"axiom": tag, "witness": where, "lhs": lhs, "rhs": rhs}
-            )
-
+    check = (findings := _Findings()).check
     for a in maps:
         for b in maps:
             if b[0] != a[1]:
@@ -129,4 +162,82 @@ def splitting_reference(inst, bound: int) -> dict:
                     "relative-part-cocycle", {**where, "h": _json(h)},
                     lhs == rhs, _json(lhs), _json(rhs),
                 )
-    return {tag: (n, found.get(tag, [])) for tag, n in counts.items()}
+    return findings.result()
+
+
+def axioms_reference(inst, bound: int) -> dict:
+    """Per tag, the check count and the violation list (each as the
+    sweep reports it) of cardinality-not-functorial, cardinality-fibre-size,
+    fibre-map-cardinality, fibre-of-fibre-map and iterated-fibre-map below
+    the bound. As in the sweep, one check per pair and point covers both
+    cardinality-fibre-size and fibre-map-cardinality (it counts under the
+    first), and cardinality-not-functorial reports but counts nothing. An
+    answer outside the instance's homs reads None."""
+    objs = list(inst.objects(bound))
+    handle = {
+        _key(f): f for X in objs for Y in objs for f in inst.hom(X, Y)
+    }
+    maps = list(handle)
+
+    def answer(f):
+        k = _key(f)
+        return k if k in handle else None
+
+    def fibre_map(x, y, i):
+        """The instance's fibre map of x over y at i; None unless x and y
+        are morphisms that compose and i is a point of cod y."""
+        if x is None or y is None or x[1] != y[0] or not 1 <= i <= y[1]:
+            return None
+        return answer(inst.fibre_morphism(handle[x], handle[y], i))
+
+    def side(x, missing=None):
+        return missing if x is None else _json(x)
+
+    check = (findings := _Findings()).check
+    for g in maps:
+        for f in maps:
+            if f[0] != g[1]:
+                continue
+            where = {"g": _json(g), "f": _json(f)}
+            gf = answer(inst.compose(handle[g], handle[f]))
+            expected = _compose(g, f)
+            check(
+                "cardinality-not-functorial", where, gf == expected,
+                side(gf, "not a morphism"), _json(expected), count=0,
+            )
+            for i in range(1, f[1] + 1):
+                eps = _inclusion(f, i)
+                size = inst.fibre(handle[f], i)
+                check(
+                    "cardinality-fibre-size", {"f": _json(f), "i": i},
+                    size == len(eps), size, len(eps),
+                )
+                fm, expected = fibre_map(g, f, i), _fibre_map(g, f, i)
+                # with pairs (h, g) and (g, f): the fibre map of [h over
+                # g;f at i] over [g over f at i] at j against the fibre
+                # map of h over g at the j-th point of f over i
+                for h in maps:
+                    if h[1] != g[0]:
+                        continue
+                    over = fibre_map(h, gf, i)
+                    for j, e in enumerate(eps, 1):
+                        lhs, rhs = fibre_map(over, fm, j), fibre_map(h, g, e)
+                        check(
+                            "iterated-fibre-map",
+                            {"h": _json(h), **where, "i": i, "j": j},
+                            lhs == rhs, side(lhs), side(rhs),
+                        )
+                if fm != expected:
+                    check(
+                        "fibre-map-cardinality", {**where, "i": i}, False,
+                        side(fm, "not a morphism"), _json(expected), count=0,
+                    )
+                    continue
+                for j, e in enumerate(eps, 1):
+                    lhs = inst.fibre(handle[fm], j)
+                    rhs = inst.fibre(handle[g], e)
+                    check(
+                        "fibre-of-fibre-map", {**where, "i": i, "j": j},
+                        lhs == rhs, lhs, rhs,
+                    )
+    return findings.result()

@@ -4,8 +4,9 @@ perfbench/tracing.py wraps the methods listed in its METHODS table, and
 the workloads reach the program through attribute paths such as
 pita.factorisation.pita_general, so renaming or deleting one of them
 breaks only a benchmark run. These tests resolve every such name against
-the program instead, and run the factor stream's independent check on
-this program's splits.
+the program instead, build a table through the tracer's table wrapper,
+which reads MapTable attributes, and run the factor stream's independent
+check on this program's splits.
 """
 
 import ast
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from pita import opcat
+from pita._tables import MapTable
 from pita.factorisation import eta_rel, pita_general
 from pita.finskel import FinMap
 from pita.instances import make_fin
@@ -36,6 +39,18 @@ def test_every_traced_name_resolves_to_a_callable(perfbench):
         assert callable(getattr(owner, attr, None)), (module, cls_name, attr)
     for module in tracing.LAYERS:
         importlib.import_module(f"pita.{module}")
+
+
+def test_the_table_tracer_reads_this_program(perfbench, monkeypatch):
+    # the tracer's table wrapper reads attributes of a built MapTable
+    tracer = perfbench("tracing").Tracer()
+    build = tracer._table_method(MapTable.__init__, "tables.build")
+    monkeypatch.setattr(MapTable, "__init__", build)
+    u = opcat.Universe(make_fin(), 2)
+    MapTable(u)
+    assert tracer.counters["tables.maps"] == u.n
+    assert tracer.counters["tables.pairs"] == len(u.pair_first)
+    assert tracer.counters["tables.array_bytes"] > 0
 
 
 def _program_names(source: str) -> set[tuple[str, str]]:

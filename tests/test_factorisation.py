@@ -37,7 +37,7 @@ from pita.finskel import (
 )
 from pita.instances import make_fin, make_fin_surj, make_op
 from pita.opcat import is_fop_square, is_quasibijection, verify_axioms
-from reference import splitting_reference
+from reference import axioms_reference, splitting_reference
 from strategies import composable_pairs
 from test_differential import BASES, MUTANTS
 from test_opcat import _all_squares
@@ -329,6 +329,10 @@ def test_eta_identities_table_and_loop_paths_agree(
         assert loop.ok
 
 
+ROUTES = pytest.mark.parametrize(
+    "cutoff", [opcat._TRIPLE_LOOP_CUTOFF, 0], ids=["loop", "table"]
+)
+
 # the cases whose universe at bound 2 stays inside the instance's homs:
 # every base clean and under the three mutants that keep composites,
 # except the fibre maps of op under CorruptFibreMap; and RemoveHom on
@@ -359,15 +363,39 @@ def test_splitting_sweep_matches_the_reference(base, mutant):
         ), tag
 
 
+AXIOM_PAIR_AND_TRIPLE_SITES = (
+    "cardinality-not-functorial",
+    "cardinality-fibre-size",
+    "fibre-map-cardinality",
+    "fibre-of-fibre-map",
+    "iterated-fibre-map",
+)
+
+
+@ROUTES
+@pytest.mark.parametrize(
+    "base,mutant", CLOSED_CASES, ids=[f"{b}-{m}" for b, m in CLOSED_CASES]
+)
+def test_axiom_sweep_matches_the_reference(base, mutant, cutoff, monkeypatch):
+    # the pair and triple sites of verify_axioms against tests/reference.py,
+    # which recomputes them on value tuples without finskel or the Universe
+    monkeypatch.setattr(opcat, "_TRIPLE_LOOP_CUTOFF", cutoff)
+    inst = _instance(base, mutant)
+    rep = verify_axioms(inst, 2, max_violations=10**6)
+    reference = axioms_reference(inst, 2)
+    for tag in AXIOM_PAIR_AND_TRIPLE_SITES:
+        checks, found = reference.get(tag, (0, []))
+        mine = [v for v in rep.violations if v["axiom"] == tag]
+        assert (rep.by_axiom[tag], _sorted_json(mine)) == (
+            checks, _sorted_json(found)
+        ), tag
+
+
 def test_eta_identities_catch_corrupted_fibre_maps():
     rep = verify_eta_identities(CorruptFibreMap(make_fin()), 2)
     assert not rep.ok
     assert any(v["axiom"] == "unit-square-not-fop" for v in rep.violations)
 
-
-ROUTES = pytest.mark.parametrize(
-    "cutoff", [opcat._TRIPLE_LOOP_CUTOFF, 0], ids=["loop", "table"]
-)
 
 # violations per tag at fin, bound 2, out of 547 checks
 SPLITTING_MUTANTS = {

@@ -371,6 +371,36 @@ def test_universe_asks_each_fibre_once():
     assert inst.calls["fibre"] == 154
 
 
+def test_minus_one_reads_minus_one_on_the_padded_layout():
+    # -1 in either place of a pair, and pair -1, read -1 by plain
+    # indexing in the universe's lists and in the table's arrays alike
+    import numpy as np
+
+    u = opcat.Universe(make_fin(), 2)
+    n, w = u.n, u.bound
+    pair_of = {ab: p for p, ab in enumerate(zip(u.pair_first, u.pair_second))}
+    corners = [(a, b) for a in (0, n - 1, -1) for b in (0, n - 1, -1)]
+    table = u.table
+    table.ensure_pita()
+    A, B = (np.array(ids) for ids in zip(*corners))
+    for values, array in (
+        (u.composites, table.CMP), (u.relative_parts, table.ER)
+    ):
+        at = opcat._by_pair(u.pair_index, n + 1, values)
+        expected = []
+        for a, b in corners:
+            p = pair_of.get((a, b), -1)
+            assert u.pair(a, b) == p
+            expected.append(values[p] if p >= 0 else -1)
+            assert at(a, b) == expected[-1]
+        at = opcat._by_pair(table.PIDX, n + 1, array)
+        assert at(A, B).tolist() == expected
+    assert {u.pair(a, b) for a, b in corners} >= {-1, 0}
+    # the fibre maps of pair -1
+    assert [u.fibre_maps[-w + i] for i in range(w)] == [-1] * w
+    assert table.FMT[:, -1].tolist() == [-1] * w
+
+
 def test_a_wrapper_never_sees_the_universe_of_its_base():
     base = make_fin()
     assert verify_axioms(base, 2).ok
