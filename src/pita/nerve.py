@@ -497,7 +497,8 @@ def verify_beta_coherence(
     beta m with the direct horizontal pattern on (m+2)-chains, the ladder
     form of the coherence-m equation on (m+3)-chains, and triviality of
     beta m at bottom-degenerate (m+1)-chains. Level 0 always runs, and
-    also checks the direct scalar form of its equation."""
+    also checks the direct scalar form of its equation, inside the same
+    coherence-0-error guard as the ladder form."""
     rep = Report(
         f"beta-coherence[{inst.name}, bound={bound}]",
         max_violations=max_violations,
@@ -515,14 +516,16 @@ def verify_beta_coherence(
         for c in enumerate_p(inst, m + 3, bound):
             if m == 0:
                 rep.count("coherence-0-direct")
-                direct_l, direct_r = _scalar_coherence_0(c)
-                if direct_l != direct_r:
-                    rep.add(
-                        "coherence-0-direct", w(c),
-                        finmap_to_json(direct_l), finmap_to_json(direct_r),
-                    )
             rep.count(f"coherence-{m}")
             with rep.guard(f"coherence-{m}-error", w(c), "composable cells"):
+                if m == 0:
+                    direct_l, direct_r = _scalar_coherence_0(c)
+                    if direct_l != direct_r:
+                        rep.add(
+                            "coherence-0-direct", w(c),
+                            finmap_to_json(direct_l),
+                            finmap_to_json(direct_r),
+                        )
                 lhs = compose_ladders(
                     beta(m, face(m + 1, c)), beta(m, top_face(c))
                 )

@@ -245,7 +245,10 @@ class Universe:
     per morphism: whether it is order-preserving, and whether the instance
     calls it a quasibijection.
     The finskel reference composites and fibre maps that the axioms
-    compare against are computed in verify_axioms' pair sweep. The splits
+    compare against are computed in verify_axioms' pair sweep: by finskel
+    for every pair on the loop route, and on the table route as numpy
+    reference ids (MapTable.reference_ids), with finskel recomputing only
+    the pairs whose answers differ from them. The splits
     and relative op parts of the splitting calculus are derived from these
     lists on first use (splits, relative_parts).
 
@@ -407,11 +410,10 @@ def _by_pair(index, stride: int, values):
     """(a, b) -> values[pair of (a, b)] on the padded layout of Universe,
     so -1 where a, b do not compose or either is -1: the universe's lists
     and single ids on the loop route, numpy arrays of them on the table."""
-
-    def at(a, b):
-        return values[index[a * stride + b]]
-
-    return at
+    if isinstance(values, list):
+        return lambda a, b: values[index[a * stride + b]]
+    # take gives what [] gives on arrays of ids, at a fraction of the cost
+    return lambda a, b: values.take(index.take(a * stride + b))
 
 
 # Universes by instance object, then bound. Weak keys let an instance and
@@ -444,10 +446,12 @@ def verify_axioms(
     objects and morphisms from the fibres of the chosen terminal maps;
     fibres of fibre maps; and the iterated fibre-map equation over all
     composable triples. The pair and triple sweeps read the instance's
-    answers from its universe; the triple sweep, the expensive one,
-    switches to a vectorised engine on large universes, which needs a
-    closed universe and reports one axioms-error violation in its place
-    when the instance's answers left its homs.
+    answers from its universe. On large universes both switch to the
+    vectorised engine: the pair sweep recomputes with finskel only the
+    pairs whose answers differ from its numpy reference ids, and the
+    triple sweep, the expensive one, needs a closed universe and reports
+    one axioms-error violation in its place when the instance's answers
+    left its homs.
     """
     rep = Report(
         f"axioms[{inst.name}, bound={bound}]", max_violations=max_violations
@@ -531,7 +535,8 @@ def verify_axioms(
                 )
 
     # pair sweep: the instance's composites, fibre sizes and fibre maps
-    # against the finskel reference computed on the handles
+    # against the finskel reference computed on the handles; the table
+    # route counts at once the pairs whose answers are its reference ids
     w, fms = u.bound, u.fibre_maps
     fibres, inclusions = u.fibres, u.inclusions
     json_of = u.json_of
@@ -540,8 +545,12 @@ def verify_axioms(
         """An instance answer as a witness side: -1 was outside its homs."""
         return json_of(k) if k >= 0 else "not a morphism"
 
-    size_checks = fibre_checks = 0
-    for p, (g, f) in enumerate(zip(u.pair_first, u.pair_second)):
+    if u.vectorised:
+        pairs, size_checks, fibre_checks = u.table.pairs_to_recheck()
+    else:
+        pairs, size_checks, fibre_checks = range(len(u.pair_first)), 0, 0
+    for p in pairs:
+        g, f = u.pair_first[p], u.pair_second[p]
         c, expected = u.composites[p], finskel.compose(maps[g], maps[f])
         if c < 0 or maps[c] != expected:
             rep.add(

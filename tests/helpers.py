@@ -26,6 +26,15 @@ class CorruptFibre(Wrapper):
         return self._base.fibre(f, i) + 1
 
 
+class MiscountSwap(Wrapper):
+    """Reports each fibre of the swap of two points one element too large,
+    and every other fibre right."""
+
+    def fibre(self, f, i):
+        count = self._base.fibre(f, i)
+        return count + 1 if f == FinMap(2, 2, (2, 1)) else count
+
+
 class CorruptFibreMap(Wrapper):
     """Precomposes fibre maps with the swap of the first two points."""
 

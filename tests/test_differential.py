@@ -30,6 +30,8 @@ from helpers import (
     CorruptFibre,
     CorruptFibreMap,
     RemoveHom,
+    ShrinkComposite,
+    WidenFibreMap,
     WrongTerminal,
 )
 from pita.decomp import verify_decomposition_fibres
@@ -54,6 +56,8 @@ MUTANTS = {
     "WrongTerminal": WrongTerminal,
     "CompositeOutsideHoms": CompositeOutsideHoms,
     "RemoveHom": lambda base: RemoveHom(base, 2, 1, FinMap(2, 1, (1, 1))),
+    "WidenFibreMap": WidenFibreMap,
+    "ShrinkComposite": ShrinkComposite,
 }
 SWEEPS = {
     "axioms": lambda inst: verify_axioms(inst, 2, EVERY),

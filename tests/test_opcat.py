@@ -15,6 +15,7 @@ from helpers import (
     CorruptFibre,
     CorruptFibreMap,
     Counting,
+    MiscountSwap,
     RemoveHom,
     ShrinkComposite,
     WidenFibreMap,
@@ -43,7 +44,7 @@ from pita.opcat import (
     verify_axioms,
 )
 from strategies import composable_pairs, finmaps
-from test_differential import BASES
+from test_differential import BASES, MUTANTS
 
 # the instance whose composites and fibre maps are finskel's, for squares
 # drawn outside any instance's homs
@@ -364,6 +365,79 @@ def test_table_route_caps_in_sweep_order_on_any_thread_count(monkeypatch):
     assert run(10**6, "2").to_json() == full.to_json()
 
 
+@pytest.mark.parametrize(
+    "make,bound,outside",
+    [
+        (make_fin, 3, 0),
+        (make_op, 4, 0),
+        (make_fin_surj, 4, 0),
+        # the four fibre maps onto the removed [1, 1]
+        (lambda: RemoveHom(make_fin(), 2, 1, FinMap(2, 1, (1, 1))), 2, 4),
+    ],
+    ids=["fin-3", "op-4", "fin-surj-4", "fin-2-RemoveHom"],
+)
+def test_reference_ids_are_the_ids_of_finskels_maps(make, bound, outside):
+    # the table route passes a pair whose answers are these ids without
+    # asking finskel, so they must be what finskel would answer: the id
+    # of compose(g, f) and of each fibre_map(g, f, i), -1 outside the
+    # universe and -1 past cod f
+    u = opcat.Universe(make(), bound)
+    composites, fibre_maps = u.table.reference_ids(0, u.table.pairs)
+    maps, index = u.maps, u.index
+    expected_composites, expected_fibre_maps = [], []
+    for g, f in zip(u.pair_first, u.pair_second):
+        g, f = maps[g], maps[f]
+        expected_composites.append(index.get(compose(g, f), -1))
+        expected_fibre_maps.append([
+            index.get(fibre_map(g, f, i), -1) if i <= f.cod else -1
+            for i in range(1, bound + 1)
+        ])
+    assert composites.tolist() == expected_composites
+    assert fibre_maps.T.tolist() == expected_fibre_maps
+    assert outside == expected_composites.count(-1) + sum(
+        row[: maps[f].cod].count(-1)
+        for row, f in zip(expected_fibre_maps, u.pair_second)
+    )
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        "CorruptFibreMap", "WidenFibreMap", "ShrinkComposite",
+        "CompositeOutsideHoms", "RemoveHom", "MiscountSwap",
+    ],
+)
+def test_pair_sweep_keeps_its_order_on_both_routes(
+    mutant, bound, monkeypatch
+):
+    # the table route rechecks with finskel, in pair order, only the pairs
+    # whose answers differ from its reference ids or whose fibres are
+    # miscounted; small chunks make the rechecked pairs span several.
+    # RemoveHom at bound 3 has composites outside the universe on both
+    # sides; MiscountSwap miscounts the fibres of one g, f or fibre map
+    from pita import _tables
+
+    monkeypatch.setattr(_tables, "_PAIR_CHUNK", 16)
+    make = MUTANTS.get(mutant, MiscountSwap)
+    loop_cutoff = opcat._TRIPLE_LOOP_CUTOFF
+
+    def run(cutoff, cap):
+        monkeypatch.setattr(opcat, "_TRIPLE_LOOP_CUTOFF", cutoff)
+        return verify_axioms(make(make_fin()), bound, max_violations=cap)
+
+    loop, table = run(loop_cutoff, 5), run(0, 5)
+    assert loop.truncated and table.truncated
+    assert table.violations == loop.violations
+    # uncapped, the two routes meet the triples in different orders
+    triples = {"iterated-fibre-map", "axioms-error"}
+    loop, table = (
+        [v for v in rep.violations if v["axiom"] not in triples]
+        for rep in (run(loop_cutoff, 10**6), run(0, 10**6))
+    )
+    assert table == loop
+
+
 def test_universe_asks_each_fibre_once():
     inst = Counting(make_fin())
     u = opcat.Universe(inst, 3)
@@ -410,15 +484,28 @@ def test_a_wrapper_never_sees_the_universe_of_its_base():
     assert not verify_axioms(wrapped, 2).ok
 
 
-def test_loop_engine_reports_composites_outside_the_universe():
+ROUTES = pytest.mark.parametrize(
+    "cutoff", [opcat._TRIPLE_LOOP_CUTOFF, 0], ids=["loop", "table"]
+)
+
+
+@ROUTES
+def test_loop_engine_reports_composites_outside_the_universe(
+    cutoff, monkeypatch
+):
+    monkeypatch.setattr(opcat, "_TRIPLE_LOOP_CUTOFF", cutoff)
     rep = verify_axioms(CompositeOutsideHoms(make_fin()), 2)
     assert not rep.ok
     tags = {v["axiom"] for v in rep.violations}
     assert "cardinality-not-functorial" in tags
 
 
-def test_references_outside_the_homs_are_reported_as_finmaps():
+@ROUTES
+def test_references_outside_the_homs_are_reported_as_finmaps(
+    cutoff, monkeypatch
+):
     # the finskel side of a witness need not be a morphism of the instance
+    monkeypatch.setattr(opcat, "_TRIPLE_LOOP_CUTOFF", cutoff)
     victim = FinMap(2, 1, (1, 1))
     rep = verify_axioms(
         RemoveHom(make_fin(), 2, 1, victim), 2, max_violations=10_000
