@@ -414,12 +414,12 @@ def test_pair_sweep_keeps_its_order_on_both_routes(
     # the table route rechecks with finskel, in pair order, only the pairs
     # whose answers differ from its reference ids or whose fibres are
     # miscounted; small chunks make the rechecked pairs span several.
-    # RemoveHom at bound 3 has composites outside the universe on both
-    # sides; MiscountSwap miscounts the fibres of one g, f or fibre map
+    # RemoveHom at bound 3 has composites whose answer and reference are
+    # both -1; MiscountSwap miscounts the fibres of one g, f or fibre map
     from pita import _tables
 
     monkeypatch.setattr(_tables, "_PAIR_CHUNK", 16)
-    make = MUTANTS.get(mutant, MiscountSwap)
+    make = MiscountSwap if mutant == "MiscountSwap" else MUTANTS[mutant]
     loop_cutoff = opcat._TRIPLE_LOOP_CUTOFF
 
     def run(cutoff, cap):
