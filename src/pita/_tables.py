@@ -31,12 +31,14 @@ searchsorted over the sorted codes of the universe's maps turns a code
 into an id, -1 for a map outside the universe. Only the pairs whose
 answers differ from these ids are rechecked with finskel.
 
-Buffers. Each worker thread of the iterated-fibre-map kernel writes the
-blocks of its chunks into buffers it allocates once per sweep, through
-out=, and every array it indexes with is intp (PIDX is stored intp), so
-numpy makes no temporary of a block's size. The kernel's speed then does
+Buffers. Each worker thread of the two triple sweeps writes the blocks
+of its chunks into buffers it allocates once per sweep, through out=, and
+every array it indexes with is intp (PIDX is stored intp), so numpy makes
+no temporary of a block's size. The iterated-fibre-map kernel writes out
+its blocks; the cocycle reads C and R through _BufferedLookups, which give
+each lookup of a chunk its own result buffer. The sweeps' speed then does
 not depend on how the allocator serves large blocks: with glibc's mmap
-threshold pinned at 128 KB, fresh temporaries made it about 3x slower.
+threshold pinned at 128 KB, fresh temporaries made them about 3x slower.
 
 The universe asked the instance (not the raw finite-set functions), so a
 deliberately corrupted instance poisons the tables and the sweeps still
@@ -45,6 +47,7 @@ report it.
 
 from __future__ import annotations
 
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -61,6 +64,45 @@ _PAIR_CHUNK = 4096
 
 def _array(values) -> np.ndarray:
     return np.array(values, dtype=np.int32)
+
+
+class _BufferedLookups:
+    """opcat._by_pair on the table's int32 arrays for one worker thread,
+    through buffers of size elements that it keeps across chunks. The
+    keys and pair ids of a lookup go to two scratch buffers, and the
+    k-th lookup since start() writes its values into the k-th result
+    buffer, so every value looked up in a chunk stays live to its end."""
+
+    def __init__(self, table, size: int):
+        self.index, self.stride = table.PIDX, table.n + 1
+        self.size = size
+        self.keys = np.empty(size, np.intp)
+        self.pairs = np.empty(size, np.intp)
+        self.results: list = []
+        self.used = 0
+
+    def start(self):
+        self.used = 0
+
+    def by_pair(self, values):
+        def lookup(a, b):
+            shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+            n = math.prod(shape)
+            if self.used == len(self.results):
+                self.results.append(np.empty(self.size, values.dtype))
+            out = self.results[self.used][:n].reshape(shape)
+            self.used += 1
+            key = np.multiply(
+                a, self.stride, out=self.keys[:n].reshape(shape),
+                dtype=np.intp,
+            )
+            key += b
+            pairs = self.index.take(
+                key, out=self.pairs[:n].reshape(shape), mode="wrap"
+            )
+            return values.take(pairs, out=out, mode="wrap")
+
+        return lookup
 
 
 class MapTable:
@@ -345,9 +387,10 @@ class MapTable:
         the columns."""
         self.ensure_pita()
         cap = report.max_violations + 1
-        stride = self.n + 1
-        C = _by_pair(self.PIDX, stride, self.CMP)
-        R = _by_pair(self.PIDX, stride, self.ER)
+        size = max(map(len, self.by_cod.values()), default=0) * max(
+            map(len, self.by_dom.values()), default=0
+        )
+        local = threading.local()
 
         def chunk(g):
             hits = []
@@ -355,7 +398,14 @@ class MapTable:
             h_ids = self.by_dom[self.COD[g]]
             if not len(f_ids) or not len(h_ids):
                 return 0, hits
-            lhs, rhs = _cocycle_sides(C, R, f_ids[:, None], g, h_ids[None, :])
+            if not hasattr(local, "lookups"):
+                lookups = local.lookups = _BufferedLookups(self, size)
+                local.C = lookups.by_pair(self.CMP)
+                local.R = lookups.by_pair(self.ER)
+            local.lookups.start()
+            lhs, rhs = _cocycle_sides(
+                local.C, local.R, f_ids[:, None], g, h_ids[None, :]
+            )
             for fk, hk in np.argwhere(lhs != rhs)[:cap]:
                 hits.append((
                     {"f": f_ids[fk], "g": g, "h": h_ids[hk]}, {},

@@ -20,6 +20,9 @@ ordering, so repeated runs are byte-identical.  PITA_THREADS is the one
 thread setting: it caps the worker threads of the numpy triple sweeps
 that ``axioms`` runs above 300,000 composable triples (fin, bound 4).
 Set to anything but a positive integer it is a usage error.
+``--timings`` on a sweep writes to stderr the effective PITA_THREADS
+once, then a line per report with its title, the seconds it took and its
+checks by axiom; stdout is the same with and without it.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from .decomp import (
     comult,
@@ -68,6 +72,11 @@ def _add_common(sub, instance=None, sweep=True, maxlen=False):
         )
     if sweep:
         sub.add_argument("--bound", type=_natural, default=3)
+        sub.add_argument(
+            "--timings", action="store_true",
+            help="write each report's seconds and checks by axiom, and "
+            "PITA_THREADS, to stderr",
+        )
     if maxlen:
         sub.add_argument(
             "--maxlen", type=_natural, default=4,
@@ -294,11 +303,22 @@ def _introduction_report() -> Report:
     return rep
 
 
+def _emit_timing(rep: Report, seconds: float) -> None:
+    by_axiom = json.dumps(dict(sorted(rep.by_axiom.items())))
+    print(f"timings: {rep.title} {seconds:.3f} s {by_axiom}", file=sys.stderr)
+
+
 def _run_sweep(report_iter, args, out) -> int:
+    if args.timings:
+        print(f"timings: PITA_THREADS={default_threads()}", file=sys.stderr)
     reports = []
+    started = time.perf_counter()
     for rep in report_iter:
+        if args.timings:
+            _emit_timing(rep, time.perf_counter() - started)
         reports.append(rep)
         _emit_report(rep, args, out)
+        started = time.perf_counter()
     return _finish(reports, args, out)
 
 

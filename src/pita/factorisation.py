@@ -93,19 +93,18 @@ def pita_general(
     raise ShapeError(f"unknown mode {mode!r}")
 
 
-def _unwind(
-    inst: OperadicInstance, top: FinMap, a: FinMap, bottom: FinMap
-) -> FinMap:
+def _unwind(compose, inverse, top, a, bottom):
     """compose(compose(inverse(top), a), bottom) for a quasibijection top:
     the closed form of relative op parts, of omega and of each step of the
-    nerve's lift."""
+    nerve's lift. It runs on FinMaps (inst.compose, finskel.inverse) and
+    on the nerve's ids (its interner's compose and inverse)."""
     try:
-        back = finskel.inverse(top)
+        back = inverse(top)
     except ShapeError as exc:
         raise UnsupportedInstanceError(
             "relative op parts need invertible quasibijections"
         ) from exc
-    return inst.compose(inst.compose(back, a), bottom)
+    return compose(compose(back, a), bottom)
 
 
 def eta_rel(
@@ -122,7 +121,9 @@ def eta_rel(
     split_fg = pita_general(inst, fg)
     split_g = pita_general(inst, g)
     if mode == "production":
-        return _unwind(inst, split_fg.pi, f, split_g.pi)
+        return _unwind(
+            inst.compose, finskel.inverse, split_fg.pi, f, split_g.pi
+        )
     if mode == "oracle":
         right = inst.compose(f, split_g.pi)
         found = [
@@ -158,7 +159,9 @@ def omega(
     split_f = pita_general(inst, f)
     split_g = pita_general(inst, g)
     if mode == "production":
-        return _unwind(inst, split_f.pi, sigma, split_g.pi)
+        return _unwind(
+            inst.compose, finskel.inverse, split_f.pi, sigma, split_g.pi
+        )
     if mode == "oracle":
         found = [
             w

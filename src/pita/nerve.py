@@ -21,6 +21,21 @@ of an arbitrary chain runs the same lift loop over the identity on its
 bottom object.
 Three verifiers sweep all of this exhaustively below a bound.
 
+Ids. Each instance has one open interner (_Ids), kept weakly by
+instance like opcat's universes: every map the nerve meets gets a small
+integer id, in the order met, composites and fibre maps that leave the
+instance's homs included. The interner asks the instance once per id
+pair for a composite and for whether every fibre map of sigma over g is
+op, and once per id for the quasibijection test; it memoises splits,
+inverses and identities by id too. An answer that raises is not kept,
+so it raises again where it is asked again. A chain carries the ids of
+its maps and compares and hashes on them; face, degeneracy, top_face,
+the lifts, locally_op and the ladder squares work on these ids, and the
+operators build their chains from them, checking only the ends that
+changed. The closed opcat.Universe is not used: it gives -1 to answers
+outside the homs, where a chain must still carry the stray map and fail
+on it as its public constructor would.
+
 Indexing: a chain of length n has faces 0..n-1 plus the top face, and
 degeneracies 0..n. face(0) drops the top object; face(i) composes at the
 i-th object from the top. In the standard numbering where vertex 0 is
@@ -30,6 +45,7 @@ the top, face(i) is the i-th face and the top face is face n.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,45 +56,156 @@ from .finskel import FinMap, finmap_to_json
 from .opcat import (
     OperadicInstance,
     Report,
-    is_fop_square,
+    _fibrewise_op,
     is_quasibijection,
     quasibijections,
 )
 
-@dataclass(frozen=True)
+
+class _Memo(dict):
+    """A dict that computes a missing value once, as compute(key); a
+    compute that raises stores nothing."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+class _Ids:
+    """The open interner of one instance (see Ids in the module
+    docstring): maps, dom, cod and op (order-preserving) by id, and the
+    memos by id or id pair. It holds the instance weakly, so that the
+    instance and its interner go together."""
+
+    def __init__(self, inst: OperadicInstance):
+        ask = weakref.ref(inst)
+        self.maps = maps = []
+        self.dom: list = []
+        self.cod: list = []
+        self.op: list = []
+        self.index: dict = {}
+        self.composite = _Memo(
+            lambda ab: self.id(ask().compose(maps[ab[0]], maps[ab[1]]))
+        )
+        self.fibrewise_op = _Memo(
+            lambda sg: _fibrewise_op(maps[sg[0]], maps[sg[1]], ask())
+        )
+        self.quasibijective = _Memo(
+            lambda k: is_quasibijection(maps[k], ask())
+        )
+        self.hom = _Memo(lambda XY: frozenset(map(self.id, ask().hom(*XY))))
+        self.pi = _Memo(lambda k: self.id(pita_general(ask(), maps[k]).pi))
+        self.inverse = _Memo(lambda k: self.id(finskel.inverse(maps[k])))
+        self.identity = _Memo(lambda X: self.id(finskel.identity(X)))
+
+    def id(self, f: FinMap) -> int:
+        k = self.index.get(f)
+        if k is None:
+            k = self.index[f] = len(self.maps)
+            self.maps.append(f)
+            self.dom.append(f.dom)
+            self.cod.append(f.cod)
+            self.op.append(finskel.is_order_preserving(f))
+        return k
+
+    def compose(self, a: int, b: int) -> int:
+        return self.composite[a, b]
+
+    def fop_square(self, s: int, t: int, f: int, g: int) -> bool:
+        """opcat.is_fop_square on ids, False where that raises ShapeError:
+        the square's ends must match and it must commute."""
+        dom, cod = self.dom, self.cod
+        if (dom[s], cod[s], dom[t], cod[t]) != (dom[f], dom[g], cod[f], cod[g]):
+            return False
+        composite = self.composite
+        return composite[s, g] == composite[f, t] and self.fibrewise_op[s, g]
+
+
+_IDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _ids(inst: OperadicInstance) -> _Ids:
+    """The interner of inst, made on first use."""
+    t = _IDS.get(inst)
+    if t is None:
+        t = _IDS[inst] = _Ids(inst)
+    return t
+
+
+def _check_ends(objects, cods, start: int = 0) -> None:
+    """ShapeError at the first map j >= start whose codomain cods[j -
+    start] is not objects[j + 1]: the check of Chain.__post_init__."""
+    for j, cod in enumerate(cods, start):
+        if cod != objects[j + 1]:
+            raise ShapeError(f"map {j} does not end at object {j + 1}")
+
+
+def _check_horizontals(source, target, doms, cods) -> None:
+    """ShapeError at the first horizontal that does not run from the
+    source object to the target object at its level."""
+    for j, (dom, cod) in enumerate(zip(doms, cods)):
+        if dom != source[j]:
+            raise ShapeError(f"horizontal {j} does not start on the source")
+        if cod != target[j]:
+            raise ShapeError(f"horizontal {j} does not end on the target")
+
+
+@dataclass(frozen=True, eq=False)
 class Chain:
     """A composable string of morphisms running down to a bottom object.
 
     maps = (f_n, ..., f_1) with f_k: T_k -> T_{k-1} and bottom = T_0.
     The maps fix every other object: objects = (T_n, ..., T_0) is
-    derived, so maps[j] runs from objects[j] to objects[j+1]. Equality
-    and hashing read the instance, the maps and the bottom.
+    derived, so maps[j] runs from objects[j] to objects[j+1]. ids are the
+    maps' ids in the instance's interner; equality and hashing read the
+    instance, the ids and the bottom. The constructor checks the maps'
+    ends; the operators build their chains through _chain and check the
+    ends they change.
     """
 
     inst: OperadicInstance
     maps: tuple
     bottom: int
-    objects: tuple = field(init=False, compare=False)
+    objects: tuple = field(init=False)
+    ids: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         maps = tuple(self.maps)
         objects = tuple(f.dom for f in maps) + (self.bottom,)
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "objects", objects)
-        for j, f in enumerate(maps):
-            if f.cod != objects[j + 1]:
-                raise ShapeError(f"map {j} does not end at object {j + 1}")
+        _check_ends(objects, (f.cod for f in maps))
+        t = _ids(self.inst)
+        object.__setattr__(self, "_t", t)
+        object.__setattr__(self, "ids", tuple(map(t.id, maps)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Chain:
+            return NotImplemented
+        return (self.inst, self.ids, self.bottom) == (
+            other.inst, other.ids, other.bottom
+        )
+
+    def __hash__(self):
+        return hash((self.inst, self.ids, self.bottom))
 
     @property
     def length(self) -> int:
-        return len(self.maps)
+        return len(self.ids)
 
     @cached_property
-    def _down(self):
-        acc = finskel.identity(self.bottom)
+    def _down(self) -> tuple:
+        """Ids of the composites of the bottom 0, 1, ..., n maps."""
+        t = self._t
+        composite = t.composite
+        acc = t.identity[self.bottom]
         out = [acc]
-        for f in reversed(self.maps):
-            acc = self.inst.compose(f, acc)
+        for k in reversed(self.ids):
+            acc = composite[k, acc]
             out.append(acc)
         return tuple(out)
 
@@ -86,11 +213,28 @@ class Chain:
         """Composite of the bottom k maps (k=0 gives the identity)."""
         if not 0 <= k <= self.length:
             raise IndexError(f"no composite of {k} maps in a chain of {self.length}")
-        return self._down[k]
+        return self._t.maps[self._down[k]]
 
     @cached_property
     def locally_op(self) -> bool:
-        return all(map(finskel.is_order_preserving, self._down[1:]))
+        op = self._t.op
+        return all(op[k] for k in self._down[1:])
+
+
+def _chain(like: Chain, ids: tuple, bottom: int, objects: tuple) -> Chain:
+    """The chain of like's instance with these map ids, bottom and
+    objects, built without the constructor's checks: the caller has
+    checked the ends it changed."""
+    t = like._t
+    c = object.__new__(Chain)
+    fields = c.__dict__
+    fields["inst"] = like.inst
+    fields["maps"] = tuple(map(t.maps.__getitem__, ids))
+    fields["bottom"] = bottom
+    fields["objects"] = objects
+    fields["ids"] = ids
+    fields["_t"] = t
+    return c
 
 
 def chain_to_json(chain: Chain) -> dict:
@@ -115,7 +259,7 @@ def chain_from_json(inst: OperadicInstance, data: dict) -> Chain:
 class FopDiagram:
     """A ladder between two chains of the same length: horizontals
     (sigma_n, ..., sigma_0) aligned with the objects, source maps on the
-    left, target maps on the right."""
+    left, target maps on the right. hids are the horizontals' ids."""
 
     source: Chain
     target: Chain
@@ -128,11 +272,15 @@ class FopDiagram:
             raise ShapeError("ladder endpoints have different lengths")
         if len(self.horizontals) != n + 1:
             raise ShapeError("a ladder needs one horizontal per object")
-        for j, s in enumerate(self.horizontals):
-            if s.dom != self.source.objects[j]:
-                raise ShapeError(f"horizontal {j} does not start on the source")
-            if s.cod != self.target.objects[j]:
-                raise ShapeError(f"horizontal {j} does not end on the target")
+        _check_horizontals(
+            self.source.objects, self.target.objects,
+            [s.dom for s in self.horizontals],
+            [s.cod for s in self.horizontals],
+        )
+
+    @cached_property
+    def hids(self) -> tuple:
+        return tuple(map(self.source._t.id, self.horizontals))
 
     @property
     def bottom(self) -> FinMap:
@@ -142,36 +290,56 @@ class FopDiagram:
         """Quasibijective horizontals, commuting squares, and every
         horizontal fibrewise order-preserving with respect to the bottom
         one over the composite verticals."""
-        inst = self.source.inst
-        return (
-            all(is_quasibijection(s, inst) for s in self.horizontals)
-            and self._squares_hold()
-        )
+        quasibijective = self.source._t.quasibijective
+        return all(
+            map(quasibijective.__getitem__, self.hids)
+        ) and self._squares_hold()
 
     def _squares_hold(self) -> bool:
         """is_valid without the quasibijection test, for ladders whose
         horizontals were drawn from quasibijections()."""
-        inst = self.source.inst
-        n = self.source.length
-        sig = self.horizontals
+        source, target, sig = self.source, self.target, self.hids
+        t = source._t
+        composite = t.composite
+        n = len(source.ids)
         for j in range(n):
-            if inst.compose(sig[j], self.target.maps[j]) != inst.compose(
-                self.source.maps[j], sig[j + 1]
+            if composite[sig[j], target.ids[j]] != composite[
+                source.ids[j], sig[j + 1]
+            ]:
+                return False
+        for j in range(n):
+            if not t.fop_square(
+                sig[j], sig[-1], source._down[n - j], target._down[n - j]
             ):
                 return False
-        for j in range(n):
-            try:
-                if not is_fop_square(
-                    sig[j],
-                    sig[-1],
-                    self.source.down_composite(n - j),
-                    self.target.down_composite(n - j),
-                    inst,
-                ):
-                    return False
-            except ShapeError:
-                return False
         return True
+
+
+def _ladder(source: Chain, target: Chain, hids: tuple) -> FopDiagram:
+    """The ladder with these horizontal ids, built without the
+    constructor's checks: the caller has checked its horizontals."""
+    ladder = object.__new__(FopDiagram)
+    ladder.__dict__.update(
+        source=source, target=target, hids=hids,
+        horizontals=tuple(map(source._t.maps.__getitem__, hids)),
+    )
+    return ladder
+
+
+def _checked_ladder(source: Chain, target_ids: tuple, hids: tuple):
+    """The target chain of new map ids over the bottom horizontal, and
+    the horizontals, after the checks the Chain and FopDiagram
+    constructors would make, in their order."""
+    t = source._t
+    bottom = t.cod[hids[-1]]
+    objects = tuple(map(t.dom.__getitem__, target_ids)) + (bottom,)
+    _check_ends(objects, map(t.cod.__getitem__, target_ids))
+    target = _chain(source, target_ids, bottom, objects)
+    _check_horizontals(
+        source.objects, target.objects,
+        map(t.dom.__getitem__, hids), map(t.cod.__getitem__, hids),
+    )
+    return target, hids
 
 
 def identity_ladder(chain: Chain) -> FopDiagram:
@@ -186,16 +354,15 @@ def identity_ladder(chain: Chain) -> FopDiagram:
 def _all_chains(inst: OperadicInstance, n: int, bound: int, locally_op: bool):
     objs = list(inst.objects(bound))
     level = [Chain(inst, (), X) for X in objs]
+    t = _ids(inst)
     for _ in range(n):
         nxt = []
         for c in level:
             T = c.objects[0]
-            full = c.down_composite(c.length)
+            full = c._down[-1]
             for X in objs:
                 for f in inst.hom(X, T):
-                    if locally_op and not finskel.is_order_preserving(
-                        inst.compose(f, full)
-                    ):
+                    if locally_op and not t.op[t.composite[t.id(f), full]]:
                         continue
                     nxt.append(Chain(inst, (f,) + c.maps, c.bottom))
         level = nxt
@@ -216,34 +383,42 @@ def enumerate_p(inst: OperadicInstance, n: int, bound: int):
 def face(i: int, chain: Chain) -> Chain:
     """Drop the top object (i=0) or compose at the i-th object from the
     top (1 <= i <= n-1). The missing last face is top_face."""
-    n = chain.length
+    ids, objects = chain.ids, chain.objects
+    n = len(ids)
     if not 0 <= i <= n - 1:
         raise IndexError(f"face {i} undefined on a chain of length {n}")
     if i == 0:
-        return Chain(chain.inst, chain.maps[1:], chain.bottom)
-    merged = chain.inst.compose(chain.maps[i - 1], chain.maps[i])
-    maps = chain.maps[: i - 1] + (merged,) + chain.maps[i + 1 :]
-    return Chain(chain.inst, maps, chain.bottom)
+        return _chain(chain, ids[1:], chain.bottom, objects[1:])
+    t = chain._t
+    merged = t.composite[ids[i - 1], ids[i]]
+    ids = ids[: i - 1] + (merged,) + ids[i + 1 :]
+    objects = objects[: i - 1] + (t.dom[merged],) + objects[i + 1 :]
+    # only the merged map and the one above it can end off their objects
+    start = max(i - 2, 0)
+    _check_ends(objects, map(t.cod.__getitem__, ids[start:i]), start)
+    return _chain(chain, ids, chain.bottom, objects)
 
 
 def top_face(chain: Chain) -> Chain:
     """Drop the bottom object and map, then reflect the remainder back
     into the locally order-preserving chains."""
-    n = chain.length
-    if n < 1:
+    ids, objects = chain.ids, chain.objects
+    if not ids:
         raise IndexError("top face needs a chain of length at least 1")
-    trunc = Chain(chain.inst, chain.maps[:-1], chain.objects[-2])
-    return reflect_chain(trunc).target
+    trunc = _chain(chain, ids[:-1], objects[-2], objects[:-1])
+    return _lift(trunc, chain._t.identity[objects[-2]])[0]
 
 
 def degeneracy(i: int, chain: Chain) -> Chain:
     """Duplicate the i-th object from the top by inserting an identity."""
-    n = chain.length
+    ids, objects = chain.ids, chain.objects
+    n = len(ids)
     if not 0 <= i <= n:
         raise IndexError(f"degeneracy {i} undefined on a chain of length {n}")
-    ident = finskel.identity(chain.objects[i])
-    return Chain(
-        chain.inst, chain.maps[:i] + (ident,) + chain.maps[i:], chain.bottom
+    ident = chain._t.identity[objects[i]]
+    return _chain(
+        chain, ids[:i] + (ident,) + ids[i:], chain.bottom,
+        objects[: i + 1] + objects[i:],
     )
 
 
@@ -256,14 +431,15 @@ def opfibration_lift(chain: Chain, sigma0: FinMap) -> FopDiagram:
     quasibijection part of the k-th down-composite pushed through the
     bottom, and the k-th target map is the relative op part of the k-th
     source map over the pushed continuation."""
-    inst = chain.inst
     if not chain.locally_op:
         raise ShapeError("lifts start from locally order-preserving chains")
     if sigma0.dom != chain.bottom:
         raise ShapeError("bottom map does not start at the bottom object")
-    if not is_quasibijection(sigma0, inst):
+    t = chain._t
+    s0 = t.id(sigma0)
+    if not t.quasibijective[s0]:
         raise ShapeError("bottom map must be a quasibijection")
-    return _lift(chain, sigma0)
+    return _ladder(chain, *_lift(chain, s0))
 
 
 def reflect_chain(chain: Chain) -> FopDiagram:
@@ -274,28 +450,33 @@ def reflect_chain(chain: Chain) -> FopDiagram:
     of the k-th chain map over the composite below it; its k-th
     horizontal is the quasibijection part of that composite. Idempotent:
     locally order-preserving chains reflect onto themselves."""
-    return _lift(chain, finskel.identity(chain.bottom))
+    return _ladder(chain, *_lift(chain, chain._t.identity[chain.bottom]))
 
 
-def _lift(chain: Chain, sigma0: FinMap) -> FopDiagram:
-    """The lift loop of opfibration_lift and reflect_chain, without their
-    preconditions. Each step splits the pushed composite once: its
-    quasibijection part is the step's horizontal and, with the previous
-    step's, unwinds the step's map to its relative op part (the first
-    step unwinds against the quasibijection part of sigma0)."""
-    inst = chain.inst
-    horizontals = [sigma0]
+def _lift(chain: Chain, s0: int):
+    """The lift loop of opfibration_lift, reflect_chain and top_face,
+    without their preconditions, from the bottom horizontal with id s0:
+    the target chain and the horizontals' ids. Each step splits the
+    pushed composite once: its quasibijection part is the step's
+    horizontal and, with the previous step's, unwinds the step's map to
+    its relative op part (the first step unwinds against the
+    quasibijection part of s0)."""
+    t = chain._t
+    composite, pi = t.composite, t.pi
+    compose, inverse = t.compose, t.inverse.__getitem__
+    horizontals = [s0]
     new_maps = []
-    pushed = sigma0
-    below = pita_general(inst, sigma0).pi
-    for hk in reversed(chain.maps):
-        pushed = inst.compose(hk, pushed)
-        above = pita_general(inst, pushed).pi
-        new_maps.append(_unwind(inst, above, hk, below))
+    pushed = s0
+    below = pi[s0]
+    for hk in reversed(chain.ids):
+        pushed = composite[hk, pushed]
+        above = pi[pushed]
+        new_maps.append(_unwind(compose, inverse, above, hk, below))
         horizontals.append(above)
         below = above
-    target = Chain(inst, tuple(reversed(new_maps)), sigma0.cod)
-    return FopDiagram(chain, target, tuple(reversed(horizontals)))
+    return _checked_ladder(
+        chain, tuple(reversed(new_maps)), tuple(reversed(horizontals))
+    )
 
 
 def compose_ladders(first: FopDiagram, second: FopDiagram) -> FopDiagram:
@@ -429,6 +610,7 @@ def verify_strict_identities(
     # computed once: reflected by target chain, lifts by (rc, sigma0).
     reflected = {}
     lifts = {}
+    composite = _ids(inst).composite
 
     def reflection(n, c):
         rep.count("reflection-not-locally-op")
@@ -447,24 +629,26 @@ def verify_strict_identities(
             if not ladder._squares_hold():
                 continue
             rep.count("reflection-naturality")
-            sig = ladder.horizontals
+            sig = ladder.hids
             target, key = ladder.target, (rc, sig[-1])
             if target not in reflected:
                 reflected[target] = reflect_chain(target)
             if key not in lifts:
-                lifts[key] = opfibration_lift(*key)
+                lifts[key] = opfibration_lift(rc, ladder.bottom)
             unit2, lifted = reflected[target], lifts[key]
             mismatch = lifted.target != unit2.target
             for j in range(n + 1):
-                if inst.compose(
-                    unit.horizontals[j], lifted.horizontals[j]
-                ) != inst.compose(sig[j], unit2.horizontals[j]):
+                if composite[unit.hids[j], lifted.hids[j]] != composite[
+                    sig[j], unit2.hids[j]
+                ]:
                     mismatch = True
             if mismatch:
                 bad(
                     "reflection-naturality",
                     c,
-                    {"horizontals": [finmap_to_json(s) for s in sig]},
+                    {"horizontals": [
+                        finmap_to_json(s) for s in ladder.horizontals
+                    ]},
                 )
 
     def guard(c):
@@ -623,20 +807,21 @@ def _conjugate_ladders(chain: Chain, perms):
     conjugate of the source map by the two horizontals at its ends.
     Tuples with a conjugate outside the instance's homs are skipped;
     validity of the ladder is left to the caller."""
-    inst = chain.inst
+    t = chain._t
     objects = chain.objects
-    homs = [frozenset(inst.hom(X, Y)) for X, Y in zip(objects, objects[1:])]
-    drawn = [[(s, finskel.inverse(s)) for s in p] for p in perms]
+    homs = [t.hom[X, Y] for X, Y in zip(objects, objects[1:])]
+    composite = t.composite
+    drawn = [[(s, t.inverse[s]) for s in map(t.id, p)] for p in perms]
     for pairs in itertools.product(*drawn):
         maps = []
-        for j, f in enumerate(chain.maps):
-            g = inst.compose(pairs[j][1], inst.compose(f, pairs[j + 1][0]))
+        for j, f in enumerate(chain.ids):
+            g = composite[pairs[j][1], composite[f, pairs[j + 1][0]]]
             if g not in homs[j]:
                 break
             maps.append(g)
         else:
             sig = tuple(s for s, _ in pairs)
-            yield FopDiagram(chain, Chain(inst, tuple(maps), sig[-1].cod), sig)
+            yield _ladder(chain, *_checked_ladder(chain, tuple(maps), sig))
 
 
 def _lift_candidates(chain: Chain, sigma0: FinMap):

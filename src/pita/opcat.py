@@ -173,6 +173,11 @@ def is_fop_square(
     its answers.
     """
     _require_square(sigma, tau, f, g, inst)
+    return _fibrewise_op(sigma, g, inst)
+
+
+def _fibrewise_op(sigma: FinMap, g: FinMap, inst: OperadicInstance) -> bool:
+    """Whether every fibre map of sigma over g is an op morphism."""
     return all(
         finskel.is_order_preserving(inst.fibre_morphism(sigma, g, i))
         for i in range(1, g.cod + 1)

@@ -1,6 +1,6 @@
 """An independent reference for the pair and triple sites of the
 splitting sweep (verify_eta_identities) and of the axiom sweep
-(verify_axioms).
+(verify_axioms), and for the nerve's chain operators.
 
 For the splitting sweep it recomputes the six pair sites, the unit
 squares and the relative-part cocycle on plain value tuples (dom, cod,
@@ -13,8 +13,18 @@ Nothing comes from pita.finskel, from the Universe or from the sweeps' own
 definitions, so an equation that both routes of a sweep share and get
 wrong shows up as a difference from this module.
 
+The chain operators face, degeneracy, top_face and the lift behind
+reflect_chain are written here on the public Chain and FopDiagram values,
+map by map, as the nerve wrote them before it ran on interned ids: every
+chain and ladder goes through its checking constructor, composites are
+the instance's, and splits, inverses and identities come from the tuples
+as above.
+
 Composition is diagrammatic: compose(x, y) applies x first.
 """
+
+from pita.finskel import FinMap
+from pita.nerve import Chain, FopDiagram
 
 
 def _key(f) -> tuple:
@@ -241,3 +251,73 @@ def axioms_reference(inst, bound: int) -> dict:
                         lhs == rhs, lhs, rhs,
                     )
     return findings.result()
+
+
+# ------------------------------------------------------- chain operators
+
+
+def _finmap(x: tuple) -> FinMap:
+    return FinMap(*x)
+
+
+def face(i: int, chain: Chain) -> Chain:
+    """Drop the top object (i=0) or compose at the i-th object from the
+    top (1 <= i <= n-1)."""
+    n = chain.length
+    if not 0 <= i <= n - 1:
+        raise IndexError(f"face {i} undefined on a chain of length {n}")
+    if i == 0:
+        return Chain(chain.inst, chain.maps[1:], chain.bottom)
+    merged = chain.inst.compose(chain.maps[i - 1], chain.maps[i])
+    maps = chain.maps[: i - 1] + (merged,) + chain.maps[i + 1 :]
+    return Chain(chain.inst, maps, chain.bottom)
+
+
+def top_face(chain: Chain) -> Chain:
+    """Drop the bottom object and map, then reflect the remainder."""
+    n = chain.length
+    if n < 1:
+        raise IndexError("top face needs a chain of length at least 1")
+    trunc = Chain(chain.inst, chain.maps[:-1], chain.objects[-2])
+    return reflect_chain(trunc).target
+
+
+def degeneracy(i: int, chain: Chain) -> Chain:
+    """Duplicate the i-th object from the top by inserting an identity."""
+    n = chain.length
+    if not 0 <= i <= n:
+        raise IndexError(f"degeneracy {i} undefined on a chain of length {n}")
+    ident = _finmap(_identity(chain.objects[i]))
+    return Chain(
+        chain.inst, chain.maps[:i] + (ident,) + chain.maps[i:], chain.bottom
+    )
+
+
+def reflect_chain(chain: Chain) -> FopDiagram:
+    """The lift of the chain through the identity on its bottom."""
+    return lift(chain, _finmap(_identity(chain.bottom)))
+
+
+def lift(chain: Chain, sigma0: FinMap) -> FopDiagram:
+    """The lift loop: push each chain map, bottom first, onto sigma0 and
+    split the pushed composite; its quasibijection part is the step's
+    horizontal, and with the previous step's it unwinds the step's map
+    to compose(compose(inverse(above), map), below)."""
+    inst = chain.inst
+
+    def pi(f):
+        return _finmap(_split(_key(f))[0])
+
+    horizontals = [sigma0]
+    new_maps = []
+    pushed = sigma0
+    below = pi(sigma0)
+    for hk in reversed(chain.maps):
+        pushed = inst.compose(hk, pushed)
+        above = pi(pushed)
+        back = _finmap(_inverse(_key(above)))
+        new_maps.append(inst.compose(inst.compose(back, hk), below))
+        horizontals.append(above)
+        below = above
+    target = Chain(inst, tuple(reversed(new_maps)), sigma0.cod)
+    return FopDiagram(chain, target, tuple(reversed(horizontals)))

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +125,37 @@ def test_nerve_opfib_runs_three_lengths(capsys):
     )
     assert code == 0
     assert out.count("opfibration[") == 3
+
+
+@pytest.mark.parametrize(
+    "argv, threads",
+    [
+        (["all", "--bound", "2"], "1"),
+        (["axioms", "--bound", "2"], "2"),
+        (["nerve", "--bound", "2", "--maxlen", "3"], "1"),
+        (["decomp", "--bound", "2"], "1"),
+    ],
+    ids=lambda value: str(value),
+)
+def test_timings_go_to_stderr_only(capsys, monkeypatch, argv, threads):
+    monkeypatch.setenv("PITA_THREADS", threads)
+    for form in ([], ["--json"]):
+        code, out, err = _run(capsys, argv + form)
+        timed_code, timed_out, timed_err = _run(
+            capsys, argv + form + ["--timings"]
+        )
+        assert (timed_code, timed_out, err) == (code, out, "")
+    reports = json.loads(out)["reports"]
+    lines = timed_err.splitlines()
+    assert lines[0] == f"timings: PITA_THREADS={threads}"
+    assert len(lines) == 1 + len(reports)
+    for line, rep in zip(lines[1:], reports):
+        title, seconds, by_axiom = re.fullmatch(
+            r"timings: (.+) (\d+\.\d{3}) s (\{.*\})", line
+        ).groups()
+        assert title == rep["title"]
+        assert float(seconds) >= 0
+        assert sum(json.loads(by_axiom).values()) == rep["checks"]
 
 
 def test_decomp_sweep(capsys):

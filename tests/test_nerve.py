@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
+import reference
 from helpers import CompositeOutsideHoms, CorruptFibre
 from pita import nerve
 from pita.errors import IntegrityError, ShapeError
@@ -28,6 +31,7 @@ from pita.nerve import (
 )
 from pita.opcat import quasibijections
 from strategies import composable_pairs
+from test_differential import BASES, MUTANTS
 
 FIN = make_fin()
 SURJ = make_fin_surj()
@@ -50,9 +54,11 @@ def test_chain_shape_validation():
     assert c.length == 2
     assert c.objects == (2, 2, 1)
     assert Chain(FIN, (), 2).objects == (2,)
-    # the objects are derived from the maps and take no part in equality
+    # the objects are derived from the maps and take no part in equality;
+    # equality and hashing read the maps through their interned ids
     assert c == Chain(FIN, list(c.maps), 1)
-    assert hash(c) == hash((FIN, c.maps, 1))
+    assert c.ids == tuple(map(nerve._ids(FIN).id, c.maps))
+    assert hash(c) == hash((FIN, c.ids, 1))
 
 
 def test_down_composites_and_locally_op():
@@ -203,6 +209,62 @@ def test_unreflected_top_face_leaves_the_locally_op_world():
     assert face(0, trunc) == Chain(FIN, trunc.maps[1:], trunc.bottom)
 
 
+def _outcome(op, *args):
+    """What an operator gives: its chain or ladder as values, or the type
+    and text of what it raises."""
+    try:
+        got = op(*args)
+    except Exception as exc:
+        return ("raises", type(exc).__name__, str(exc))
+    if isinstance(got, FopDiagram):
+        return (
+            "ladder", _values(got.source), _values(got.target),
+            got.horizontals,
+        )
+    return ("chain", _values(got))
+
+
+def _values(chain):
+    return (chain.inst, chain.maps, chain.objects, chain.bottom, chain.ids)
+
+
+@pytest.mark.parametrize(
+    "base, mutant, bound",
+    [(base, mutant, 2) for base in BASES for mutant in MUTANTS]
+    + [("fin-surj", "clean", 3)],
+    ids=lambda value: str(value),
+)
+def test_chain_operators_match_the_reference(base, mutant, bound):
+    # the operators on interned ids against their map-by-map form in
+    # tests/reference.py: equal chains and ladders, or the same exception
+    # type and text, on every locally op chain up to length 3 and, for the
+    # reflection, every chain up to length 2; indices one past the last
+    # valid one included
+    inst = BASES[base]()
+    if MUTANTS[mutant] is not None:
+        inst = MUTANTS[mutant](inst)
+    kinds = Counter()
+
+    def agree(ours, theirs, *args):
+        got = _outcome(ours, *args)
+        assert got == _outcome(theirs, *args), (ours.__name__, args)
+        kinds[got[0]] += 1
+
+    for n in range(4):
+        for c in enumerate_p(inst, n, bound):
+            for i in range(n + 1):
+                agree(face, reference.face, i, c)
+            for i in range(n + 2):
+                agree(degeneracy, reference.degeneracy, i, c)
+            agree(top_face, reference.top_face, c)
+            for s0 in quasibijections(inst, c.bottom, c.bottom):
+                agree(opfibration_lift, reference.lift, c, s0)
+    for n in range(3):
+        for c in nerve._all_chains(inst, n, bound, locally_op=False):
+            agree(reflect_chain, reference.reflect_chain, c)
+    assert kinds["chain"] and kinds["ladder"] and kinds["raises"]
+
+
 # ------------------------------------------------------------ reflection
 
 
@@ -277,28 +339,34 @@ def test_strict_sweep_lifts_each_naturality_target_once(monkeypatch):
 
     for name in calls:
         counting(name)
-    rep = verify_strict_identities(SURJ, 3, 4)
+    # a fresh instance, so that its interner has asked nothing yet
+    inst = make_fin_surj()
+    rep = verify_strict_identities(inst, 3, 4)
     assert rep.checks == 50_968
-    # 25,054 when every naturality ladder reflected its target and lifted
-    # its bottom afresh
+    # one lift per top face and per reflection asked for; 25,054 when
+    # every naturality ladder reflected its target and lifted its bottom
+    # afresh
     assert len(calls["_lift"]) == 7_468
     # one opfibration lift per distinct (reflected chain, bottom): 37 on
     # 2-chains and 15 on 1-chains
     lifts = calls["opfibration_lift"]
     assert len(lifts) == len(set(lifts)) == 52
     assert sum(c.length == 2 for c, _ in lifts) == 37
-    # is_quasibijection is asked only of the unit ladders' horizontals
-    # (one per object of each arbitrary chain) and of each lift's bottom;
-    # the naturality ladders' horizontals, drawn from quasibijections(),
-    # are never asked again
+    # the quasibijection test is asked once per map, and only of the unit
+    # ladders' horizontals and of the lifts' bottoms: the 9 permutations
+    # of 1, 2 and 3 points. The naturality ladders' horizontals, drawn
+    # from quasibijections(), are never asked again
     units = [
-        c for n in (1, 2)
-        for c in nerve._all_chains(SURJ, n, 3, locally_op=False)
+        nerve.reflect_chain(c) for n in (1, 2)
+        for c in nerve._all_chains(inst, n, 3, locally_op=False)
     ]
     assert len(units) == 122
-    assert len(calls["is_quasibijection"]) == (
-        sum(len(c.objects) for c in units) + len(lifts)
-    )
+    asked = {s for unit in units for s in unit.horizontals}
+    asked |= {sigma0 for _, sigma0 in lifts}
+    assert len(asked) == 9
+    questions = [f for f, _ in calls["is_quasibijection"]]
+    assert len(questions) == len(set(questions)) == 9
+    assert set(questions) == asked
 
 
 def test_strict_identities_fin_bound_2():
@@ -370,13 +438,17 @@ def test_lift_matches_the_relative_op_parts(inst, maxlen, bound):
 
 
 def test_lifting_an_n_chain_splits_n_plus_one_times(monkeypatch):
+    # the lift asks the interner for one split per step and one of the
+    # bottom; the interner computes each split once per map
     calls = []
+    splits = nerve._ids(SURJ).pi
 
-    def counted(inst, f, mode="production"):
-        calls.append(f)
-        return pita_general(inst, f, mode)
+    class Counted:
+        def __getitem__(self, k):
+            calls.append(k)
+            return splits[k]
 
-    monkeypatch.setattr(nerve, "pita_general", counted)
+    monkeypatch.setattr(nerve._ids(SURJ), "pi", Counted())
     # the lift unwinds its own splits and never asks for eta_rel
     monkeypatch.setattr(nerve, "eta_rel", None)
     for n in range(4):
