@@ -119,7 +119,8 @@ class _Ids:
         """opcat.is_fop_square on ids, False where that raises ShapeError:
         the square's ends must match and it must commute."""
         dom, cod = self.dom, self.cod
-        if (dom[s], cod[s], dom[t], cod[t]) != (dom[f], dom[g], cod[f], cod[g]):
+        ends = (dom[s], cod[s], dom[t], cod[t])
+        if ends != (dom[f], dom[g], cod[f], cod[g]):
             return False
         composite = self.composite
         return composite[s, g] == composite[f, t] and self.fibrewise_op[s, g]

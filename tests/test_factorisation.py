@@ -418,6 +418,43 @@ def test_splitting_mutants_agree_across_routes(mutant, cutoff, monkeypatch):
     assert tags == SPLITTING_MUTANTS[mutant]
 
 
+@pytest.mark.parametrize("swap", [False, True], ids=["C,R", "R,C"])
+def test_buffered_lookups_read_what_by_pair_reads(swap):
+    # the table cocycle's C and R write each lookup of a chunk into its
+    # own buffer; in every chunk of fin b3 they must give the sides that
+    # opcat._by_pair gives without buffers. The cocycle holds there, so
+    # the sides are also taken with C and R swapped, where they differ
+    import numpy as np
+
+    from pita import _tables
+    from pita.factorisation import _cocycle_sides
+
+    table = opcat.Universe(make_fin(), 3).table
+    table.ensure_pita()
+    stride = table.n + 1
+    size = max(map(len, table.by_cod.values())) * max(
+        map(len, table.by_dom.values())
+    )
+    lookups = _tables._BufferedLookups(table, size)
+    values = (table.CMP, table.ER)
+    plain = [opcat._by_pair(table.PIDX, stride, v) for v in values]
+    buffered = [lookups.by_pair(v) for v in values]
+    if swap:
+        plain.reverse()
+        buffered.reverse()
+    differ = 0
+    for g in range(table.n):
+        f_ids = table.by_cod[table.DOM[g]][:, None]
+        h_ids = table.by_dom[table.COD[g]][None, :]
+        lookups.start()
+        got = _cocycle_sides(*buffered, f_ids, g, h_ids)
+        want = _cocycle_sides(*plain, f_ids, g, h_ids)
+        for side, expected in zip(got, want):
+            np.testing.assert_array_equal(side, expected)
+        differ += int((want[0] != want[1]).sum())
+    assert (differ > 0) == swap
+
+
 def test_pita_threads_does_not_change_the_table_sweeps(monkeypatch):
     # the table route runs its triple sweeps on a pool above one thread;
     # a mutant makes the per-chunk hits part of what is compared
