@@ -64,6 +64,7 @@ SWEEPS = {
     "splitting": lambda inst: verify_eta_identities(inst, 2, EVERY),
     "strict": lambda inst: verify_strict_identities(inst, 2, 3, EVERY),
     "beta": lambda inst: verify_beta_coherence(inst, 2, 3, EVERY),
+    "beta4": lambda inst: verify_beta_coherence(inst, 2, 4, EVERY),
     "opfibration": lambda inst: verify_opfibration(inst, 2, 2, EVERY),
 }
 
@@ -82,6 +83,7 @@ CASES = {
 }
 for _mutant in (
     "CorruptFibre", "CorruptFibreMap", "CompositeOutsideHoms", "RemoveHom",
+    "ShrinkComposite", "WidenFibreMap", "WrongTerminal",
 ):
     CASES[f"fin-surj/{_mutant}/fibres"] = (
         make_fin_surj, MUTANTS[_mutant], _fibres,
