@@ -30,7 +30,10 @@ with F after G the identity and the unit at (g, e) the quasibijection
 pi(compose(e, middle)). The comparison over a 2-chain c = (f, bottom)
 is the one over its degeneracy(1, c) = (f, identity, bottom).
 verify_decomposition_fibres checks all of this by enumeration at both
-levels.
+levels. The groupoids ask the instance through the chain's interner
+(see Ids in nerve): hom sets, quasibijection tests, fop squares,
+relative op parts and splits, once per id or id pair. The legs, the
+triangles and the quotient compose FinMaps with finskel.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from math import factorial
 
 from . import finskel
 from .errors import ShapeError, UnsupportedInstanceError
-from .factorisation import eta_rel, pita_general
 from .finskel import (
     FinMap,
     compose,
@@ -53,13 +55,7 @@ from .finskel import (
     ordinal_sum,
 )
 from .nerve import Chain, chain_to_json, degeneracy, enumerate_p, top_face
-from .opcat import (
-    OperadicInstance,
-    Report,
-    equivalence_classes,
-    is_fop_square,
-    is_quasibijection,
-)
+from .opcat import OperadicInstance, Report, equivalence_classes
 
 IsoClassLabel = tuple[int, ...]
 
@@ -378,6 +374,8 @@ class FactorisationGroupoid:
     chain. The comparison over a 2-chain c is the one over
     degeneracy(1, c), whose middle map is the identity. Groupoids that
     share fibres, the groupoids built so far by chain, build each once.
+    Objects and morphisms are FinMaps; the morphism test, forward,
+    backward and unit_at read the chain's interner.
     """
 
     chain: Chain
@@ -388,7 +386,7 @@ class FactorisationGroupoid:
             raise ShapeError("the fibres lie over 3-chains")
         if not self.chain.locally_op:
             raise ShapeError("the chain is not locally order-preserving")
-        self.inst = self.chain.inst
+        self._t = self.chain._t
         self.f, self.middle, self.bottom = self.chain.maps
 
     @cached_property
@@ -420,22 +418,20 @@ class FactorisationGroupoid:
         g1, e1 = x
         g2, e2 = y
         mid = e1.dom
-        if e2.dom != mid or sigma not in self.inst.hom(mid, mid):
+        t = self._t
+        s = t.id(sigma)
+        if e2.dom != mid or s not in t.hom[mid, mid]:
             return False
-        if not is_quasibijection(sigma, self.inst):
+        if not t.quasibijective[s]:
             return False
         if compose(g1, sigma) != g2 or compose(sigma, e2) != e1:
             return False
-        try:
-            return is_fop_square(
-                sigma,
-                identity(self.middle.cod),
-                compose(e1, self.middle),
-                compose(e2, self.middle),
-                self.inst,
-            )
-        except ShapeError:
-            return False
+        return t.fop_square(
+            s,
+            t.identity[self.middle.cod],
+            t.id(compose(e1, self.middle)),
+            t.id(compose(e2, self.middle)),
+        )
 
     @cached_property
     def iso_classes(self) -> list[list[tuple[FinMap, FinMap]]]:
@@ -455,15 +451,18 @@ class FactorisationGroupoid:
         """This fibre -> reflected, the top face: relative op parts over
         the middle."""
         g, e = x
+        t = self._t
+        relative = t.eta_rel
         return (
-            eta_rel(self.inst, g, compose(e, self.middle)),
-            eta_rel(self.inst, e, self.middle),
+            t.maps[relative[t.id(g), t.id(compose(e, self.middle))]],
+            t.maps[relative[t.id(e), self.chain.ids[1]]],
         )
 
     @cached_property
     def _backward_legs(self) -> tuple[FinMap, FinMap]:
-        top = pita_general(self.inst, compose(self.f, self.middle)).pi
-        return top, inverse(pita_general(self.inst, self.middle).pi)
+        t = self._t
+        top = t.pi[t.id(compose(self.f, self.middle))]
+        return t.maps[top], t.maps[t.inverse[t.pi[self.chain.ids[1]]]]
 
     def backward(self, y) -> tuple[FinMap, FinMap]:
         """reflected -> this fibre: precompose with the quasibijection
@@ -475,7 +474,8 @@ class FactorisationGroupoid:
     def unit_at(self, x) -> FinMap:
         """The morphism x -> backward(forward(x))."""
         _, e = x
-        return pita_general(self.inst, compose(e, self.middle)).pi
+        t = self._t
+        return t.maps[t.pi[t.id(compose(e, self.middle))]]
 
 
 def _fibre(chain: Chain, fibres: dict) -> FactorisationGroupoid:
@@ -573,7 +573,7 @@ def verify_decomposition_fibres(
         max_violations=max_violations,
     )
     seen = {
-        Chain(inst, (fold(m), identity(1)), 1)
+        Chain.of(inst, (fold(m), identity(1)), 1)
         for m in range(1, bound + 1)
     }
     seen.update(enumerate_p(inst, 2, chain_bound))

@@ -27,14 +27,17 @@ integer id, in the order met, composites and fibre maps that leave the
 instance's homs included. The interner asks the instance once per id
 pair for a composite and for whether every fibre map of sigma over g is
 op, and once per id for the quasibijection test; it memoises splits,
-inverses and identities by id too. An answer that raises is not kept,
-so it raises again where it is asked again. A chain carries the ids of
-its maps and compares and hashes on them; face, degeneracy, top_face,
-the lifts, locally_op and the ladder squares work on these ids, and the
-operators build their chains from them, checking only the ends that
-changed. The closed opcat.Universe is not used: it gives -1 to answers
-outside the homs, where a chain must still carry the stray map and fail
-on it as its public constructor would.
+relative op parts, inverses and identities by id too. An answer that
+raises is not kept, so it raises again where it is asked again. Chains
+and ladders store ids only, and compare and hash on them; their maps and
+horizontals are read from the interner when asked. FinMaps come in only
+at the edges: Chain.of and FopDiagram.of, chain_from_json, the lifts'
+public bottom map and beta's oracle, and they go out in witness JSON.
+The operators, the cells and the ladder squares work on ids, and build
+their chains from them, checking only the ends that changed. The closed
+opcat.Universe is not used: it gives -1 to answers outside the homs,
+where a chain must still carry the stray map and fail on it as its
+public constructor would.
 
 Indexing: a chain of length n has faces 0..n-1 plus the top face, and
 degeneracies 0..n. face(0) drops the top object; face(i) composes at the
@@ -51,7 +54,7 @@ from functools import cached_property
 
 from . import finskel
 from .errors import IntegrityError, ShapeError
-from .factorisation import _unwind, eta_rel, pita_general
+from .factorisation import _unwind, pita_general
 from .finskel import FinMap, finmap_to_json
 from .opcat import (
     OperadicInstance,
@@ -99,6 +102,15 @@ class _Ids:
         )
         self.hom = _Memo(lambda XY: frozenset(map(self.id, ask().hom(*XY))))
         self.pi = _Memo(lambda k: self.id(pita_general(ask(), maps[k]).pi))
+        self.eta = _Memo(lambda k: self.id(pita_general(ask(), maps[k]).eta))
+        # the relative op part of a over b (factorisation.eta_rel), by its
+        # closed form on ids
+        self.eta_rel = _Memo(
+            lambda ab: _unwind(
+                self.compose, self.inverse.__getitem__,
+                self.pi[self.composite[ab]], ab[0], self.pi[ab[1]],
+            )
+        )
         self.inverse = _Memo(lambda k: self.id(finskel.inverse(maps[k])))
         self.identity = _Memo(lambda X: self.id(finskel.identity(X)))
 
@@ -137,62 +149,59 @@ def _ids(inst: OperadicInstance) -> _Ids:
     return t
 
 
-def _check_ends(objects, cods, start: int = 0) -> None:
-    """ShapeError at the first map j >= start whose codomain cods[j -
-    start] is not objects[j + 1]: the check of Chain.__post_init__."""
-    for j, cod in enumerate(cods, start):
-        if cod != objects[j + 1]:
+def _check_ends(t: _Ids, objects, ids, start: int = 0) -> None:
+    """ShapeError at the first map j >= start, of id ids[j - start], whose
+    codomain is not objects[j + 1]: the check of Chain.__post_init__."""
+    for j, k in enumerate(ids, start):
+        if t.cod[k] != objects[j + 1]:
             raise ShapeError(f"map {j} does not end at object {j + 1}")
 
 
-def _check_horizontals(source, target, doms, cods) -> None:
-    """ShapeError at the first horizontal that does not run from the
-    source object to the target object at its level."""
-    for j, (dom, cod) in enumerate(zip(doms, cods)):
-        if dom != source[j]:
+def _check_horizontals(source, target, hids) -> None:
+    """ShapeError at the first horizontal, by id, that does not run from
+    the source chain's object to the target chain's at its level."""
+    t = source._t
+    for j, (k, X, Y) in enumerate(zip(hids, source.objects, target.objects)):
+        if t.dom[k] != X:
             raise ShapeError(f"horizontal {j} does not start on the source")
-        if cod != target[j]:
+        if t.cod[k] != Y:
             raise ShapeError(f"horizontal {j} does not end on the target")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Chain:
     """A composable string of morphisms running down to a bottom object.
 
     maps = (f_n, ..., f_1) with f_k: T_k -> T_{k-1} and bottom = T_0.
-    The maps fix every other object: objects = (T_n, ..., T_0) is
-    derived, so maps[j] runs from objects[j] to objects[j+1]. ids are the
-    maps' ids in the instance's interner; equality and hashing read the
-    instance, the ids and the bottom. The constructor checks the maps'
-    ends; the operators build their chains through _chain and check the
-    ends they change.
+    The chain stores ids, the maps' ids in the instance's interner, and
+    reads maps from it when asked. The maps fix every other object:
+    objects = (T_n, ..., T_0) is derived, so maps[j] runs from objects[j]
+    to objects[j+1]. Equality and hashing read the instance, the ids and
+    the bottom. The constructor checks the maps' ends, and Chain.of makes
+    a chain of FinMaps; the operators build their chains through _chain
+    and check the ends they change.
     """
 
     inst: OperadicInstance
-    maps: tuple
+    ids: tuple
     bottom: int
-    objects: tuple = field(init=False)
-    ids: tuple = field(init=False, repr=False)
+    objects: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
-        maps = tuple(self.maps)
-        objects = tuple(f.dom for f in maps) + (self.bottom,)
-        object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "objects", objects)
-        _check_ends(objects, (f.cod for f in maps))
         t = _ids(self.inst)
-        object.__setattr__(self, "_t", t)
-        object.__setattr__(self, "ids", tuple(map(t.id, maps)))
+        ids = tuple(self.ids)
+        objects = tuple(map(t.dom.__getitem__, ids)) + (self.bottom,)
+        _check_ends(t, objects, ids)
+        self.__dict__.update(ids=ids, objects=objects, _t=t)
 
-    def __eq__(self, other):
-        if other.__class__ is not Chain:
-            return NotImplemented
-        return (self.inst, self.ids, self.bottom) == (
-            other.inst, other.ids, other.bottom
-        )
+    @classmethod
+    def of(cls, inst: OperadicInstance, maps, bottom: int) -> Chain:
+        """The chain of these maps over the bottom object."""
+        return cls(inst, tuple(map(_ids(inst).id, maps)), bottom)
 
-    def __hash__(self):
-        return hash((self.inst, self.ids, self.bottom))
+    @property
+    def maps(self) -> tuple:
+        return tuple(map(self._t.maps.__getitem__, self.ids))
 
     @property
     def length(self) -> int:
@@ -226,15 +235,10 @@ def _chain(like: Chain, ids: tuple, bottom: int, objects: tuple) -> Chain:
     """The chain of like's instance with these map ids, bottom and
     objects, built without the constructor's checks: the caller has
     checked the ends it changed."""
-    t = like._t
     c = object.__new__(Chain)
-    fields = c.__dict__
-    fields["inst"] = like.inst
-    fields["maps"] = tuple(map(t.maps.__getitem__, ids))
-    fields["bottom"] = bottom
-    fields["objects"] = objects
-    fields["ids"] = ids
-    fields["_t"] = t
+    c.__dict__.update(
+        inst=like.inst, ids=ids, bottom=bottom, objects=objects, _t=like._t
+    )
     return c
 
 
@@ -250,7 +254,7 @@ def chain_from_json(inst: OperadicInstance, data: dict) -> Chain:
     ones its maps fix."""
     objects = list(data["objects"])
     maps = tuple(map(finskel.finmap_from_json, data["maps"]))
-    chain = Chain(inst, maps, objects[-1] if objects else None)
+    chain = Chain.of(inst, maps, objects[-1] if objects else None)
     if list(chain.objects) != objects:
         raise ShapeError("the chain's objects disagree with its maps")
     return chain
@@ -260,32 +264,36 @@ def chain_from_json(inst: OperadicInstance, data: dict) -> Chain:
 class FopDiagram:
     """A ladder between two chains of the same length: horizontals
     (sigma_n, ..., sigma_0) aligned with the objects, source maps on the
-    left, target maps on the right. hids are the horizontals' ids."""
+    left, target maps on the right. The ladder stores hids, the
+    horizontals' ids, and reads the horizontals from the interner when
+    asked; FopDiagram.of makes a ladder of FinMap horizontals."""
 
     source: Chain
     target: Chain
-    horizontals: tuple
+    hids: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "horizontals", tuple(self.horizontals))
+        hids = tuple(self.hids)
+        object.__setattr__(self, "hids", hids)
         n = self.source.length
         if self.target.length != n:
             raise ShapeError("ladder endpoints have different lengths")
-        if len(self.horizontals) != n + 1:
+        if len(hids) != n + 1:
             raise ShapeError("a ladder needs one horizontal per object")
-        _check_horizontals(
-            self.source.objects, self.target.objects,
-            [s.dom for s in self.horizontals],
-            [s.cod for s in self.horizontals],
-        )
+        _check_horizontals(self.source, self.target, hids)
 
-    @cached_property
-    def hids(self) -> tuple:
-        return tuple(map(self.source._t.id, self.horizontals))
+    @classmethod
+    def of(cls, source: Chain, target: Chain, horizontals) -> FopDiagram:
+        """The ladder with these horizontals from source to target."""
+        return cls(source, target, tuple(map(source._t.id, horizontals)))
+
+    @property
+    def horizontals(self) -> tuple:
+        return tuple(map(self.source._t.maps.__getitem__, self.hids))
 
     @property
     def bottom(self) -> FinMap:
-        return self.horizontals[-1]
+        return self.source._t.maps[self.hids[-1]]
 
     def is_valid(self) -> bool:
         """Quasibijective horizontals, commuting squares, and every
@@ -320,10 +328,7 @@ def _ladder(source: Chain, target: Chain, hids: tuple) -> FopDiagram:
     """The ladder with these horizontal ids, built without the
     constructor's checks: the caller has checked its horizontals."""
     ladder = object.__new__(FopDiagram)
-    ladder.__dict__.update(
-        source=source, target=target, hids=hids,
-        horizontals=tuple(map(source._t.maps.__getitem__, hids)),
-    )
+    ladder.__dict__.update(source=source, target=target, hids=hids)
     return ladder
 
 
@@ -334,18 +339,15 @@ def _checked_ladder(source: Chain, target_ids: tuple, hids: tuple):
     t = source._t
     bottom = t.cod[hids[-1]]
     objects = tuple(map(t.dom.__getitem__, target_ids)) + (bottom,)
-    _check_ends(objects, map(t.cod.__getitem__, target_ids))
+    _check_ends(t, objects, target_ids)
     target = _chain(source, target_ids, bottom, objects)
-    _check_horizontals(
-        source.objects, target.objects,
-        map(t.dom.__getitem__, hids), map(t.cod.__getitem__, hids),
-    )
+    _check_horizontals(source, target, hids)
     return target, hids
 
 
 def identity_ladder(chain: Chain) -> FopDiagram:
-    return FopDiagram(
-        chain, chain, tuple(map(finskel.identity, chain.objects))
+    return _ladder(
+        chain, chain, tuple(map(chain._t.identity.__getitem__, chain.objects))
     )
 
 
@@ -362,10 +364,10 @@ def _all_chains(inst: OperadicInstance, n: int, bound: int, locally_op: bool):
             T = c.objects[0]
             full = c._down[-1]
             for X in objs:
-                for f in inst.hom(X, T):
-                    if locally_op and not t.op[t.composite[t.id(f), full]]:
+                for k in map(t.id, inst.hom(X, T)):
+                    if locally_op and not t.op[t.composite[k, full]]:
                         continue
-                    nxt.append(Chain(inst, (f,) + c.maps, c.bottom))
+                    nxt.append(Chain(inst, (k,) + c.ids, c.bottom))
         level = nxt
     return level
 
@@ -396,7 +398,7 @@ def face(i: int, chain: Chain) -> Chain:
     objects = objects[: i - 1] + (t.dom[merged],) + objects[i + 1 :]
     # only the merged map and the one above it can end off their objects
     start = max(i - 2, 0)
-    _check_ends(objects, map(t.cod.__getitem__, ids[start:i]), start)
+    _check_ends(t, objects, ids[start:i], start)
     return _chain(chain, ids, chain.bottom, objects)
 
 
@@ -457,24 +459,19 @@ def reflect_chain(chain: Chain) -> FopDiagram:
 def _lift(chain: Chain, s0: int):
     """The lift loop of opfibration_lift, reflect_chain and top_face,
     without their preconditions, from the bottom horizontal with id s0:
-    the target chain and the horizontals' ids. Each step splits the
-    pushed composite once: its quasibijection part is the step's
-    horizontal and, with the previous step's, unwinds the step's map to
-    its relative op part (the first step unwinds against the
-    quasibijection part of s0)."""
+    the target chain and the horizontals' ids. Each step pushes the
+    step's map onto the composite so far: the relative op part of the map
+    over that composite is the step's target map, and the quasibijection
+    part of the pushed composite is the step's horizontal."""
     t = chain._t
-    composite, pi = t.composite, t.pi
-    compose, inverse = t.compose, t.inverse.__getitem__
+    composite, pi, eta_rel = t.composite, t.pi, t.eta_rel
     horizontals = [s0]
     new_maps = []
     pushed = s0
-    below = pi[s0]
     for hk in reversed(chain.ids):
+        new_maps.append(eta_rel[hk, pushed])
         pushed = composite[hk, pushed]
-        above = pi[pushed]
-        new_maps.append(_unwind(compose, inverse, above, hk, below))
-        horizontals.append(above)
-        below = above
+        horizontals.append(pi[pushed])
     return _checked_ladder(
         chain, tuple(reversed(new_maps)), tuple(reversed(horizontals))
     )
@@ -484,15 +481,11 @@ def compose_ladders(first: FopDiagram, second: FopDiagram) -> FopDiagram:
     """Horizontal composite: apply the first ladder, then the second."""
     if first.target != second.source:
         raise ShapeError("ladders do not meet end to end")
-    inst = first.source.inst
-    return FopDiagram(
-        first.source,
-        second.target,
-        tuple(
-            inst.compose(a, b)
-            for a, b in zip(first.horizontals, second.horizontals)
-        ),
-    )
+    source, target = first.source, second.target
+    composite = source._t.composite
+    hids = tuple(map(composite.__getitem__, zip(first.hids, second.hids)))
+    _check_horizontals(source, target, hids)
+    return _ladder(source, target, hids)
 
 
 def ladder_top_face(ladder: FopDiagram) -> FopDiagram:
@@ -500,9 +493,10 @@ def ladder_top_face(ladder: FopDiagram) -> FopDiagram:
     the bottom square and reflect both sides; the result is the unique
     lift of the second-from-bottom horizontal, trusted to land on the top
     face of the target (the coherence sweep compares whole ladders)."""
-    if ladder.source.length < 1:
+    source = ladder.source
+    if source.length < 1:
         raise IndexError("top face needs ladders of length at least 1")
-    return opfibration_lift(top_face(ladder.source), ladder.horizontals[-2])
+    return opfibration_lift(top_face(source), source._t.maps[ladder.hids[-2]])
 
 
 def beta(n: int, chain: Chain, mode: str = "production") -> FopDiagram:
@@ -517,14 +511,16 @@ def beta(n: int, chain: Chain, mode: str = "production") -> FopDiagram:
         raise ShapeError(f"beta {n} lives on chains of length {n + 2}")
     if not chain.locally_op:
         raise ShapeError("beta lives on locally order-preserving chains")
-    inst = chain.inst
-    sigma0 = pita_general(inst, chain.maps[-2]).pi
+    t = chain._t
+    sigma0 = t.maps[t.pi[chain.ids[-2]]]
     source = top_face(face(n + 1, chain))
     ladder = opfibration_lift(source, sigma0)
     if mode == "oracle":
+        inst = chain.inst
         if ladder.target != top_face(top_face(chain)):
             raise IntegrityError("beta ladder missed the double top face")
-        above = Chain(inst, chain.maps[:-2], chain.objects[-3])
+        objects = chain.objects
+        above = _chain(chain, chain.ids[:-2], objects[-3], objects[:-2])
         for k in range(n + 1):
             pushed = inst.compose(
                 pita_general(inst, above.down_composite(k)).eta, sigma0
@@ -742,16 +738,13 @@ def verify_beta_coherence(
 def _scalar_coherence_0(chain: Chain):
     """Both sides of the coherence-0 equation at a 3-chain (f3, f2, f1),
     written directly in splits rather than through ladders."""
-    inst = chain.inst
-    f3, f2 = chain.maps[0], chain.maps[1]
-    lhs = inst.compose(
-        pita_general(inst, inst.compose(f3, f2)).pi,
-        pita_general(inst, eta_rel(inst, f3, f2)).pi,
-    )
-    s3 = pita_general(inst, f3)
-    pushed = inst.compose(s3.eta, pita_general(inst, f2).pi)
-    rhs = inst.compose(s3.pi, pita_general(inst, pushed).pi)
-    return lhs, rhs
+    t = chain._t
+    composite, pi = t.composite, t.pi
+    f3, f2 = chain.ids[0], chain.ids[1]
+    lhs = composite[pi[composite[f3, f2]], pi[t.eta_rel[f3, f2]]]
+    pushed = composite[t.eta[f3], pi[f2]]
+    rhs = composite[pi[f3], pi[pushed]]
+    return t.maps[lhs], t.maps[rhs]
 
 
 def verify_opfibration(

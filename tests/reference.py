@@ -14,16 +14,26 @@ definitions, so an equation that both routes of a sweep share and get
 wrong shows up as a difference from this module.
 
 The chain operators face, degeneracy, top_face and the lift behind
-reflect_chain are written here on the public Chain and FopDiagram values,
-map by map, as the nerve wrote them before it ran on interned ids: every
-chain and ladder goes through its checking constructor, composites are
-the instance's, and splits, inverses and identities come from the tuples
-as above.
+reflect_chain and opfibration_lift, the ladder operators, production
+beta and the scalar form of the coherence-0 equation, and the
+decomposition groupoid's morphism test, forward, backward and unit_at
+are written here on the public Chain and FopDiagram values, map by map,
+as the nerve and decomp wrote them before they ran on interned ids:
+every chain and ladder goes through its checking constructor (Chain.of,
+FopDiagram.of), composites, fibres and fibre maps are the instance's,
+and splits, inverses and identities come from the tuples as above. The
+groupoid's legs and triangles compose with finskel.compose, as decomp
+does.
+
+For the unary sites of the splitting sweep it recomputes each split
+identity and the op-quasibijection criterion on the tuples, asking the
+instance only for fibres and chosen terminals.
 
 Composition is diagrammatic: compose(x, y) applies x first.
 """
 
-from pita.finskel import FinMap
+from pita.errors import ShapeError
+from pita.finskel import FinMap, compose
 from pita.nerve import Chain, FopDiagram
 
 
@@ -100,6 +110,41 @@ def _split(x: tuple) -> tuple[tuple, tuple]:
     for r, i in enumerate(order, 1):
         rank[i] = r
     return (dom, dom, tuple(rank)), (dom, cod, tuple(sorted(values)))
+
+
+def _quasibijective(inst, f) -> bool:
+    """Every fibre of f is the chosen local terminal of cardinality 1."""
+    return all(
+        inst.chosen_terminal(F)[0] == F and F == 1
+        for F in (inst.fibre(f, i) for i in range(1, f.cod + 1))
+    )
+
+
+def unary_splitting_reference(inst, bound: int) -> dict:
+    """Per tag, the check count and the violation list (each as the
+    sweep reports it) of the unary sites below the bound: splitting a
+    split part is trivial on the matching side, and an order-preserving
+    quasibijection is an identity."""
+    objs = list(inst.objects(bound))
+    check = (findings := _Findings()).check
+    for f in (f for X in objs for Y in objs for f in inst.hom(X, Y)):
+        a = _key(f)
+        pi, eta = _split(a)
+        one = _identity(a[0])
+        where = {"f": _json(a)}
+        for tag, lhs, rhs in (
+            ("pi-of-pi", _split(pi)[0], pi),
+            ("eta-of-eta", _split(eta)[1], eta),
+            ("pi-of-eta", _split(eta)[0], one),
+            ("eta-of-pi", _split(pi)[1], one),
+        ):
+            check(tag, where, lhs == rhs, _json(lhs), _json(rhs))
+        criterion = not (_is_op(a) and _quasibijective(inst, f) and a != one)
+        check(
+            "op-quasibijection-not-identity", where, criterion, _json(a),
+            _json(one),
+        )
+    return findings.result()
 
 
 def splitting_reference(inst, bound: int) -> dict:
@@ -267,10 +312,10 @@ def face(i: int, chain: Chain) -> Chain:
     if not 0 <= i <= n - 1:
         raise IndexError(f"face {i} undefined on a chain of length {n}")
     if i == 0:
-        return Chain(chain.inst, chain.maps[1:], chain.bottom)
+        return Chain.of(chain.inst, chain.maps[1:], chain.bottom)
     merged = chain.inst.compose(chain.maps[i - 1], chain.maps[i])
     maps = chain.maps[: i - 1] + (merged,) + chain.maps[i + 1 :]
-    return Chain(chain.inst, maps, chain.bottom)
+    return Chain.of(chain.inst, maps, chain.bottom)
 
 
 def top_face(chain: Chain) -> Chain:
@@ -278,7 +323,7 @@ def top_face(chain: Chain) -> Chain:
     n = chain.length
     if n < 1:
         raise IndexError("top face needs a chain of length at least 1")
-    trunc = Chain(chain.inst, chain.maps[:-1], chain.objects[-2])
+    trunc = Chain.of(chain.inst, chain.maps[:-1], chain.objects[-2])
     return reflect_chain(trunc).target
 
 
@@ -288,7 +333,7 @@ def degeneracy(i: int, chain: Chain) -> Chain:
     if not 0 <= i <= n:
         raise IndexError(f"degeneracy {i} undefined on a chain of length {n}")
     ident = _finmap(_identity(chain.objects[i]))
-    return Chain(
+    return Chain.of(
         chain.inst, chain.maps[:i] + (ident,) + chain.maps[i:], chain.bottom
     )
 
@@ -319,5 +364,140 @@ def lift(chain: Chain, sigma0: FinMap) -> FopDiagram:
         new_maps.append(inst.compose(inst.compose(back, hk), below))
         horizontals.append(above)
         below = above
-    target = Chain(inst, tuple(reversed(new_maps)), sigma0.cod)
-    return FopDiagram(chain, target, tuple(reversed(horizontals)))
+    target = Chain.of(inst, tuple(reversed(new_maps)), sigma0.cod)
+    return FopDiagram.of(chain, target, tuple(reversed(horizontals)))
+
+
+def _pi(f: FinMap) -> FinMap:
+    return _finmap(_split(_key(f))[0])
+
+
+def _relative(inst, f: FinMap, g: FinMap) -> FinMap:
+    """The relative op part of f over g, by its closed form."""
+    back = _finmap(_inverse(_key(_pi(inst.compose(f, g)))))
+    return inst.compose(inst.compose(back, f), _pi(g))
+
+
+def _locally_op(chain: Chain) -> bool:
+    """Every composite down to the bottom is op; all of them are asked
+    of the instance before any is tested."""
+    inst = chain.inst
+    down = [_finmap(_identity(chain.bottom))]
+    for f in reversed(chain.maps):
+        down.append(inst.compose(f, down[-1]))
+    return all(_is_op(_key(d)) for d in down[1:])
+
+
+def opfibration_lift(chain: Chain, sigma0: FinMap) -> FopDiagram:
+    """The lift, after its three preconditions."""
+    if not _locally_op(chain):
+        raise ShapeError("lifts start from locally order-preserving chains")
+    if sigma0.dom != chain.bottom:
+        raise ShapeError("bottom map does not start at the bottom object")
+    if not _quasibijective(chain.inst, sigma0):
+        raise ShapeError("bottom map must be a quasibijection")
+    return lift(chain, sigma0)
+
+
+# --------------------------------------------------- ladders and cells
+
+
+def compose_ladders(first: FopDiagram, second: FopDiagram) -> FopDiagram:
+    """The first ladder, then the second: composite horizontals."""
+    if first.target != second.source:
+        raise ShapeError("ladders do not meet end to end")
+    inst = first.source.inst
+    return FopDiagram.of(
+        first.source,
+        second.target,
+        tuple(
+            inst.compose(a, b)
+            for a, b in zip(first.horizontals, second.horizontals)
+        ),
+    )
+
+
+def identity_ladder(chain: Chain) -> FopDiagram:
+    return FopDiagram.of(
+        chain, chain, tuple(_finmap(_identity(X)) for X in chain.objects)
+    )
+
+
+def ladder_top_face(ladder: FopDiagram) -> FopDiagram:
+    """The lift of the second-from-bottom horizontal out of the top face
+    of the source."""
+    if ladder.source.length < 1:
+        raise IndexError("top face needs ladders of length at least 1")
+    return opfibration_lift(top_face(ladder.source), ladder.horizontals[-2])
+
+
+def beta(n: int, chain: Chain) -> FopDiagram:
+    """Production beta: the lift of the quasibijection part of the
+    second-from-bottom map out of the top face of the last inner face."""
+    if chain.length != n + 2:
+        raise ShapeError(f"beta {n} lives on chains of length {n + 2}")
+    if not _locally_op(chain):
+        raise ShapeError("beta lives on locally order-preserving chains")
+    sigma0 = _pi(chain.maps[-2])
+    return opfibration_lift(top_face(face(n + 1, chain)), sigma0)
+
+
+def scalar_coherence_0(chain: Chain) -> tuple:
+    """Both sides of the coherence-0 equation at a 3-chain (f3, f2, f1)
+    in splits."""
+    inst = chain.inst
+    f3, f2 = chain.maps[0], chain.maps[1]
+    lhs = inst.compose(
+        _pi(inst.compose(f3, f2)), _pi(_relative(inst, f3, f2))
+    )
+    pushed = inst.compose(_finmap(_split(_key(f3))[1]), _pi(f2))
+    rhs = inst.compose(_pi(f3), _pi(pushed))
+    return lhs, rhs
+
+
+# ------------------------------------------------ decomposition groupoid
+
+
+def is_morphism(groupoid, sigma: FinMap, x, y) -> bool:
+    """Is sigma a middle quasibijection of the instance satisfying both
+    factorisation triangles whose square over compose(e, middle) commutes
+    and is fibrewise order-preserving?"""
+    inst, middle = groupoid.chain.inst, groupoid.middle
+    (g1, e1), (g2, e2) = x, y
+    mid = e1.dom
+    if e2.dom != mid or sigma not in inst.hom(mid, mid):
+        return False
+    if not _quasibijective(inst, sigma):
+        return False
+    if compose(g1, sigma) != g2 or compose(sigma, e2) != e1:
+        return False
+    f, g = compose(e1, middle), compose(e2, middle)
+    tau = _finmap(_identity(middle.cod))
+    if (sigma.dom, sigma.cod, tau.dom, tau.cod) != (f.dom, g.dom, f.cod, g.cod):
+        return False
+    if inst.compose(sigma, g) != inst.compose(f, tau):
+        return False
+    return all(
+        _is_op(_key(inst.fibre_morphism(sigma, g, i)))
+        for i in range(1, g.cod + 1)
+    )
+
+
+def forward(groupoid, x) -> tuple:
+    """The relative op parts of the legs over the middle."""
+    inst, middle = groupoid.chain.inst, groupoid.middle
+    g, e = x
+    return _relative(inst, g, compose(e, middle)), _relative(inst, e, middle)
+
+
+def backward(groupoid, y) -> tuple:
+    """Precompose with the quasibijection part of compose(f, middle) and
+    undo the one of middle."""
+    h, h2 = y
+    top = _pi(compose(groupoid.f, groupoid.middle))
+    undo = _finmap(_inverse(_key(_pi(groupoid.middle))))
+    return compose(top, h), compose(h2, undo)
+
+
+def unit_at(groupoid, x) -> FinMap:
+    return _pi(compose(x[1], groupoid.middle))

@@ -179,7 +179,7 @@ def test_criterion_7_fibre_equivalences():
     with _Budget("criterion 7 (fibre equivalences)", None):
         counts = {1: 1, 2: 3, 3: 13, 4: 75}
         for m in range(1, 5):
-            c = Chain(SURJ, (_fold(m), identity(1)), 1)
+            c = Chain.of(SURJ, (_fold(m), identity(1)), 1)
             g = FactorisationGroupoid(degeneracy(1, c))
             for y in g.reflected.objects:
                 assert g.forward(g.backward(y)) == y

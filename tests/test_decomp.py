@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from math import factorial
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pita import decomp
+from pita import decomp, finskel
 from pita.decomp import (
     CoalgebraElement,
     FactorisationGroupoid,
@@ -20,7 +21,7 @@ from pita.decomp import (
     verify_counit,
     verify_decomposition_fibres,
 )
-from pita.errors import ShapeError, UnsupportedInstanceError
+from pita.errors import PitaError, ShapeError, UnsupportedInstanceError
 from pita.factorisation import eta_rel
 from pita.finskel import (
     FinMap,
@@ -34,10 +35,13 @@ from pita.finskel import (
     pita,
 )
 from pita.instances import make_fin, make_fin_surj
+from pita import nerve
 from pita.nerve import Chain, degeneracy, enumerate_p
 from pita.opcat import Report, quasibijections
 
-from helpers import CompositeOutsideHoms, CorruptFibre, CorruptFibreMap
+import reference
+from helpers import CompositeOutsideHoms, CorruptFibre, CorruptFibreMap, Wrapper
+from test_nerve import REFERENCE_CASES, _agreement, _case
 
 SURJ = make_fin_surj()
 FIN = make_fin()
@@ -50,7 +54,7 @@ def _fold(n):
 def _groupoid(*maps):
     """The groupoid over the chain of the maps, a 2-chain through its
     middle degeneracy."""
-    c = Chain(SURJ, maps, maps[-1].cod)
+    c = Chain.of(SURJ, maps, maps[-1].cod)
     return FactorisationGroupoid(c if c.length == 3 else degeneracy(1, c))
 
 
@@ -117,7 +121,7 @@ def test_comult_splits_no_first_leg(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("comult split a map")
 
-    monkeypatch.setattr(decomp, "pita_general", refuse)
+    monkeypatch.setattr(finskel, "pita", refuse)
     for n in range(1, 6):
         assert comult(SURJ, _fold(n)) == comult_closed_form(n), n
 
@@ -309,7 +313,7 @@ def test_groupoid_rejects_bad_chains():
         _groupoid(identity(2), swap, identity(2))
     for n in (2, 4):
         with pytest.raises(ShapeError, match="3-chains"):
-            FactorisationGroupoid(Chain(SURJ, (identity(1),) * n, 1))
+            FactorisationGroupoid(Chain.of(SURJ, (identity(1),) * n, 1))
 
 
 def test_fold_of_two_has_three_rigid_classes():
@@ -366,6 +370,46 @@ def test_morphisms_need_the_fop_square():
     assert x in g.objects and y in g.objects
     assert not g.is_morphism(swap, x, y)
     assert g._morphism(x, y) is None
+
+
+@REFERENCE_CASES
+def test_groupoid_maps_match_the_reference(base, mutant, bound):
+    # the morphism test, forward, backward and unit_at on the interner
+    # against their map-by-map form in tests/reference.py, in the groupoid
+    # over every locally op 3-chain and over the middle degeneracy of
+    # every 2-chain: forward and unit_at at each object, backward at each
+    # reflected object and at each forward image, the solved candidate
+    # between each two objects and the unit: equal values, or the same
+    # exception type and text
+    inst = _case(base, mutant)
+    kinds = Counter()
+    agree = _agreement(kinds)
+    G = FactorisationGroupoid
+    chains = list(enumerate_p(inst, 3, bound))
+    chains += [degeneracy(1, c) for c in enumerate_p(inst, 2, bound)]
+    for c in chains:
+        try:
+            g = G(c)
+            reflected = g.reflected.objects
+        except PitaError:
+            continue
+        for y in reflected:
+            agree(G.backward, reference.backward, g, y)
+        for x in g.objects:
+            agree(G.unit_at, reference.unit_at, g, x)
+            there = agree(G.forward, reference.forward, g, x)
+            if there[0] == "value":
+                back = agree(G.backward, reference.backward, g, there[1])
+                if back[0] == "value":
+                    unit = g.unit_at(x)
+                    agree(G.is_morphism, reference.is_morphism, g, unit, x, back[1])
+            for y in g.objects:
+                sigma = decomp._quotient(x[0], y[0])
+                if sigma is not None:
+                    agree(G.is_morphism, reference.is_morphism, g, sigma, x, y)
+    # composites outside the homs make every reflected chain ill-formed,
+    # so no groupoid is left to compare
+    assert kinds["value"] or mutant == "CompositeOutsideHoms"
 
 
 def _sweep_groupoids(monkeypatch):
@@ -477,7 +521,7 @@ def test_middle_identity_is_the_two_chain_comparison():
     # middle degeneracies of the 2-chains, the folds among them
     chains = set(enumerate_p(SURJ, 2, 3))
     assert all(
-        Chain(SURJ, (_fold(m), identity(1)), 1) in chains for m in (1, 2, 3)
+        Chain.of(SURJ, (_fold(m), identity(1)), 1) in chains for m in (1, 2, 3)
     )
     rep = Report("fibres over degeneracies")
     for c in chains:
@@ -539,3 +583,39 @@ def test_a_comparison_that_raises_is_a_fibre_error():
 def test_fibre_suite_needs_the_surjection_instance():
     with pytest.raises(UnsupportedInstanceError):
         verify_decomposition_fibres(FIN, 2)
+
+
+class RecordCompose(Wrapper):
+    """Corrupts nothing; records each compose(g, f) asked of it, with the
+    code object of the function that asked."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.name = base.name
+        self.asked = []
+
+    def compose(self, g, f):
+        self.asked.append(((g, f), sys._getframe(1).f_code))
+        return self._base.compose(g, f)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda inst: verify_decomposition_fibres(inst, 3),
+        lambda inst: nerve.verify_strict_identities(inst, 3, 4),
+        lambda inst: nerve.verify_beta_coherence(inst, 3, 4),
+    ],
+    ids=["fibres", "strict", "beta"],
+)
+def test_the_sweeps_ask_each_composite_once(sweep):
+    # the nerve and the fibre groupoids ask a fresh instance for each
+    # composite once, through its interner; only beta's oracle composes
+    # FinMaps through the instance itself. When the groupoids composed
+    # through the instance, the fibre sweep asked 12,971 times for 105
+    # distinct pairs
+    inst = RecordCompose(make_fin_surj())
+    assert sweep(inst).ok
+    oracle = nerve.beta.__code__
+    once = [pair for pair, code in inst.asked if code is not oracle]
+    assert len(once) == len(set(once)) == 105

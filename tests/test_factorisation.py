@@ -37,7 +37,11 @@ from pita.finskel import (
 )
 from pita.instances import make_fin, make_fin_surj, make_op
 from pita.opcat import is_fop_square, is_quasibijection, verify_axioms
-from reference import axioms_reference, splitting_reference
+from reference import (
+    axioms_reference,
+    splitting_reference,
+    unary_splitting_reference,
+)
 from strategies import composable_pairs
 from test_differential import BASES, MUTANTS
 from test_opcat import _all_squares
@@ -357,6 +361,28 @@ def test_splitting_sweep_matches_the_reference(base, mutant):
     reference = splitting_reference(inst, 2)
     for tag in SPLITTING_SITES[5:]:
         checks, found = reference.get(tag, (0, []))
+        mine = [v for v in rep.violations if v["axiom"] == tag]
+        assert (rep.by_axiom[tag], _sorted_json(mine)) == (
+            checks, _sorted_json(found)
+        ), tag
+
+
+@ROUTES
+@pytest.mark.parametrize(
+    "base,mutant", CLOSED_CASES, ids=[f"{b}-{m}" for b, m in CLOSED_CASES]
+)
+def test_unary_splitting_sites_match_the_reference(
+    base, mutant, cutoff, monkeypatch
+):
+    # the five unary sites against tests/reference.py, which splits value
+    # tuples itself and asks the instance only for fibres and terminals
+    monkeypatch.setattr(opcat, "_TRIPLE_LOOP_CUTOFF", cutoff)
+    inst = _instance(base, mutant)
+    rep = verify_eta_identities(inst, 2, max_violations=10**6)
+    reference = unary_splitting_reference(inst, 2)
+    assert sorted(reference) == sorted(SPLITTING_SITES[:5])
+    for tag in SPLITTING_SITES[:5]:
+        checks, found = reference[tag]
         mine = [v for v in rep.violations if v["axiom"] == tag]
         assert (rep.by_axiom[tag], _sorted_json(mine)) == (
             checks, _sorted_json(found)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import reference
 from helpers import CompositeOutsideHoms, CorruptFibre
 from pita import nerve
-from pita.errors import IntegrityError, ShapeError
+from pita.errors import IntegrityError, PitaError, ShapeError
 from pita.factorisation import eta_rel, pita_general
 from pita.finskel import FinMap, compose, identity
 from pita.instances import make_fin, make_fin_surj, make_op
@@ -39,7 +39,7 @@ OP = make_op()
 
 
 def _chain(inst, *maps):
-    return Chain(inst, maps, maps[-1].cod)
+    return Chain.of(inst, maps, maps[-1].cod)
 
 
 # ---------------------------------------------------------------- chains
@@ -47,16 +47,16 @@ def _chain(inst, *maps):
 
 def test_chain_shape_validation():
     with pytest.raises(ShapeError, match="map 0 does not end at object 1"):
-        Chain(FIN, (FinMap(2, 2, (1, 2)),), 3)
+        Chain.of(FIN, (FinMap(2, 2, (1, 2)),), 3)
     with pytest.raises(ShapeError, match="map 0 does not end at object 1"):
-        Chain(FIN, (FinMap(2, 1, (1, 1)), identity(2)), 2)
+        Chain.of(FIN, (FinMap(2, 1, (1, 1)), identity(2)), 2)
     c = _chain(FIN, FinMap(2, 2, (2, 1)), FinMap(2, 1, (1, 1)))
     assert c.length == 2
     assert c.objects == (2, 2, 1)
     assert Chain(FIN, (), 2).objects == (2,)
     # the objects are derived from the maps and take no part in equality;
     # equality and hashing read the maps through their interned ids
-    assert c == Chain(FIN, list(c.maps), 1)
+    assert c == Chain.of(FIN, list(c.maps), 1)
     assert c.ids == tuple(map(nerve._ids(FIN).id, c.maps))
     assert hash(c) == hash((FIN, c.ids, 1))
 
@@ -105,9 +105,9 @@ def test_chain_json_objects_must_match_the_maps(objects):
 def test_ladder_shape_validation():
     c = _chain(FIN, FinMap(2, 1, (1, 1)))
     with pytest.raises(ShapeError):
-        FopDiagram(c, c, (identity(2),))
+        FopDiagram.of(c, c, (identity(2),))
     with pytest.raises(ShapeError):
-        FopDiagram(c, c, (identity(2), identity(2)))
+        FopDiagram.of(c, c, (identity(2), identity(2)))
     assert identity_ladder(c).is_valid()
 
 
@@ -116,16 +116,16 @@ def test_ladder_fop_condition_is_checked_against_the_bottom():
     # fibre reverses order, so the ladder is rejected
     swap = FinMap(2, 2, (2, 1))
     fold = _chain(FIN, FinMap(2, 1, (1, 1)))
-    assert not FopDiagram(fold, fold, (swap, identity(1))).is_valid()
+    assert not FopDiagram.of(fold, fold, (swap, identity(1))).is_valid()
     # over an identity vertical every fibre is a singleton
     two = _chain(FIN, identity(2))
-    assert FopDiagram(two, two, (swap, swap)).is_valid()
+    assert FopDiagram.of(two, two, (swap, swap)).is_valid()
 
 
 def test_ladder_validity_needs_commuting_squares():
     src = _chain(FIN, FinMap(2, 2, (1, 2)))
     dst = _chain(FIN, FinMap(2, 2, (2, 1)))
-    assert not FopDiagram(src, dst, (identity(2), identity(2))).is_valid()
+    assert not FopDiagram.of(src, dst, (identity(2), identity(2))).is_valid()
 
 
 # ----------------------------------------------------------- enumeration
@@ -201,12 +201,12 @@ def test_unreflected_top_face_leaves_the_locally_op_world():
     # locally order-preserving postcondition instead
     c = _chain(FIN, identity(2), FinMap(2, 2, (2, 1)), FinMap(2, 1, (1, 1)))
     assert c.locally_op
-    trunc = Chain(FIN, c.maps[:-1], c.objects[-2])
+    trunc = Chain.of(FIN, c.maps[:-1], c.objects[-2])
     assert not trunc.locally_op
     assert top_face(c) != trunc
     assert top_face(c).locally_op
     # the commutation family alone cannot tell the two apart
-    assert face(0, trunc) == Chain(FIN, trunc.maps[1:], trunc.bottom)
+    assert face(0, trunc) == Chain.of(FIN, trunc.maps[1:], trunc.bottom)
 
 
 def _outcome(op, *args):
@@ -219,37 +219,54 @@ def _outcome(op, *args):
     if isinstance(got, FopDiagram):
         return (
             "ladder", _values(got.source), _values(got.target),
-            got.horizontals,
+            got.horizontals, got.hids,
         )
-    return ("chain", _values(got))
+    if isinstance(got, Chain):
+        return ("chain", _values(got))
+    return ("value", got)
 
 
 def _values(chain):
     return (chain.inst, chain.maps, chain.objects, chain.bottom, chain.ids)
 
 
-@pytest.mark.parametrize(
+def _agreement(kinds):
+    """agree(ours, theirs, *args): both give equal values, or raise the
+    same exception type with the same text; kinds counts the outcomes."""
+
+    def agree(ours, theirs, *args):
+        got = _outcome(ours, *args)
+        assert got == _outcome(theirs, *args), (ours.__name__, args)
+        kinds[got[0]] += 1
+        return got
+
+    return agree
+
+
+# every base at bound 2, clean and under each mutant, and fin-surj at 3
+REFERENCE_CASES = pytest.mark.parametrize(
     "base, mutant, bound",
     [(base, mutant, 2) for base in BASES for mutant in MUTANTS]
     + [("fin-surj", "clean", 3)],
     ids=lambda value: str(value),
 )
+
+
+def _case(base, mutant):
+    inst = BASES[base]()
+    return inst if MUTANTS[mutant] is None else MUTANTS[mutant](inst)
+
+
+@REFERENCE_CASES
 def test_chain_operators_match_the_reference(base, mutant, bound):
     # the operators on interned ids against their map-by-map form in
     # tests/reference.py: equal chains and ladders, or the same exception
     # type and text, on every locally op chain up to length 3 and, for the
     # reflection, every chain up to length 2; indices one past the last
     # valid one included
-    inst = BASES[base]()
-    if MUTANTS[mutant] is not None:
-        inst = MUTANTS[mutant](inst)
+    inst = _case(base, mutant)
     kinds = Counter()
-
-    def agree(ours, theirs, *args):
-        got = _outcome(ours, *args)
-        assert got == _outcome(theirs, *args), (ours.__name__, args)
-        kinds[got[0]] += 1
-
+    agree = _agreement(kinds)
     for n in range(4):
         for c in enumerate_p(inst, n, bound):
             for i in range(n + 1):
@@ -263,6 +280,60 @@ def test_chain_operators_match_the_reference(base, mutant, bound):
         for c in nerve._all_chains(inst, n, bound, locally_op=False):
             agree(reflect_chain, reference.reflect_chain, c)
     assert kinds["chain"] and kinds["ladder"] and kinds["raises"]
+
+
+@REFERENCE_CASES
+def test_ladder_operators_and_cells_match_the_reference(base, mutant, bound):
+    # identity_ladder, compose_ladders, ladder_top_face, production beta
+    # and the scalar coherence-0 on interned ids against their
+    # map-by-map form in tests/reference.py, at every cell the beta sweep
+    # makes at maxlen 4: equal values, or the same exception type and text
+    inst = _case(base, mutant)
+    kinds = Counter()
+    agree = _agreement(kinds)
+
+    def made(ours, theirs, *args):
+        """ours(*args), checked against theirs; None where it raises or
+        an argument is missing."""
+        if None in args or agree(ours, theirs, *args)[0] == "raises":
+            return None
+        return ours(*args)
+
+    def chain(op, *args):
+        try:
+            return op(*args)
+        except PitaError:
+            return None
+
+    for n in range(4):
+        for c in enumerate_p(inst, n, bound):
+            agree(identity_ladder, reference.identity_ladder, c)
+    for m in (0, 1):
+        for c in enumerate_p(inst, m + 3, bound):
+            if m == 0:
+                agree(
+                    nerve._scalar_coherence_0, reference.scalar_coherence_0, c
+                )
+            below = made(beta, reference.beta, m + 1, c)
+            sides = (
+                (
+                    made(beta, reference.beta, m, chain(face, m + 1, c)),
+                    made(beta, reference.beta, m, chain(top_face, c)),
+                ),
+                (
+                    made(beta, reference.beta, m, chain(face, m + 2, c)),
+                    made(ladder_top_face, reference.ladder_top_face, below),
+                ),
+            )
+            for first, second in sides:
+                if first is not None and second is not None:
+                    agree(
+                        compose_ladders, reference.compose_ladders,
+                        first, second,
+                    )
+    assert kinds["ladder"] and kinds["value"]
+    if mutant == "ShrinkComposite":
+        assert kinds["raises"]
 
 
 # ------------------------------------------------------------ reflection
@@ -296,7 +367,7 @@ def test_reflection_is_idempotent_and_unit_is_fop():
 @given(composable_pairs(max_card=5))
 def test_reflection_properties_hold_on_random_chains(pair):
     g, f = pair
-    unit = reflect_chain(Chain(FIN, (g, f), f.cod))
+    unit = reflect_chain(Chain.of(FIN, (g, f), f.cod))
     rc = unit.target
     assert rc.locally_op
     assert reflect_chain(rc).target == rc
@@ -437,28 +508,37 @@ def test_lift_matches_the_relative_op_parts(inst, maxlen, bound):
                 )
 
 
-def test_lifting_an_n_chain_splits_n_plus_one_times(monkeypatch):
-    # the lift asks the interner for one split per step and one of the
-    # bottom; the interner computes each split once per map
-    calls = []
-    splits = nerve._ids(SURJ).pi
+def test_lifting_an_n_chain_asks_n_splits_and_n_relative_parts(monkeypatch):
+    # the lift asks the interner for one split and one relative op part
+    # per step; the interner computes each once per map or pair, so a
+    # lift over maps it has met splits no FinMap
+    t = nerve._ids(SURJ)
+    chains = [c for n in range(4) for c in enumerate_p(SURJ, n, 3)]
+    for c in chains:
+        opfibration_lift(c, identity(c.bottom))
+    asked = Counter()
 
-    class Counted:
-        def __getitem__(self, k):
-            calls.append(k)
-            return splits[k]
+    def counted(name):
+        memo = getattr(t, name)
 
-    monkeypatch.setattr(nerve._ids(SURJ), "pi", Counted())
-    # the lift unwinds its own splits and never asks for eta_rel
-    monkeypatch.setattr(nerve, "eta_rel", None)
-    for n in range(4):
-        for c in enumerate_p(SURJ, n, 3):
-            calls.clear()
-            opfibration_lift(c, identity(c.bottom))
-            assert len(calls) == n + 1
-            calls.clear()
-            reflect_chain(c)
-            assert len(calls) == n + 1
+        class Counted:
+            def __getitem__(self, key):
+                asked[name] += 1
+                return memo[key]
+
+        monkeypatch.setattr(t, name, Counted())
+
+    counted("pi")
+    counted("eta_rel")
+    monkeypatch.setattr(nerve, "pita_general", None)
+    for c in chains:
+        for lift in (
+            lambda: opfibration_lift(c, identity(c.bottom)),
+            lambda: reflect_chain(c),
+        ):
+            asked.clear()
+            lift()
+            assert (asked["pi"], asked["eta_rel"]) == (c.length, c.length)
 
 
 def test_opfibration_uniqueness_sweeps():
@@ -520,7 +600,7 @@ def test_beta_oracle_checks_the_target_of_its_lift(monkeypatch):
             return lift(chain, sigma0)
         X = chain.bottom
         up = FinMap(X, X + 1, tuple(range(1, X + 1)))
-        return FopDiagram(chain, Chain(chain.inst, (), X + 1), (up,))
+        return FopDiagram.of(chain, Chain(chain.inst, (), X + 1), (up,))
 
     monkeypatch.setattr(nerve, "opfibration_lift", misdirected)
     c = _chain(SURJ, FinMap(2, 2, (2, 1)), FinMap(2, 1, (1, 1)))
