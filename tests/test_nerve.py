@@ -219,7 +219,7 @@ def _outcome(op, *args):
     if isinstance(got, FopDiagram):
         return (
             "ladder", _values(got.source), _values(got.target),
-            got.horizontals, got.hids,
+            got.horizontals,
         )
     if isinstance(got, Chain):
         return ("chain", _values(got))
