@@ -90,6 +90,16 @@ for _mutant in (
     )
 
 
+# beta at bound 3 as well: every horizontal at bound 2 permutes at most two
+# points, and those commute, so no bound-2 pin tells the order in which
+# two ladders compose
+for _mutant in MUTANTS:
+    CASES[f"fin-surj/{_mutant}/beta3"] = (
+        make_fin_surj, MUTANTS[_mutant],
+        lambda inst: verify_beta_coherence(inst, 3, 4, EVERY),
+    )
+
+
 def outcome(case: str) -> dict:
     factory, mutant, run = CASES[case]
     inst = factory() if mutant is None else mutant(factory())
