@@ -17,28 +17,29 @@ on both routes. The one layout step of this module is FMT, the fibre maps
 transposed into one row per point: FMT[i - 1][p] is the fibre map of
 pair p over i.
 
-Reference ids. The pair sweep of verify_axioms compares the instance's
-composites and fibre maps with finskel's. Here those are computed as ids
-for all pairs, _PAIR_CHUNK pairs at a time, from two tables over points
-x = 1 .. bound (0 in column 0 and past dom k): VAL[k, x], the value of
-map k at x, and the rank table RANK[k, x], the position of x in its fibre
-of k. The composite of a pair (g, f) takes x to VAL[f, VAL[g, x]], and
-its fibre map over i takes the points x with composite value i, in
-order, to RANK[f, VAL[g, x]]. A map dom -> cod with values v_1 .. v_dom
-has the code (dom * B + cod) * B^bound + sum of v_x * B^(bound - x), with
-B = bound + 1, one integer per map, as no object or value exceeds bound;
-searchsorted over the sorted codes of the universe's maps turns a code
-into an id, -1 for a map outside the universe. Only the pairs whose
-answers differ from these ids are rechecked with finskel.
+The pair screen. The pair sweep of verify_axioms compares the
+instance's composites and fibre maps with finskel's, by value. Here that
+comparison runs for all pairs, _PAIR_CHUNK pairs at a time, on two tables
+over points x = 1 .. bound (0 in column 0 and past dom k): VAL[k, x], the
+value of map k at x, and the rank table RANK[k, x], the position of x in
+its fibre of k. The composite c of a pair (g, f) takes x to
+VAL[f, VAL[g, x]]. Its fibre map over i runs from the points of c over i
+to those of f over i, so it has their counts FS[c, i - 1] and
+FS[f, i - 1] as domain and codomain, and it sends RANK[c, x] to
+RANK[f, g(x)] for every point x over i. Only the pairs whose answers
+fail this are rechecked with finskel.
 
 Buffers. Each worker thread of the two triple sweeps writes the blocks
 of its chunks into buffers it allocates once per sweep, through out=, and
 every array it indexes with is intp (PIDX is stored intp), so numpy makes
-no temporary of a block's size. The iterated-fibre-map kernel writes out
-its blocks; the cocycle reads C and R through _BufferedLookups, which give
-each lookup of a chunk its own result buffer. The sweeps' speed then does
-not depend on how the allocator serves large blocks: with glibc's mmap
-threshold pinned at 128 KB, fresh temporaries made them about 3x slower.
+no temporary of a block's size. The iterated-fibre-map kernel writes its
+blocks into five: the pair ids of (h, g;f), kept for the whole chunk, two
+blocks of positions to take at, one of fibre-map ids and one of
+comparisons. The cocycle reads C and R through _BufferedLookups, which
+give each lookup of a chunk its own result buffer. The sweeps' speed then
+does not depend on how the allocator serves large blocks: with glibc's
+mmap threshold pinned at 128 KB, fresh temporaries made them about 3x
+slower.
 
 The universe asked the instance (not the raw finite-set functions), so a
 deliberately corrupted instance poisons the tables and the sweeps still
@@ -58,7 +59,7 @@ from .factorisation import _COCYCLE, _cocycle_sides, _pair_sites, _unit_square
 from .opcat import _by_pair, default_threads
 
 
-# pairs per chunk of reference ids
+# pairs per chunk of the pair screen
 _PAIR_CHUNK = 4096
 
 
@@ -125,27 +126,19 @@ class MapTable:
         self.PIDX = np.array(universe.pair_index, dtype=np.intp)
         self.CMP = _array(universe.composites)
 
-        # fibre sizes and inclusions; the value and rank of every point
+        # fibre sizes; the value and rank of every point
         self.FS = np.zeros((n, bound), dtype=np.int16)
-        self.EPS = np.zeros((n, bound, bound), dtype=np.int16)
         self.VAL = np.zeros((n, bound + 1), dtype=np.intp)
         self.RANK = np.zeros((n, bound + 1), dtype=np.intp)
         for k, inclusions in enumerate(universe.inclusions):
             for i, eps in enumerate(inclusions):
                 self.FS[k, i] = len(eps)
-                self.EPS[k, i, : len(eps)] = eps
                 self.VAL[k, list(eps)] = i + 1
                 self.RANK[k, list(eps)] = range(1, len(eps) + 1)
         # per point, since the triple kernel makes contiguous 1-D takes
         self.FMT = np.ascontiguousarray(
             _array(universe.fibre_maps).reshape(self.pairs + 1, bound).T
         )
-
-        # B^bound .. B^0, and the universe's maps sorted by code
-        self.POW = (bound + 1) ** np.arange(bound, -1, -1, dtype=np.int64)
-        codes = self._code(self.DOM, self.COD, self.VAL[:, 1:] @ self.POW[1:])
-        self.BY_CODE = np.argsort(codes, kind="stable")
-        self.CODES = codes[self.BY_CODE]
 
         self.PI = self.ETA = self.ER = None
 
@@ -158,54 +151,19 @@ class MapTable:
         self.PI, self.ETA = _array(pis), _array(etas)
         self.ER = _array(self.universe.relative_parts)
 
-    # ------------------------------------------------ map codes and ids
-
-    def _code(self, dom, cod, digits):
-        """The codes of maps dom -> cod whose values weigh digits, the
-        sum of v_x * B^(bound - x)."""
-        return self.POW[0] * (dom * (self.bound + 1) + cod) + digits
-
-    def _ids(self, codes):
-        """The id of the map of each code, -1 for a map outside the
-        universe; the last of equal maps, as in Universe.index."""
-        at = np.searchsorted(self.CODES, codes, side="right") - 1
-        return np.where(self.CODES[at] == codes, self.BY_CODE[at], -1)
-
-    def reference_ids(self, lo: int, hi: int):
-        """The ids of finskel's composite and fibre maps of the pairs lo
-        .. hi - 1 (see the module docstring): an array of composite ids,
-        and one of fibre-map ids with a row per point i of the second
-        map's codomain, -1 past it, as in FMT."""
-        w = self.bound
-        g, f = self.pa[lo:hi], self.pb[lo:hi]
-        # point x of dom g, 1 .. w, through g and then through f, and the
-        # rank of g(x) in its fibre of f; 0 past dom g
-        through = f[:, None] * (w + 1) + self.VAL[g]
-        composite = self.VAL.take(through)[:, 1:]
-        rank = self.RANK.take(through)[:, 1:]
-        dom, cod = self.DOM[g], self.COD[f]
-        composites = self._ids(self._code(dom, cod, composite @ self.POW[1:]))
-        fibre_maps = np.full((w, hi - lo), -1, dtype=np.intp)
-        for i in range(1, int(cod.max(initial=0)) + 1):
-            over = composite == i
-            # the points over i, numbered 1, 2, ... in order
-            position = np.cumsum(over, axis=1)
-            digits = (over * rank * self.POW[position]).sum(axis=1)
-            codes = self._code(over.sum(axis=1), self.FS[f, i - 1], digits)
-            fibre_maps[i - 1] = np.where(cod >= i, self._ids(codes), -1)
-        return composites, fibre_maps
-
     def pairs_to_recheck(self):
         """The pairs of the pair sweep of verify_axioms that finskel must
         recompute, in pair order, and the cardinality-fibre-size and
         fibre-of-fibre-map checks that all other pairs make. A pair is
-        rechecked when an answer id (its composite, a fibre map) differs
-        from the reference id or is -1, or when the instance counts a
-        fibre of g, f or one of the fibre maps wrongly. Any other pair
-        passes every site: its fibre maps are finskel's, and a fibre of
-        the fibre map over i at j has as many points as the fibre of g
-        at epsilon(j)."""
+        rechecked when an answer (its composite, a fibre map) is -1 or
+        differs by value from finskel's (see the module docstring), or
+        when the instance counts a fibre of g, f or one of the fibre maps
+        wrongly. Any other pair passes every site: its answers are
+        finskel's, and a fibre of the fibre map over i at j has as many
+        points as the fibre of g at epsilon(j)."""
         u = self.universe
+        VAL, RANK, FS = self.VAL, self.RANK, self.FS
+        DOM, COD = self.DOM, self.COD
         miscounted = np.array([
             F != tuple(map(len, eps))
             for F, eps in zip(u.fibres, u.inclusions)
@@ -216,16 +174,30 @@ class MapTable:
         for lo in range(0, self.pairs, _PAIR_CHUNK):
             hi = min(lo + _PAIR_CHUNK, self.pairs)
             g, f = self.pa[lo:hi], self.pb[lo:hi]
-            composites, fibre_maps = self.reference_ids(lo, hi)
             C, FM = self.CMP[lo:hi], self.FMT[:, lo:hi]
-            bad = (C != composites) | (C < 0) | miscounted[g] | miscounted[f]
+            # g(x) and f(g(x)) for x = 0 .. bound, 0 at 0 and past dom g
+            through = VAL[g]
+            composite = VAL[f[:, None], through]
+            bad = (C < 0) | miscounted[g] | miscounted[f]
+            bad |= (DOM[C] != DOM[g]) | (COD[C] != COD[f])
+            bad |= (VAL[C] != composite).any(axis=1)
+            # the fibre map over i, from the points of C to those of f
             bad |= (
-                (points <= self.COD[f])
-                & ((FM != fibre_maps) | (FM < 0) | miscounted[FM])
+                (points <= COD[f])
+                & ((FM < 0) | miscounted[FM]
+                   | (DOM[FM] != FS[C].T) | (COD[FM] != FS[f].T))
             ).any(axis=0)
+            # and, at each point x of dom g, the fibre map over f(g(x))
+            # sends RANK[C, x] to RANK[f, g(x)]; past dom g reads nothing
+            fibre_map = FM[composite[:, 1:] - 1, np.arange(hi - lo)[:, None]]
+            sent = VAL[fibre_map, RANK[C, 1:]]
+            bad |= (
+                (composite[:, 1:] > 0)
+                & (sent != RANK[f[:, None], through[:, 1:]])
+            ).any(axis=1)
             good = f[~bad]
-            sizes += int(self.COD[good].sum())
-            fibres += int(self.DOM[good].sum())
+            sizes += int(COD[good].sum())
+            fibres += int(DOM[good].sum())
             recheck.extend((np.flatnonzero(bad) + lo).tolist())
         return recheck, sizes, fibres
 
@@ -258,13 +230,18 @@ class MapTable:
         (g, f), the fibre map of [h over g;f at i] taken over [g over f
         at i] at j equals the fibre map of h over g at epsilon(j). One
         chunk per middle id g, f_ids down the rows and h_ids across the
-        columns; for each i and j only the rows of the f with i <= cod f
-        and j <= |fibre of f over i| are looked up. Where the fibre maps
-        do not compose, the lhs reads -1, as on the loop route.
-        IntegrityError unless the universe is closed."""
+        columns, walking the points e of cod g, the domain of every f:
+        each row checks i = f(e) and j = RANK[f, e], the rank of e over
+        i, against the fibre map of (h, g) over e, which is the same for
+        every row. Where the fibre maps do not compose, the lhs reads -1,
+        as on the loop route. IntegrityError unless the universe is
+        closed."""
         self.universe.require_closed()
-        FS, EPS, FMT, pair_of = self.FS, self.EPS, self.FMT, self.PIDX
+        VAL, RANK, FMT, pair_of = self.VAL, self.RANK, self.FMT, self.PIDX
         stride = self.n + 1
+        # the fibre map of pair p over i at (i - 1) * width + p; pair -1
+        # reads the padding that ends the row before, or the last one
+        fibre_maps, width = FMT.ravel(), FMT.shape[1]
         # one hit past the cap per chunk is enough for Report.add to mark
         # the list truncated
         cap = report.max_violations + 1
@@ -278,7 +255,6 @@ class MapTable:
 
         def chunk(g):
             hits = []
-            checks = 0
             h_ids = self.by_cod[self.DOM[g]]
             f_ids = self.by_dom[self.COD[g]]
             if not len(h_ids) or not len(f_ids):
@@ -286,59 +262,45 @@ class MapTable:
             if not hasattr(local, "buffers"):
                 local.buffers = [
                     np.empty(size, dtype)
-                    for dtype in (np.intp,) * 3 + (np.int32,) * 2 + (bool,)
+                    for dtype in (np.intp,) * 3 + (np.int32, bool)
                 ]
-            # I1 holds PHFG for the whole chunk; I2, I3 (ids to take at)
-            # and V1, V2 (fibre-map ids) are each rewritten once read
-            I1, I2, I3, V1, V2, bad = local.buffers
-
-            def block(buffer, rows):
-                return buffer[: rows * len(h_ids)].reshape(rows, len(h_ids))
-
+            # PHFG holds the pair ids of (h, g;f) for the whole chunk; the
+            # other blocks are each rewritten once read
+            PHFG, I2, I3, V, bad = (
+                buffer[: len(f_ids) * len(h_ids)].reshape(len(f_ids), -1)
+                for buffer in local.buffers
+            )
             # R[e - 1, hk]: the fibre map of (h, g) over e
             R = FMT[:, pair_of.take(h_ids * stride + g)]
             PGF = pair_of.take(g * stride + f_ids)
             FG = self.CMP.take(PGF)
-            PHFG = pair_of.take(
-                np.add(FG[:, None], h_ids * stride, out=block(I2, len(f_ids))),
-                out=block(I1, len(f_ids)), mode="wrap",
+            pair_of.take(
+                np.add(FG[:, None], h_ids * stride, out=I2),
+                out=PHFG, mode="wrap",
             )
-            cod_f = self.COD[f_ids]
-            for i in range(1, int(cod_f.max()) + 1):
-                rows = np.flatnonzero(cod_f >= i)
-                m = len(rows)
-                fibre_map = FMT[i - 1]
-                B = fibre_map.take(PGF[rows])
-                A = np.take(PHFG, rows, axis=0, out=block(I2, m), mode="wrap")
-                A = fibre_map.take(A, out=block(V1, m), mode="wrap")
-                AB = np.multiply(A, stride, out=block(I3, m))
+            points = int(self.COD[g])
+            for e in range(1, points + 1):
+                i, j = VAL[f_ids, e], RANK[f_ids, e]
+                at_i = (i - 1) * width
+                B = fibre_maps.take(PGF + at_i)
+                A = fibre_maps.take(
+                    np.add(PHFG, at_i[:, None], out=I2), out=V, mode="wrap"
+                )
+                AB = np.multiply(A, stride, out=I3)
                 AB += B[:, None]
-                PAB = pair_of.take(AB, out=block(I2, m), mode="wrap")
-                sizes = FS[f_ids[rows], i - 1]
-                for j in range(1, int(sizes.max()) + 1):
-                    keep = np.flatnonzero(sizes >= j)
-                    fk = rows[keep]
-                    PAB_j = np.take(
-                        PAB, keep, axis=0, out=block(I3, len(keep)),
-                        mode="wrap",
-                    )
-                    lhs = FMT[j - 1].take(
-                        PAB_j, out=block(V1, len(keep)), mode="wrap"
-                    )
-                    rhs = np.take(
-                        R, EPS[f_ids[fk], i - 1, j - 1] - 1, axis=0,
-                        out=block(V2, len(keep)), mode="wrap",
-                    )
-                    checks += lhs.size
-                    diff = np.not_equal(lhs, rhs, out=block(bad, len(keep)))
-                    if diff.any():
-                        for hk, k in np.argwhere(diff.T)[: cap - len(hits)]:
-                            hits.append((
-                                {"h": h_ids[hk], "g": g, "f": f_ids[fk[k]]},
-                                {"i": i, "j": j},
-                                lhs[k, hk], rhs[k, hk],
-                            ))
-            return checks, hits
+                PAB = pair_of.take(AB, out=I2, mode="wrap")
+                PAB += ((j - 1) * width)[:, None]
+                lhs = fibre_maps.take(PAB, out=V, mode="wrap")
+                rhs = R[e - 1]
+                diff = np.not_equal(lhs, rhs, out=bad)
+                if diff.any():
+                    for hk, k in np.argwhere(diff.T)[: cap - len(hits)]:
+                        hits.append((
+                            {"h": h_ids[hk], "g": g, "f": f_ids[k]},
+                            {"i": int(i[k]), "j": int(j[k])},
+                            lhs[k, hk], rhs[hk],
+                        ))
+            return points * PHFG.size, hits
 
         self._merge(report, "iterated-fibre-map", chunk)
 

@@ -251,9 +251,9 @@ class Universe:
     calls it a quasibijection.
     The finskel reference composites and fibre maps that the axioms
     compare against are computed in verify_axioms' pair sweep: by finskel
-    for every pair on the loop route, and on the table route as numpy
-    reference ids (MapTable.reference_ids), with finskel recomputing only
-    the pairs whose answers differ from them. The splits
+    for every pair on the loop route, and on the table route compared
+    point by point in numpy (MapTable.pairs_to_recheck), with finskel
+    recomputing only the pairs whose answers differ. The splits
     and relative op parts of the splitting calculus are derived from these
     lists on first use (splits, relative_parts).
 
@@ -453,10 +453,11 @@ def verify_axioms(
     composable triples. The pair and triple sweeps read the instance's
     answers from its universe. On large universes both switch to the
     vectorised engine: the pair sweep recomputes with finskel only the
-    pairs whose answers differ from its numpy reference ids, and the
-    triple sweep, the expensive one, needs a closed universe and reports
-    one axioms-error violation in its place when the instance's answers
-    left its homs.
+    pairs whose answers a numpy screen finds differ from finskel's,
+    point by point, and the triple sweep, the expensive one, walks the
+    points of each middle map's codomain. It needs a closed universe and
+    reports one axioms-error violation in its place when the instance's
+    answers left its homs.
     """
     rep = Report(
         f"axioms[{inst.name}, bound={bound}]", max_violations=max_violations
@@ -541,7 +542,7 @@ def verify_axioms(
 
     # pair sweep: the instance's composites, fibre sizes and fibre maps
     # against the finskel reference computed on the handles; the table
-    # route counts at once the pairs whose answers are its reference ids
+    # route counts at once the pairs its screen finds to be finskel's
     w, fms = u.bound, u.fibre_maps
     fibres, inclusions = u.fibres, u.inclusions
     json_of = u.json_of

@@ -1,6 +1,6 @@
 """An independent reference for the pair and triple sites of the
-splitting sweep (verify_eta_identities) and of the axiom sweep
-(verify_axioms), and for the nerve's chain operators.
+splitting sweep (verify_eta_identities), for every site of the axiom
+sweep (verify_axioms), and for the nerve's chain operators.
 
 For the splitting sweep it recomputes the six pair sites, the unit
 squares and the relative-part cocycle on plain value tuples (dom, cod,
@@ -8,7 +8,9 @@ values). The split is its own stable sort, identities, inverses and
 order-preservation are read off the tuples, and composites and fibre maps
 are asked of the instance through its compose and fibre_morphism. For the
 axiom sweep it compares the instance's compose, fibre and fibre_morphism
-with composites, fibres and fibre maps computed here from the values.
+with composites, fibres and fibre maps computed here from the values, and
+checks its chosen terminals against its homs, with connected components
+found by its own search.
 Nothing comes from pita.finskel, from the Universe or from the sweeps' own
 definitions, so an equation that both routes of a sweep share and get
 wrong shows up as a difference from this module.
@@ -220,11 +222,86 @@ def splitting_reference(inst, bound: int) -> dict:
     return findings.result()
 
 
+def _terminal_sites(inst, objs: list, check) -> None:
+    """The sites of verify_axioms on chosen terminals and on the fibres
+    of identities. Objects are connected when a zigzag of nonempty homs
+    joins them; the sweep looks for a terminal's probes only in its
+    component, and only when the terminal is an object below the bound.
+    The missing-map, idempotence and component sites report but count
+    nothing, as in the sweep."""
+    homs = {(X, Y): inst.hom(X, Y) for X in objs for Y in objs}
+    component: dict = {}
+    for X in objs:
+        if X in component:
+            continue
+        component[X], todo = X, [X]
+        while todo:
+            A = todo.pop()
+            for B in objs:
+                if B not in component and (homs[(A, B)] or homs[(B, A)]):
+                    component[B] = X
+                    todo.append(B)
+
+    for X in objs:
+        U, tau = inst.chosen_terminal(X)
+        check(
+            "terminal-cardinality", {"object": X, "terminal": U}, U == 1, U, 1
+        )
+        check(
+            "terminal-map-missing", {"object": X, "map": _json(_key(tau))},
+            _key(tau) in map(_key, homs.get((X, U), ())),
+            "not a morphism", f"hom({X}, {U})", count=0,
+        )
+        U2, tau2 = inst.chosen_terminal(U)
+        check(
+            "terminal-idempotence", {"object": X, "terminal": U},
+            (U2, _key(tau2)) == (U, _identity(U)),
+            {"object": U2, "map": _json(_key(tau2))},
+            {"object": U, "map": _json(_identity(U))}, count=0,
+        )
+        if U not in component:
+            continue
+        check(
+            "terminal-outside-component", {"object": X},
+            component[X] == component[U], U, "same component", count=0,
+        )
+        for Y in objs:
+            if component[Y] == component[U]:
+                n = len(homs[(Y, U)])
+                check(
+                    "terminal-not-terminal",
+                    {"object": X, "terminal": U, "probe": Y}, n == 1, n, 1,
+                )
+
+    for X in objs:
+        for i in range(1, X + 1):
+            F = inst.fibre(FinMap(*_identity(X)), i)
+            check(
+                "identity-fibre-not-terminal", {"object": X, "i": i},
+                F == 1 and inst.chosen_terminal(F)[0] == F,
+                F, "a chosen local terminal",
+            )
+    for X in objs:
+        U, tau = inst.chosen_terminal(X)
+        F = inst.fibre(tau, 1)
+        check("terminal-fibre-object", {"object": X}, F == X, F, X)
+    for (X, Y), fs in homs.items():
+        _, tau = inst.chosen_terminal(Y)
+        for f in fs:
+            back = _key(inst.fibre_morphism(f, tau, 1))
+            check(
+                "terminal-fibre-morphism", {"f": _json(_key(f))},
+                back == _key(f), _json(back), _json(_key(f)),
+            )
+
+
 def axioms_reference(inst, bound: int) -> dict:
     """Per tag, the check count and the violation list (each as the
-    sweep reports it) of cardinality-not-functorial, cardinality-fibre-size,
-    fibre-map-cardinality, fibre-of-fibre-map and iterated-fibre-map below
-    the bound. As in the sweep, one check per pair and point covers both
+    sweep reports it) of every site of verify_axioms below the bound: the
+    terminal and identity-fibre sites (see _terminal_sites), then
+    cardinality-not-functorial, cardinality-fibre-size,
+    fibre-map-cardinality, fibre-of-fibre-map and iterated-fibre-map. As
+    in the sweep, one check per pair and point covers both
     cardinality-fibre-size and fibre-map-cardinality (it counts under the
     first), and cardinality-not-functorial reports but counts nothing. An
     answer outside the instance's homs reads None."""
@@ -249,6 +326,7 @@ def axioms_reference(inst, bound: int) -> dict:
         return missing if x is None else _json(x)
 
     check = (findings := _Findings()).check
+    _terminal_sites(inst, objs, check)
     for g in maps:
         for f in maps:
             if f[0] != g[1]:

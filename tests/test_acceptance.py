@@ -27,7 +27,7 @@ from pita.finskel import (
     is_order_preserving,
     pita,
 )
-from pita.instances import make_fin, make_fin_surj
+from pita.instances import make_fin, make_fin_surj, make_op
 from pita.nerve import (
     Chain,
     degeneracy,
@@ -216,3 +216,13 @@ def test_criterion_9_coherence_at_level_2():
         rep = verify_beta_coherence(SURJ, 3, 5)
         assert rep.ok, rep.violations[:2]
         assert rep.checks == 5_824
+
+
+def test_criterion_10_coherence_at_bound_4_and_on_op():
+    with _Budget("criterion 10 (coherence on fin-surj b4 and op b3)", 60.0):
+        for inst, bound, checks in (
+            (SURJ, 4, 69_645), (make_op(), 3, 88_410)
+        ):
+            rep = verify_beta_coherence(inst, bound)
+            assert rep.ok, (inst.name, rep.violations[:2])
+            assert rep.checks == checks, inst.name

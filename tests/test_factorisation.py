@@ -1,3 +1,4 @@
+import functools
 import json
 from collections import Counter
 
@@ -389,32 +390,51 @@ def test_unary_splitting_sites_match_the_reference(
         ), tag
 
 
-AXIOM_PAIR_AND_TRIPLE_SITES = (
-    "cardinality-not-functorial",
-    "cardinality-fibre-size",
-    "fibre-map-cardinality",
-    "fibre-of-fibre-map",
-    "iterated-fibre-map",
-)
+# the twelve closed cases at bound 2, and fin at bound 3, where a fibre
+# has up to three points, so the iterated fibre-map kernel meets ranks 1
+# to 3 in every order
+AXIOM_REFERENCE_CASES = [
+    (base, mutant, 2) for base, mutant in CLOSED_CASES
+] + [
+    ("fin", mutant, 3)
+    for mutant in ("clean", "CorruptFibreMap", "WidenFibreMap")
+]
+
+
+# the two routes of a case run one after the other, and the reference of
+# fin at bound 3 under WidenFibreMap holds 100k violations
+@functools.lru_cache(maxsize=1)
+def _axioms_reference(base, mutant, bound):
+    return axioms_reference(_instance(base, mutant), bound)
 
 
 @ROUTES
 @pytest.mark.parametrize(
-    "base,mutant", CLOSED_CASES, ids=[f"{b}-{m}" for b, m in CLOSED_CASES]
+    "base,mutant,bound",
+    AXIOM_REFERENCE_CASES,
+    ids=[
+        f"{b}-{m}" if bound == 2 else f"{b}-{bound}-{m}"
+        for b, m, bound in AXIOM_REFERENCE_CASES
+    ],
 )
-def test_axiom_sweep_matches_the_reference(base, mutant, cutoff, monkeypatch):
-    # the pair and triple sites of verify_axioms against tests/reference.py,
-    # which recomputes them on value tuples without finskel or the Universe
+def test_axiom_sweep_matches_the_reference(
+    base, mutant, bound, cutoff, monkeypatch
+):
+    # every site of verify_axioms against tests/reference.py, which
+    # recomputes them on value tuples without finskel or the Universe
     monkeypatch.setattr(opcat, "_TRIPLE_LOOP_CUTOFF", cutoff)
     inst = _instance(base, mutant)
-    rep = verify_axioms(inst, 2, max_violations=10**6)
-    reference = axioms_reference(inst, 2)
-    for tag in AXIOM_PAIR_AND_TRIPLE_SITES:
-        checks, found = reference.get(tag, (0, []))
+    assert opcat.universe(inst, bound).strays == 0
+    rep = verify_axioms(inst, bound, max_violations=10**6)
+    reference = _axioms_reference(base, mutant, bound)
+    assert set(rep.by_axiom) <= set(reference)
+    assert {v["axiom"] for v in rep.violations} <= set(reference)
+    for tag, (checks, found) in reference.items():
         mine = [v for v in rep.violations if v["axiom"] == tag]
         assert (rep.by_axiom[tag], _sorted_json(mine)) == (
             checks, _sorted_json(found)
         ), tag
+    assert rep.ok == (mutant == "clean")
 
 
 def test_eta_identities_catch_corrupted_fibre_maps():

@@ -365,61 +365,78 @@ def test_table_route_caps_in_sweep_order_on_any_thread_count(monkeypatch):
     assert run(10**6, "2").to_json() == full.to_json()
 
 
-@pytest.mark.parametrize(
-    "make,bound,outside",
-    [
-        (make_fin, 3, 0),
-        (make_op, 4, 0),
-        (make_fin_surj, 4, 0),
-        # the four fibre maps onto the removed [1, 1]
-        (lambda: RemoveHom(make_fin(), 2, 1, FinMap(2, 1, (1, 1))), 2, 4),
-    ],
-    ids=["fin-3", "op-4", "fin-surj-4", "fin-2-RemoveHom"],
-)
-def test_reference_ids_are_the_ids_of_finskels_maps(make, bound, outside):
-    # the table route passes a pair whose answers are these ids without
-    # asking finskel, so they must be what finskel would answer: the id
-    # of compose(g, f) and of each fibre_map(g, f, i), -1 outside the
-    # universe and -1 past cod f
-    u = opcat.Universe(make(), bound)
-    composites, fibre_maps = u.table.reference_ids(0, u.table.pairs)
-    maps, index = u.maps, u.index
-    expected_composites, expected_fibre_maps = [], []
-    for g, f in zip(u.pair_first, u.pair_second):
-        g, f = maps[g], maps[f]
-        expected_composites.append(index.get(compose(g, f), -1))
-        expected_fibre_maps.append([
-            index.get(fibre_map(g, f, i), -1) if i <= f.cod else -1
-            for i in range(1, bound + 1)
-        ])
-    assert composites.tolist() == expected_composites
-    assert fibre_maps.T.tolist() == expected_fibre_maps
-    assert outside == expected_composites.count(-1) + sum(
-        row[: maps[f].cod].count(-1)
-        for row, f in zip(expected_fibre_maps, u.pair_second)
+# the six mutants of the pair sweep's order test below, each a wrapper
+# of a base instance
+PAIR_MUTANTS = {
+    mutant: MiscountSwap if mutant == "MiscountSwap" else MUTANTS[mutant]
+    for mutant in (
+        "CorruptFibreMap", "WidenFibreMap", "ShrinkComposite",
+        "CompositeOutsideHoms", "RemoveHom", "MiscountSwap",
     )
+}
+# the six on fin at bounds 2 and 3; under fin-2-RemoveHom four fibre maps
+# land on the removed [1, 1]
+SCREEN_CASES = {
+    "fin-3": (make_fin, 3),
+    "op-4": (make_op, 4),
+    "fin-surj-4": (make_fin_surj, 4),
+    **{
+        f"fin-{bound}-{mutant}": (lambda make=make: make(make_fin()), bound)
+        for bound in (2, 3)
+        for mutant, make in PAIR_MUTANTS.items()
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "make,bound", list(SCREEN_CASES.values()), ids=list(SCREEN_CASES)
+)
+def test_pair_screen_rechecks_exactly_the_pairs_finskel_rejects(make, bound):
+    # the table route passes a pair that its screen lets through without
+    # asking finskel, so the screen must send to the per-pair body, in
+    # pair order, exactly the pairs with an answer that is -1 or differs
+    # by value from finskel's, or with a miscounted fibre of g, f or a
+    # fibre map; and count the checks the body makes on all the others
+    u = opcat.Universe(make(), bound)
+    maps = u.maps
+
+    def counted(k):
+        f = maps[k]
+        return u.fibres[k] == tuple(
+            f.values.count(i) for i in range(1, f.cod + 1)
+        )
+
+    rechecked, sizes, fibres = [], 0, 0
+    for p, (g, f) in enumerate(zip(u.pair_first, u.pair_second)):
+        answers = [(u.composites[p], compose(maps[g], maps[f]))] + [
+            (u.fibre_maps[p * bound + i - 1], fibre_map(maps[g], maps[f], i))
+            for i in range(1, maps[f].cod + 1)
+        ]
+        if all(k >= 0 and maps[k] == value for k, value in answers) and all(
+            map(counted, [g, f] + [k for k, _ in answers[1:]])
+        ):
+            sizes += maps[f].cod
+            fibres += maps[f].dom
+        else:
+            rechecked.append(p)
+    assert u.table.pairs_to_recheck() == (rechecked, sizes, fibres)
 
 
 @pytest.mark.parametrize("bound", [2, 3])
-@pytest.mark.parametrize(
-    "mutant",
-    [
-        "CorruptFibreMap", "WidenFibreMap", "ShrinkComposite",
-        "CompositeOutsideHoms", "RemoveHom", "MiscountSwap",
-    ],
-)
+@pytest.mark.parametrize("mutant", PAIR_MUTANTS)
 def test_pair_sweep_keeps_its_order_on_both_routes(
     mutant, bound, monkeypatch
 ):
     # the table route rechecks with finskel, in pair order, only the pairs
-    # whose answers differ from its reference ids or whose fibres are
+    # whose answers are -1 or differ from finskel's, or whose fibres are
     # miscounted; small chunks make the rechecked pairs span several.
-    # RemoveHom at bound 3 has composites whose answer and reference are
-    # both -1; MiscountSwap miscounts the fibres of one g, f or fibre map
+    # RemoveHom at bound 3 has composites that are -1 because finskel's
+    # is the removed map; MiscountSwap miscounts the fibres of one g, f
+    # or fibre map
     from pita import _tables
 
     monkeypatch.setattr(_tables, "_PAIR_CHUNK", 16)
-    make = MiscountSwap if mutant == "MiscountSwap" else MUTANTS[mutant]
+    make = PAIR_MUTANTS[mutant]
     loop_cutoff = opcat._TRIPLE_LOOP_CUTOFF
 
     def run(cutoff, cap):
