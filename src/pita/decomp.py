@@ -42,6 +42,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial
+from operator import le
 
 from . import finskel
 from .errors import ShapeError, UnsupportedInstanceError
@@ -61,8 +62,10 @@ IsoClassLabel = tuple[int, ...]
 
 
 def label(f: FinMap) -> IsoClassLabel:
-    """Fibre sizes of f, weakly decreasing. Classifies f up to iso."""
-    return tuple(sorted(Counter(f.values).values(), reverse=True))
+    """Fibre sizes of f, weakly decreasing, empty fibres left out.
+    Classifies f up to iso."""
+    sizes = map(f.values.count, range(1, f.cod + 1))
+    return tuple(sorted(filter(None, sizes), reverse=True))
 
 
 def _require_surjection_instance(inst: OperadicInstance):
@@ -131,24 +134,26 @@ def _merge(a: IsoClassLabel, b: IsoClassLabel) -> IsoClassLabel:
 
 def _quotient(h: FinMap, f: FinMap) -> FinMap | None:
     """The e with compose(h, e) == f, for a surjection h; None when h
-    does not refine the fibres of f."""
+    does not refine the fibres of f. h hits every slot and every value
+    comes from f, so e is valid by construction."""
     vals = [0] * h.cod
     for t, v in zip(h.values, f.values):
         if vals[t - 1] == 0:
             vals[t - 1] = v
         elif vals[t - 1] != v:
             return None
-    return FinMap(h.cod, f.cod, vals)
+    return FinMap._trusted(h.cod, f.cod, tuple(vals))
 
 
 def factorisations(f: FinMap):
     """All (h, e) with compose(h, e) == f, both legs surjective.
 
-    h determines e, so only h is enumerated and e is its quotient."""
+    h determines e, so only h is enumerated and e is its quotient. The
+    pairs come by middle object, then by h in value-table order."""
     for mid in range(min(1, f.dom), f.dom + 1):
         for h in finskel.enumerate_surjections(f.dom, mid):
             e = _quotient(h, f)
-            if e is not None and finskel.is_surjective(e):
+            if e is not None and len(set(e.values)) == e.cod:
                 yield h, e
 
 
@@ -165,9 +170,9 @@ def comult(inst: OperadicInstance, f: FinMap) -> CoalgebraElement:
         out.add((), ())
         return out
     for h, e in factorisations(f):
-        if not finskel.is_order_preserving(e):
-            continue
-        out.add(label(h), label(e))
+        v = e.values
+        if all(map(le, v, v[1:])):
+            out.add(label(h), label(e))
     return out
 
 

@@ -12,11 +12,13 @@ is unique. A fibre is its strictly increasing inclusion, fibre(f, i), and
 its cardinality is that map's domain; fibre_map(g, f, i) restricts g to the
 fibres over i.
 
-Derived maps (compose, fibre_map, pita, inverse) are valid by
-construction and are built with FinMap._trusted, which skips the range
-check; the public FinMap constructor always validates. identity and
-fold (the map n -> 1) are cached per object: FinMap is immutable, so
-every caller may share one, which is validated once.
+Derived maps (compose, fibre_map, pita, inverse), the surjections that
+enumerate_surjections draws and the quotient legs of decomp's
+factorisations are valid by construction and are built with
+FinMap._trusted, which skips the range check; the public FinMap
+constructor always validates. identity and fold (the map n -> 1) are
+cached per object: FinMap is immutable, so every caller may share one,
+which is validated once.
 """
 
 from __future__ import annotations
@@ -214,29 +216,44 @@ def enumerate_maps(m: int, n: int):
 
 
 def enumerate_surjections(m: int, n: int):
-    """All surjections m -> n, by backtracking with a feasibility prune."""
+    """All surjections m -> n in value-table lexicographic order.
+
+    Backtracking runs only over prefixes that still leave a choice: once
+    a prefix hits every value its tails are all maps of the remaining
+    positions, and once the tail is as long as the number of values
+    still missing it is a permutation of them. The maps are valid by
+    construction and built without the range check."""
     if n == 0:
         if m == 0:
-            yield FinMap(0, 0, ())
+            yield FinMap._trusted(0, 0, ())
         return
     if m < n:
         return
-    values = [0] * m
+    values = []
     hit = [0] * (n + 1)
+    full = range(1, n + 1)
 
-    def build(pos: int, missing: int):
-        if m - pos < missing:
-            return
-        if pos == m:
-            yield FinMap(m, n, tuple(values))
-            return
-        for v in range(1, n + 1):
-            values[pos] = v
-            hit[v] += 1
-            yield from build(pos + 1, missing - (hit[v] == 1))
-            hit[v] -= 1
+    def blocks(missing: int):
+        # (prefix, tails): each surjection below the prefix is the prefix
+        # followed by one of the tails, in lexicographic order
+        rest = m - len(values)
+        if missing == 0:
+            yield tuple(values), itertools.product(full, repeat=rest)
+        elif missing == rest:
+            unhit = [v for v in full if not hit[v]]
+            yield tuple(values), itertools.permutations(unhit)
+        else:
+            for v in full:
+                values.append(v)
+                hit[v] += 1
+                yield from blocks(missing - (hit[v] == 1))
+                hit[v] -= 1
+                values.pop()
 
-    yield from build(0, n)
+    trusted = FinMap._trusted
+    for prefix, tails in blocks(n):
+        for tail in tails:
+            yield trusted(m, n, prefix + tail)
 
 
 def enumerate_bijections(n: int):

@@ -31,11 +31,19 @@ For the unary sites of the splitting sweep it recomputes each split
 identity and the op-quasibijection criterion on the tuples, asking the
 instance only for fibres and chosen terminals.
 
+For the comultiplication it draws every surjective first leg h from all
+maps (finskel.enumerate_maps), reads the second leg e pointwise at the
+first preimage of each point, keeps (h, e) when compose(h, e) == f by
+finskel and e is surjective, and labels both legs with a Counter of
+their values.
+
 Composition is diagrammatic: compose(x, y) applies x first.
 """
 
+from collections import Counter
+
 from pita.errors import ShapeError
-from pita.finskel import FinMap, compose
+from pita.finskel import FinMap, compose, enumerate_maps
 from pita.nerve import Chain, FopDiagram
 
 
@@ -579,3 +587,37 @@ def backward(groupoid, y) -> tuple:
 
 def unit_at(groupoid, x) -> FinMap:
     return _pi(compose(x[1], groupoid.middle))
+
+
+# ------------------------------------------------------ comultiplication
+
+
+def factorisations(f: FinMap) -> list:
+    """Every (h, e) with compose(h, e) == f and both legs surjective, by
+    middle object, then h in value-table order."""
+    out = []
+    for mid in range(min(1, f.dom), f.dom + 1):
+        points = range(1, mid + 1)
+        for h in enumerate_maps(f.dom, mid):
+            if set(h.values) != set(points):
+                continue
+            first = [f.values[h.values.index(t)] for t in points]
+            e = FinMap(mid, f.cod, first)
+            onto = set(e.values) == set(range(1, f.cod + 1))
+            if compose(h, e) == f and onto:
+                out.append((h, e))
+    return out
+
+
+def comult(f: FinMap) -> dict:
+    """{(label of h, label of e): count} over the factorisations whose e
+    is order-preserving; a label is the sorted fibre sizes."""
+
+    def label(x: FinMap) -> tuple:
+        return tuple(sorted(Counter(x.values).values(), reverse=True))
+
+    out = Counter()
+    for h, e in factorisations(f):
+        if list(e.values) == sorted(e.values):
+            out[label(h), label(e)] += 1
+    return dict(out)

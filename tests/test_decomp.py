@@ -26,11 +26,13 @@ from pita.factorisation import eta_rel
 from pita.finskel import (
     FinMap,
     compose,
+    enumerate_maps,
     enumerate_surjections,
     identity,
     inverse,
     is_bijective,
     is_order_preserving,
+    is_surjective,
     ordinal_sum,
     pita,
 )
@@ -66,6 +68,14 @@ def test_label_is_the_sorted_fibre_size_tuple():
     assert label(identity(4)) == (1, 1, 1, 1)
     assert label(_fold(5)) == (5,)
     assert label(FinMap(0, 0, ())) == ()
+    # empty fibres stay out of the label
+    assert label(FinMap(2, 3, (1, 1))) == (2,)
+    for m in range(5):
+        for n in range(5):
+            for f in enumerate_maps(m, n):
+                assert label(f) == tuple(
+                    sorted(Counter(f.values).values(), reverse=True)
+                ), f
 
 
 def test_coalgebra_elements_multiply_by_merging_labels():
@@ -124,6 +134,31 @@ def test_comult_splits_no_first_leg(monkeypatch):
     monkeypatch.setattr(finskel, "pita", refuse)
     for n in range(1, 6):
         assert comult(SURJ, _fold(n)) == comult_closed_form(n), n
+
+
+def test_comult_builds_no_map_through_the_checking_constructor(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("comult validated a map")
+
+    folds = [_fold(n) for n in range(1, 6)]
+    monkeypatch.setattr(FinMap, "__init__", refuse)
+    for n, f in enumerate(folds, 1):
+        assert comult(SURJ, f) == comult_closed_form(n), n
+
+
+def test_comult_and_factorisations_match_the_reference():
+    # every op surjection with dom <= 5, drawn from all maps
+    ops = [
+        f
+        for m in range(6)
+        for n in range(m + 1)
+        for f in enumerate_maps(m, n)
+        if is_surjective(f) and is_order_preserving(f)
+    ]
+    assert len(ops) == 32
+    for f in ops:
+        assert list(factorisations(f)) == reference.factorisations(f), f
+        assert comult(SURJ, f).terms == reference.comult(f), f
 
 
 def test_comult_of_the_empty_map_is_the_unit():
