@@ -10,12 +10,15 @@ numpy gathers, one chunk per middle morphism.
 The splitting sweeps evaluate the identities defined in factorisation on
 id arrays; only the iterated fibre-map equation is written out here.
 
-Layout. The arrays are the universe's own lists, in the universe's padded
-layout (see opcat.Universe), so -1 reads -1 here by plain indexing, as on
-the loop route, and opcat._by_pair looks composites and relative parts up
-on both routes. The one layout step of this module is FMT, the fibre maps
-transposed into one row per point: FMT[i - 1][p] is the fibre map of
-pair p over i.
+Layout. Every lookup by pair reads a dense table indexed by the two ids,
+a * (n + 1) + b: CAB, the composites, RAB, the relative op parts, and
+FMAB, the fibre maps, with the map over point i at
+(a * (n + 1) + b) * bound + i - 1. Each is built once from the padded
+lists of the universe (see opcat.Universe), as values[pair_index], so
+the -1 padding carries over: pair -1, the last row and the last column
+read -1, and so does an id -1 in either place, because a * (n + 1) + b
+then lands in the last column (b = -1 ends row a - 1) or is negative and
+wraps round onto the last row or column. One lookup is one numpy gather.
 
 The pair screen. The pair sweep of verify_axioms compares the
 instance's composites and fibre maps with finskel's, by value. Here that
@@ -31,15 +34,14 @@ fail this are rechecked with finskel.
 
 Buffers. Each worker thread of the two triple sweeps writes the blocks
 of its chunks into buffers it allocates once per sweep, through out=, and
-every array it indexes with is intp (PIDX is stored intp), so numpy makes
-no temporary of a block's size. The iterated-fibre-map kernel writes its
-blocks into five: the pair ids of (h, g;f), kept for the whole chunk, two
-blocks of positions to take at, one of fibre-map ids and one of
-comparisons. The cocycle reads C and R through _BufferedLookups, which
-give each lookup of a chunk its own result buffer. The sweeps' speed then
-does not depend on how the allocator serves large blocks: with glibc's
-mmap threshold pinned at 128 KB, fresh temporaries made them about 3x
-slower.
+every array it indexes with is intp, so numpy makes no temporary of a
+block's size. The iterated-fibre-map kernel writes its blocks into four:
+the cells of (h, g;f), kept for the whole chunk, one block of positions
+to take at, one of fibre-map ids and one of comparisons. The cocycle
+reads C and R through _BufferedLookups, which give each lookup of a
+chunk its own result buffer. The sweeps' speed then does not depend on
+how the allocator serves large blocks: with glibc's mmap threshold
+pinned at 128 KB, fresh temporaries made them about 3x slower.
 
 The universe asked the instance (not the raw finite-set functions), so a
 deliberately corrupted instance poisons the tables and the sweeps still
@@ -56,7 +58,7 @@ import numpy as np
 
 from .errors import IntegrityError
 from .factorisation import _COCYCLE, _cocycle_sides, _pair_sites, _unit_square
-from .opcat import _by_pair, default_threads
+from .opcat import default_threads
 
 
 # pairs per chunk of the pair screen
@@ -68,17 +70,17 @@ def _array(values) -> np.ndarray:
 
 
 class _BufferedLookups:
-    """opcat._by_pair on the table's int32 arrays for one worker thread,
-    through buffers of size elements that it keeps across chunks. The
-    keys and pair ids of a lookup go to two scratch buffers, and the
-    k-th lookup since start() writes its values into the k-th result
-    buffer, so every value looked up in a chunk stays live to its end."""
+    """Lookups (a, b) -> values[a * (n + 1) + b] in the table's dense
+    arrays for one worker thread, through buffers of size elements that
+    it keeps across chunks. The keys of a lookup go to a scratch buffer,
+    and the k-th lookup since start() writes its values into the k-th
+    result buffer, so every value looked up in a chunk stays live to its
+    end."""
 
     def __init__(self, table, size: int):
-        self.index, self.stride = table.PIDX, table.n + 1
+        self.stride = table.n + 1
         self.size = size
         self.keys = np.empty(size, np.intp)
-        self.pairs = np.empty(size, np.intp)
         self.results: list = []
         self.used = 0
 
@@ -98,12 +100,16 @@ class _BufferedLookups:
                 dtype=np.intp,
             )
             key += b
-            pairs = self.index.take(
-                key, out=self.pairs[:n].reshape(shape), mode="wrap"
-            )
-            return values.take(pairs, out=out, mode="wrap")
+            return values.take(key, out=out, mode="wrap")
 
         return lookup
+
+
+def _dense(universe, values, width: int = 1) -> np.ndarray:
+    """The per-pair values of the universe, width to a pair and padded as
+    its lists are, laid out by cell a * (n + 1) + b: values[pair_index]."""
+    cells = np.array(universe.pair_index, dtype=np.intp)
+    return _array(values).reshape(-1, width)[cells].ravel()
 
 
 class MapTable:
@@ -122,9 +128,8 @@ class MapTable:
         self.pa = _array(universe.pair_first)
         self.pb = _array(universe.pair_second)
         self.pairs = len(self.pa)
-        # intp, so that the kernel's takes through it cast no index array
-        self.PIDX = np.array(universe.pair_index, dtype=np.intp)
-        self.CMP = _array(universe.composites)
+        self.CAB = _dense(universe, universe.composites)
+        self.FMAB = _dense(universe, universe.fibre_maps, bound)
 
         # fibre sizes; the value and rank of every point
         self.FS = np.zeros((n, bound), dtype=np.int16)
@@ -135,12 +140,8 @@ class MapTable:
                 self.FS[k, i] = len(eps)
                 self.VAL[k, list(eps)] = i + 1
                 self.RANK[k, list(eps)] = range(1, len(eps) + 1)
-        # per point, since the triple kernel makes contiguous 1-D takes
-        self.FMT = np.ascontiguousarray(
-            _array(universe.fibre_maps).reshape(self.pairs + 1, bound).T
-        )
 
-        self.PI = self.ETA = self.ER = None
+        self.PI = self.ETA = self.RAB = None
 
     def ensure_pita(self):
         """Splitting and relative order-preserving-part tables."""
@@ -149,7 +150,7 @@ class MapTable:
         self.universe.require_closed()
         pis, etas, _ = self.universe.splits
         self.PI, self.ETA = _array(pis), _array(etas)
-        self.ER = _array(self.universe.relative_parts)
+        self.RAB = _dense(self.universe, self.universe.relative_parts)
 
     def pairs_to_recheck(self):
         """The pairs of the pair sweep of verify_axioms that finskel must
@@ -168,13 +169,15 @@ class MapTable:
             F != tuple(map(len, eps))
             for F, eps in zip(u.fibres, u.inclusions)
         ] + [False])
-        points = np.arange(1, self.bound + 1)[:, None]
+        points = np.arange(1, self.bound + 1)
+        stride, by_cell = self.n + 1, self.FMAB.reshape(-1, self.bound)
         recheck = []
         sizes = fibres = 0
         for lo in range(0, self.pairs, _PAIR_CHUNK):
             hi = min(lo + _PAIR_CHUNK, self.pairs)
             g, f = self.pa[lo:hi], self.pb[lo:hi]
-            C, FM = self.CMP[lo:hi], self.FMT[:, lo:hi]
+            cells = g * stride + f
+            C, FM = self.CAB[cells], by_cell[cells]
             # g(x) and f(g(x)) for x = 0 .. bound, 0 at 0 and past dom g
             through = VAL[g]
             composite = VAL[f[:, None], through]
@@ -183,13 +186,13 @@ class MapTable:
             bad |= (VAL[C] != composite).any(axis=1)
             # the fibre map over i, from the points of C to those of f
             bad |= (
-                (points <= COD[f])
+                (points <= COD[f][:, None])
                 & ((FM < 0) | miscounted[FM]
-                   | (DOM[FM] != FS[C].T) | (COD[FM] != FS[f].T))
-            ).any(axis=0)
+                   | (DOM[FM] != FS[C]) | (COD[FM] != FS[f]))
+            ).any(axis=1)
             # and, at each point x of dom g, the fibre map over f(g(x))
             # sends RANK[C, x] to RANK[f, g(x)]; past dom g reads nothing
-            fibre_map = FM[composite[:, 1:] - 1, np.arange(hi - lo)[:, None]]
+            fibre_map = FM[np.arange(hi - lo)[:, None], composite[:, 1:] - 1]
             sent = VAL[fibre_map, RANK[C, 1:]]
             bad |= (
                 (composite[:, 1:] > 0)
@@ -237,11 +240,8 @@ class MapTable:
         as on the loop route. IntegrityError unless the universe is
         closed."""
         self.universe.require_closed()
-        VAL, RANK, FMT, pair_of = self.VAL, self.RANK, self.FMT, self.PIDX
-        stride = self.n + 1
-        # the fibre map of pair p over i at (i - 1) * width + p; pair -1
-        # reads the padding that ends the row before, or the last one
-        fibre_maps, width = FMT.ravel(), FMT.shape[1]
+        VAL, RANK, FMAB = self.VAL, self.RANK, self.FMAB
+        stride, w = self.n + 1, self.bound
         # one hit past the cap per chunk is enough for Report.add to mark
         # the list truncated
         cap = report.max_violations + 1
@@ -262,36 +262,35 @@ class MapTable:
             if not hasattr(local, "buffers"):
                 local.buffers = [
                     np.empty(size, dtype)
-                    for dtype in (np.intp,) * 3 + (np.int32, bool)
+                    for dtype in (np.intp, np.intp, np.int32, bool)
                 ]
-            # PHFG holds the pair ids of (h, g;f) for the whole chunk; the
-            # other blocks are each rewritten once read
-            PHFG, I2, I3, V, bad = (
+            # HGF is kept for the whole chunk; the other blocks are each
+            # rewritten once read
+            HGF, AT, V, bad = (
                 buffer[: len(f_ids) * len(h_ids)].reshape(len(f_ids), -1)
                 for buffer in local.buffers
             )
-            # R[e - 1, hk]: the fibre map of (h, g) over e
-            R = FMT[:, pair_of.take(h_ids * stride + g)]
-            PGF = pair_of.take(g * stride + f_ids)
-            FG = self.CMP.take(PGF)
-            pair_of.take(
-                np.add(FG[:, None], h_ids * stride, out=I2),
-                out=PHFG, mode="wrap",
+            # the fibre maps over point x of (h, g), per column, (g, f),
+            # per row, and (h, g;f), per cell, are at HG + x, GF + x and
+            # HGF + x
+            HG = (h_ids * stride + g) * w - 1
+            GF = (g * stride + f_ids) * w - 1
+            gf = self.CAB.take(g * stride + f_ids)
+            np.add(
+                (gf * w - 1)[:, None], h_ids * stride * w,
+                out=HGF, dtype=np.intp,
             )
             points = int(self.COD[g])
             for e in range(1, points + 1):
                 i, j = VAL[f_ids, e], RANK[f_ids, e]
-                at_i = (i - 1) * width
-                B = fibre_maps.take(PGF + at_i)
-                A = fibre_maps.take(
-                    np.add(PHFG, at_i[:, None], out=I2), out=V, mode="wrap"
+                B = FMAB.take(GF + i)
+                A = FMAB.take(
+                    np.add(HGF, i[:, None], out=AT), out=V, mode="wrap"
                 )
-                AB = np.multiply(A, stride, out=I3)
-                AB += B[:, None]
-                PAB = pair_of.take(AB, out=I2, mode="wrap")
-                PAB += ((j - 1) * width)[:, None]
-                lhs = fibre_maps.take(PAB, out=V, mode="wrap")
-                rhs = R[e - 1]
+                AB = np.multiply(A, stride * w, out=AT, dtype=np.intp)
+                AB += (B * w + j - 1)[:, None]
+                lhs = FMAB.take(AB, out=V, mode="wrap")
+                rhs = FMAB.take(HG + e)
                 diff = np.not_equal(lhs, rhs, out=bad)
                 if diff.any():
                     for hk, k in np.argwhere(diff.T)[: cap - len(hits)]:
@@ -300,7 +299,7 @@ class MapTable:
                             {"i": int(i[k]), "j": int(j[k])},
                             lhs[k, hk], rhs[hk],
                         ))
-            return points * PHFG.size, hits
+            return points * HGF.size, hits
 
         self._merge(report, "iterated-fibre-map", chunk)
 
@@ -312,15 +311,15 @@ class MapTable:
         of all composable pairs at once, site by site."""
         self.ensure_pita()
         json_of = self.universe.json_of
-        pa, pb, stride = self.pa, self.pb, self.n + 1
-        # the composite and relative part of each pair, without the padding
-        AB, ER = self.CMP[:-1], self.ER[:-1]
+        pa, pb, stride, CAB = self.pa, self.pb, self.n + 1, self.CAB
+        # the composite and relative part of each pair
+        AB, ER = CAB[pa * stride + pb], self.RAB[pa * stride + pb]
 
         def where(p):
             return {"f": json_of(pa[p]), "g": json_of(pb[p])}
 
         for tag, applies, lhs, rhs in _pair_sites(
-            _by_pair(self.PIDX, stride, self.CMP),
+            lambda a, b: CAB.take(a * stride + b),
             self.PI, self.ETA, self.ID, self.OP, pa, pb, AB, ER,
         ):
             applies = np.broadcast_to(applies, pa.shape)
@@ -329,10 +328,12 @@ class MapTable:
                 report.add(tag, where(p), json_of(lhs[p]), json_of(rhs[p]))
 
         top, side = _unit_square(self.PI, AB, ER)
-        Q = self.PIDX[top * stride + side]
-        if (Q < 0).any():
+        Q = top * stride + side
+        # the universe is closed, so only a pair that does not compose
+        # has composite -1
+        if (CAB[Q] < 0).any():
             raise IntegrityError("unit square is not composable")
-        F = self.FMT[:, Q].T
+        F = self.FMAB.reshape(-1, self.bound)[Q]
         valid = np.arange(self.bound)[None, :] < self.COD[ER][:, None]
         report.count("unit-square-not-fop", int(valid.sum()))
         for p, i in np.argwhere(valid & ~self.OP[F]):
@@ -362,8 +363,8 @@ class MapTable:
                 return 0, hits
             if not hasattr(local, "lookups"):
                 lookups = local.lookups = _BufferedLookups(self, size)
-                local.C = lookups.by_pair(self.CMP)
-                local.R = lookups.by_pair(self.ER)
+                local.C = lookups.by_pair(self.CAB)
+                local.R = lookups.by_pair(self.RAB)
             local.lookups.start()
             lhs, rhs = _cocycle_sides(
                 local.C, local.R, f_ids[:, None], g, h_ids[None, :]

@@ -169,10 +169,14 @@ def comult(inst: OperadicInstance, f: FinMap) -> CoalgebraElement:
     if f.dom == 0:
         out.add((), ())
         return out
+    # few distinct e occur (for f = fold n, e is fold(mid)): label each once
+    e_labels: dict = {}
     for h, e in factorisations(f):
         v = e.values
         if all(map(le, v, v[1:])):
-            out.add(label(h), label(e))
+            if e not in e_labels:
+                e_labels[e] = label(e)
+            out.add(label(h), e_labels[e])
     return out
 
 

@@ -179,7 +179,8 @@ def omega(
 
 # Both routes of verify_eta_identities evaluate these. They read ids
 # through C(x, y), the composite of x then y, R(x, y), the relative op
-# part of x over y (both opcat._by_pair), and PI, ETA (the splits), ID
+# part of x over y (opcat._by_pair on the loop route, a take from the
+# dense tables of _tables on the other), and PI, ETA (the splits), ID
 # (the identity on the domain) and OP (order-preserving) indexed by id.
 # Only indexing, ==, != and & occur, so they run on single ids and on
 # broadcast numpy id arrays.

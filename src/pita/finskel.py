@@ -187,11 +187,13 @@ def pita(f: FinMap) -> tuple[FinMap, FinMap]:
     their value, which makes the pair unique: pi is the only permutation
     whose restriction to each fibre of f is increasing.
     """
-    order = sorted(range(1, f.dom + 1), key=lambda j: (f.values[j - 1], j))
+    # sorted is stable, so this is the order of the key (value, j)
+    values = f.values
+    order = sorted(range(f.dom), key=values.__getitem__)
     pi_values = [0] * f.dom
     for r, j in enumerate(order, 1):
-        pi_values[j - 1] = r
-    eta_values = tuple(f.values[j - 1] for j in order)
+        pi_values[j] = r
+    eta_values = tuple(map(values.__getitem__, order))
     return (
         FinMap._trusted(f.dom, f.dom, tuple(pi_values)),
         FinMap._trusted(f.dom, f.cod, eta_values),

@@ -265,7 +265,8 @@ class Universe:
     of pair p over i = 1, 2, ... sit at p * bound + i - 1, -1 past the
     codomain (no object below the bound has more than bound points), and
     end in a block of bound -1s. A negative index lands in the padding,
-    in a list as in a numpy array, so -1 in reads -1 out with no branch.
+    so -1 in reads -1 out with no branch (_by_pair). The table route lays
+    the same lists out by (a, b) in numpy, padding included (see _tables).
     """
 
     def __init__(self, inst: OperadicInstance, bound: int):
@@ -412,13 +413,9 @@ class Universe:
 
 
 def _by_pair(index, stride: int, values):
-    """(a, b) -> values[pair of (a, b)] on the padded layout of Universe,
-    so -1 where a, b do not compose or either is -1: the universe's lists
-    and single ids on the loop route, numpy arrays of them on the table."""
-    if isinstance(values, list):
-        return lambda a, b: values[index[a * stride + b]]
-    # take gives what [] gives on arrays of ids, at a fraction of the cost
-    return lambda a, b: values.take(index.take(a * stride + b))
+    """(a, b) -> values[pair of (a, b)] on the padded lists of Universe,
+    so -1 where a, b do not compose or either is -1."""
+    return lambda a, b: values[index[a * stride + b]]
 
 
 # Universes by instance object, then bound. Weak keys let an instance and

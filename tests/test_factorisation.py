@@ -468,8 +468,9 @@ def test_splitting_mutants_agree_across_routes(mutant, cutoff, monkeypatch):
 def test_buffered_lookups_read_what_by_pair_reads(swap):
     # the table cocycle's C and R write each lookup of a chunk into its
     # own buffer; in every chunk of fin b3 they must give the sides that
-    # opcat._by_pair gives without buffers. The cocycle holds there, so
-    # the sides are also taken with C and R swapped, where they differ
+    # plain takes from the dense tables give without buffers. The
+    # cocycle holds there, so the sides are also taken with C and R
+    # swapped, where they differ
     import numpy as np
 
     from pita import _tables
@@ -482,8 +483,8 @@ def test_buffered_lookups_read_what_by_pair_reads(swap):
         map(len, table.by_dom.values())
     )
     lookups = _tables._BufferedLookups(table, size)
-    values = (table.CMP, table.ER)
-    plain = [opcat._by_pair(table.PIDX, stride, v) for v in values]
+    values = (table.CAB, table.RAB)
+    plain = [lambda a, b, v=v: v[a * stride + b] for v in values]
     buffered = [lookups.by_pair(v) for v in values]
     if swap:
         plain.reverse()

@@ -275,6 +275,24 @@ def test_pita_properties(f):
         assert fibre(eta, i).dom == fibre(f, i).dom
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(st.integers(0, 512), st.integers(1, 4)).flatmap(
+        lambda size: st.lists(
+            st.integers(1, size[1]), min_size=size[0], max_size=size[0]
+        ).map(lambda values: FinMap(size[0], size[1], values))
+    )
+)
+def test_pita_sorts_positions_by_value_then_position(f):
+    # the definition: positions in order of the key (value, position);
+    # small codomains give long runs of equal values
+    order = sorted(range(1, f.dom + 1), key=lambda j: (f.values[j - 1], j))
+    pi, eta = pita(f)
+    assert [pi.values[j - 1] for j in order] == list(range(1, f.dom + 1))
+    assert eta.values == tuple(f.values[j - 1] for j in order)
+    assert (pi.dom, pi.cod, eta.dom, eta.cod) == (f.dom, f.dom, f.dom, f.cod)
+
+
 @settings(max_examples=60)
 @given(finmaps(max_card=4), finmaps(max_card=4))
 def test_pita_respects_ordinal_sum(f, g):

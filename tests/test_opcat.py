@@ -22,7 +22,7 @@ from helpers import (
     WrongTerminal,
 )
 from pita import opcat
-from pita.errors import ShapeError
+from pita.errors import IntegrityError, ShapeError
 from pita.finskel import (
     FinMap,
     compose,
@@ -463,33 +463,46 @@ def test_universe_asks_each_fibre_once():
 
 
 def test_minus_one_reads_minus_one_on_the_padded_layout():
-    # -1 in either place of a pair, and pair -1, read -1 by plain
-    # indexing in the universe's lists and in the table's arrays alike
-    import numpy as np
-
-    u = opcat.Universe(make_fin(), 2)
-    n, w = u.n, u.bound
-    pair_of = {ab: p for p, ab in enumerate(zip(u.pair_first, u.pair_second))}
-    corners = [(a, b) for a in (0, n - 1, -1) for b in (0, n - 1, -1)]
-    table = u.table
-    table.ensure_pita()
-    A, B = (np.array(ids) for ids in zip(*corners))
-    for values, array in (
-        (u.composites, table.CMP), (u.relative_parts, table.ER)
-    ):
-        at = opcat._by_pair(u.pair_index, n + 1, values)
-        expected = []
-        for a, b in corners:
-            p = pair_of.get((a, b), -1)
-            assert u.pair(a, b) == p
-            expected.append(values[p] if p >= 0 else -1)
-            assert at(a, b) == expected[-1]
-        at = opcat._by_pair(table.PIDX, n + 1, array)
-        assert at(A, B).tolist() == expected
-    assert {u.pair(a, b) for a, b in corners} >= {-1, 0}
-    # the fibre maps of pair -1
-    assert [u.fibre_maps[-w + i] for i in range(w)] == [-1] * w
-    assert table.FMT[:, -1].tolist() == [-1] * w
+    # every cell a * (n + 1) + b of the dense tables, a and b in 0 .. n
+    # (n is past the last id: the padding row and column), reads what the
+    # universe's padded lists read at pair u.pair(a, b), on fin b3 and
+    # under two mutants; an id -1 in either place reads -1 in the lists
+    # and in the tables alike
+    for wrap in (None, ShrinkComposite, WidenFibreMap):
+        inst = make_fin() if wrap is None else wrap(make_fin())
+        u = opcat.Universe(inst, 3)
+        n, w = u.n, u.bound
+        table = u.table
+        tables = [(table.CAB, u.composites, 1), (table.FMAB, u.fibre_maps, w)]
+        if wrap is ShrinkComposite:
+            # its relative parts leave the universe, so there is no RAB
+            with pytest.raises(IntegrityError):
+                table.ensure_pita()
+        else:
+            table.ensure_pita()
+            tables.append((table.RAB, u.relative_parts, 1))
+        pairs = set()
+        for a in range(n + 1):
+            for b in range(n + 1):
+                p = u.pair(a, b)
+                pairs.add(p)
+                if n in (a, b):
+                    assert p == -1
+                cell = a * (n + 1) + b
+                for array, values, width in tables:
+                    assert array[cell * width:(cell + 1) * width].tolist() == [
+                        values[p * width + i] for i in range(width)
+                    ]
+        assert pairs == set(range(-1, len(u.pair_first)))
+        minus_one = [(a, -1) for a in (-1, 0, n - 1)] + [(-1, 0), (-1, n - 1)]
+        for array, values, width in tables:
+            assert values[-width:] == [-1] * width
+            for a, b in minus_one:
+                assert u.pair(a, b) == -1
+                cell = a * (n + 1) + b
+                assert array.take(
+                    range(cell * width, (cell + 1) * width), mode="wrap"
+                ).tolist() == [-1] * width
 
 
 def test_a_wrapper_never_sees_the_universe_of_its_base():
