@@ -99,6 +99,15 @@ for _mutant in MUTANTS:
         lambda inst: verify_beta_coherence(inst, 3, 4, EVERY),
     )
 
+# the strict identities at bound 3 and maxlen 4 as well: at bound 2 and
+# maxlen 3 the levels are too small for the top faces of one level to be
+# met again as the top faces of the next level's faces
+for _mutant in MUTANTS:
+    CASES[f"fin-surj/{_mutant}/strict3"] = (
+        make_fin_surj, MUTANTS[_mutant],
+        lambda inst: verify_strict_identities(inst, 3, 4, EVERY),
+    )
+
 
 def outcome(case: str) -> dict:
     factory, mutant, run = CASES[case]
