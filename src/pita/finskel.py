@@ -130,10 +130,6 @@ def is_bijective(f: FinMap) -> bool:
     return f.dom == f.cod and is_surjective(f)
 
 
-def is_identity(f: FinMap) -> bool:
-    return f.dom == f.cod and f.values == tuple(range(1, f.dom + 1))
-
-
 def inverse(f: FinMap) -> FinMap:
     if not is_bijective(f):
         raise ShapeError(f"{f} is not a bijection")
@@ -256,11 +252,6 @@ def enumerate_surjections(m: int, n: int):
     for prefix, tails in blocks(n):
         for tail in tails:
             yield trusted(m, n, prefix + tail)
-
-
-def enumerate_bijections(n: int):
-    for perm in itertools.permutations(range(1, n + 1)):
-        yield FinMap(n, n, perm)
 
 
 def finmap_to_json(f: FinMap) -> dict:

@@ -33,8 +33,15 @@ and ladders store ids only, and compare and hash on them; their maps and
 horizontals are read from the interner when asked. FinMaps come in only
 at the edges: Chain.of and FopDiagram.of, chain_from_json, the lifts'
 public bottom map and beta's oracle, and they go out in witness JSON.
-The operators, the cells and the ladder squares work on ids, and build
-their chains from them, checking only the ends that changed. The closed
+The operators, the cells and the ladder squares work on ids, checking
+only the ends that changed. Each of face, degeneracy and top_face has
+one implementation, over (interner, ids, objects) and returning (ids,
+objects); the public operator wraps it on Chains, and the
+strict-identities sweep runs on those pairs without building a Chain,
+comparing them as tuples. That sweep keeps the top faces of one level
+while it runs the next, where they come back as the top faces of faces;
+it keeps no more, since face and degeneracy tables over every level
+took 1.1 GB of peak RSS at op bound 3, against 44 MB. The closed
 opcat.Universe is not used: it gives -1 to answers outside the homs,
 where a chain must still carry the stray map and fail on it as its
 public constructor would.
@@ -157,11 +164,11 @@ def _check_ends(t: _Ids, objects, ids, start: int = 0) -> None:
             raise ShapeError(f"map {j} does not end at object {j + 1}")
 
 
-def _check_horizontals(source, target, hids) -> None:
+def _check_horizontals(t: _Ids, source, target, hids) -> None:
     """ShapeError at the first horizontal, by id, that does not run from
-    the source chain's object to the target chain's at its level."""
-    t = source._t
-    for j, (k, X, Y) in enumerate(zip(hids, source.objects, target.objects)):
+    the source chain's object to the target chain's at its level; source
+    and target are the two chains' objects."""
+    for j, (k, X, Y) in enumerate(zip(hids, source, target)):
         if t.dom[k] != X:
             raise ShapeError(f"horizontal {j} does not start on the source")
         if t.cod[k] != Y:
@@ -209,15 +216,7 @@ class Chain:
 
     @cached_property
     def _down(self) -> tuple:
-        """Ids of the composites of the bottom 0, 1, ..., n maps."""
-        t = self._t
-        composite = t.composite
-        acc = t.identity[self.bottom]
-        out = [acc]
-        for k in reversed(self.ids):
-            acc = composite[k, acc]
-            out.append(acc)
-        return tuple(out)
+        return _down_composites(self._t, self.ids, self.objects)
 
     def down_composite(self, k: int) -> FinMap:
         """Composite of the bottom k maps (k=0 gives the identity)."""
@@ -227,17 +226,36 @@ class Chain:
 
     @cached_property
     def locally_op(self) -> bool:
-        op = self._t.op
-        return all(op[k] for k in self._down[1:])
+        return _locally_op(self._t, self._down)
 
 
-def _chain(like: Chain, ids: tuple, bottom: int, objects: tuple) -> Chain:
-    """The chain of like's instance with these map ids, bottom and
-    objects, built without the constructor's checks: the caller has
-    checked the ends it changed."""
+def _down_composites(t: _Ids, ids: tuple, objects: tuple) -> tuple:
+    """Ids of the composites of the bottom 0, 1, ..., n maps of the chain
+    with these map ids and objects."""
+    composite = t.composite
+    acc = t.identity[objects[-1]]
+    out = [acc]
+    for k in reversed(ids):
+        acc = composite[k, acc]
+        out.append(acc)
+    return tuple(out)
+
+
+def _locally_op(t: _Ids, down: tuple) -> bool:
+    """Whether every composite down to the bottom, by the ids of
+    _down_composites, is an op morphism."""
+    op = t.op
+    return all(op[k] for k in down[1:])
+
+
+def _chain(like: Chain, ids: tuple, objects: tuple) -> Chain:
+    """The chain of like's instance with these map ids and objects, the
+    last one its bottom, built without the constructor's checks: the
+    caller has checked the ends it changed."""
     c = object.__new__(Chain)
     c.__dict__.update(
-        inst=like.inst, ids=ids, bottom=bottom, objects=objects, _t=like._t
+        inst=like.inst, ids=ids, bottom=objects[-1], objects=objects,
+        _t=like._t,
     )
     return c
 
@@ -280,7 +298,9 @@ class FopDiagram:
             raise ShapeError("ladder endpoints have different lengths")
         if len(hids) != n + 1:
             raise ShapeError("a ladder needs one horizontal per object")
-        _check_horizontals(self.source, self.target, hids)
+        _check_horizontals(
+            self.source._t, self.source.objects, self.target.objects, hids
+        )
 
     @classmethod
     def of(cls, source: Chain, target: Chain, horizontals) -> FopDiagram:
@@ -299,29 +319,36 @@ class FopDiagram:
         """Quasibijective horizontals, commuting squares, and every
         horizontal fibrewise order-preserving with respect to the bottom
         one over the composite verticals."""
-        quasibijective = self.source._t.quasibijective
-        return all(
-            map(quasibijective.__getitem__, self.hids)
-        ) and self._squares_hold()
+        source, target = self.source, self.target
+        return _is_valid(
+            source._t, source.ids, source._down, target.ids, target.objects,
+            self.hids,
+        )
 
-    def _squares_hold(self) -> bool:
-        """is_valid without the quasibijection test, for ladders whose
-        horizontals were drawn from quasibijections()."""
-        source, target, sig = self.source, self.target, self.hids
-        t = source._t
-        composite = t.composite
-        n = len(source.ids)
-        for j in range(n):
-            if composite[sig[j], target.ids[j]] != composite[
-                source.ids[j], sig[j + 1]
-            ]:
-                return False
-        for j in range(n):
-            if not t.fop_square(
-                sig[j], sig[-1], source._down[n - j], target._down[n - j]
-            ):
-                return False
-        return True
+
+def _is_valid(t: _Ids, ids, down, target_ids, target_objects, hids) -> bool:
+    """FopDiagram.is_valid on ids: the source chain's map ids and down
+    composites, the target chain's map ids and objects, and the
+    horizontals."""
+    quasibijective = t.quasibijective
+    return all(map(quasibijective.__getitem__, hids)) and _squares_hold(
+        t, ids, down, target_ids, target_objects, hids
+    )
+
+
+def _squares_hold(t: _Ids, ids, down, target_ids, target_objects, hids):
+    """_is_valid without the quasibijection test, for ladders whose
+    horizontals were drawn from quasibijections()."""
+    composite = t.composite
+    n = len(ids)
+    for j in range(n):
+        if composite[hids[j], target_ids[j]] != composite[ids[j], hids[j + 1]]:
+            return False
+    target_down = _down_composites(t, target_ids, target_objects)
+    for j in range(n):
+        if not t.fop_square(hids[j], hids[-1], down[n - j], target_down[n - j]):
+            return False
+    return True
 
 
 def _ladder(source: Chain, target: Chain, hids: tuple) -> FopDiagram:
@@ -332,17 +359,21 @@ def _ladder(source: Chain, target: Chain, hids: tuple) -> FopDiagram:
     return ladder
 
 
-def _checked_ladder(source: Chain, target_ids: tuple, hids: tuple):
-    """The target chain of new map ids over the bottom horizontal, and
-    the horizontals, after the checks the Chain and FopDiagram
-    constructors would make, in their order."""
-    t = source._t
-    bottom = t.cod[hids[-1]]
-    objects = tuple(map(t.dom.__getitem__, target_ids)) + (bottom,)
-    _check_ends(t, objects, target_ids)
-    target = _chain(source, target_ids, bottom, objects)
-    _check_horizontals(source, target, hids)
-    return target, hids
+def _ladder_to(source: Chain, target_ids, target_objects, hids) -> FopDiagram:
+    """_ladder onto the target chain of these map ids and objects, as
+    _checked_target returns them."""
+    return _ladder(source, _chain(source, target_ids, target_objects), hids)
+
+
+def _checked_target(t: _Ids, objects, target_ids: tuple, hids: tuple):
+    """The target chain's map ids and objects, new map ids over the
+    bottom horizontal, and the horizontals' ids, after the checks the
+    Chain and FopDiagram constructors would make, in their order, against
+    the source chain's objects."""
+    target = tuple(map(t.dom.__getitem__, target_ids)) + (t.cod[hids[-1]],)
+    _check_ends(t, target, target_ids)
+    _check_horizontals(t, objects, target, hids)
+    return target_ids, target, hids
 
 
 def identity_ladder(chain: Chain) -> FopDiagram:
@@ -383,46 +414,50 @@ def enumerate_p(inst: OperadicInstance, n: int, bound: int):
 # ------------------------------------------------- simplicial operators
 
 
-def face(i: int, chain: Chain) -> Chain:
-    """Drop the top object (i=0) or compose at the i-th object from the
-    top (1 <= i <= n-1). The missing last face is top_face."""
-    ids, objects = chain.ids, chain.objects
+def _face(t: _Ids, i: int, ids: tuple, objects: tuple):
     n = len(ids)
     if not 0 <= i <= n - 1:
         raise IndexError(f"face {i} undefined on a chain of length {n}")
     if i == 0:
-        return _chain(chain, ids[1:], chain.bottom, objects[1:])
-    t = chain._t
+        return ids[1:], objects[1:]
     merged = t.composite[ids[i - 1], ids[i]]
     ids = ids[: i - 1] + (merged,) + ids[i + 1 :]
     objects = objects[: i - 1] + (t.dom[merged],) + objects[i + 1 :]
     # only the merged map and the one above it can end off their objects
     start = max(i - 2, 0)
     _check_ends(t, objects, ids[start:i], start)
-    return _chain(chain, ids, chain.bottom, objects)
+    return ids, objects
+
+
+def _top_face(t: _Ids, ids: tuple, objects: tuple):
+    if not ids:
+        raise IndexError("top face needs a chain of length at least 1")
+    return _lift(t, ids[:-1], objects[:-1], t.identity[objects[-2]])[:2]
+
+
+def _degeneracy(t: _Ids, i: int, ids: tuple, objects: tuple):
+    n = len(ids)
+    if not 0 <= i <= n:
+        raise IndexError(f"degeneracy {i} undefined on a chain of length {n}")
+    ident = t.identity[objects[i]]
+    return ids[:i] + (ident,) + ids[i:], objects[: i + 1] + objects[i:]
+
+
+def face(i: int, chain: Chain) -> Chain:
+    """Drop the top object (i=0) or compose at the i-th object from the
+    top (1 <= i <= n-1). The missing last face is top_face."""
+    return _chain(chain, *_face(chain._t, i, chain.ids, chain.objects))
 
 
 def top_face(chain: Chain) -> Chain:
     """Drop the bottom object and map, then reflect the remainder back
     into the locally order-preserving chains."""
-    ids, objects = chain.ids, chain.objects
-    if not ids:
-        raise IndexError("top face needs a chain of length at least 1")
-    trunc = _chain(chain, ids[:-1], objects[-2], objects[:-1])
-    return _lift(trunc, chain._t.identity[objects[-2]])[0]
+    return _chain(chain, *_top_face(chain._t, chain.ids, chain.objects))
 
 
 def degeneracy(i: int, chain: Chain) -> Chain:
     """Duplicate the i-th object from the top by inserting an identity."""
-    ids, objects = chain.ids, chain.objects
-    n = len(ids)
-    if not 0 <= i <= n:
-        raise IndexError(f"degeneracy {i} undefined on a chain of length {n}")
-    ident = chain._t.identity[objects[i]]
-    return _chain(
-        chain, ids[:i] + (ident,) + ids[i:], chain.bottom,
-        objects[: i + 1] + objects[i:],
-    )
+    return _chain(chain, *_degeneracy(chain._t, i, chain.ids, chain.objects))
 
 
 # ------------------------------------------------------------ the lifts
@@ -434,15 +469,22 @@ def opfibration_lift(chain: Chain, sigma0: FinMap) -> FopDiagram:
     quasibijection part of the k-th down-composite pushed through the
     bottom, and the k-th target map is the relative op part of the k-th
     source map over the pushed continuation."""
-    if not chain.locally_op:
-        raise ShapeError("lifts start from locally order-preserving chains")
-    if sigma0.dom != chain.bottom:
-        raise ShapeError("bottom map does not start at the bottom object")
     t = chain._t
-    s0 = t.id(sigma0)
+    return _ladder_to(
+        chain, *_opfibration_lift(t, chain.ids, chain.objects, t.id(sigma0))
+    )
+
+
+def _opfibration_lift(t: _Ids, ids: tuple, objects: tuple, s0: int):
+    """opfibration_lift on ids, from the bottom horizontal with id s0:
+    the target chain's map ids and objects and the horizontals' ids."""
+    if not _locally_op(t, _down_composites(t, ids, objects)):
+        raise ShapeError("lifts start from locally order-preserving chains")
+    if t.dom[s0] != objects[-1]:
+        raise ShapeError("bottom map does not start at the bottom object")
     if not t.quasibijective[s0]:
         raise ShapeError("bottom map must be a quasibijection")
-    return _ladder(chain, *_lift(chain, s0))
+    return _lift(t, ids, objects, s0)
 
 
 def reflect_chain(chain: Chain) -> FopDiagram:
@@ -453,27 +495,33 @@ def reflect_chain(chain: Chain) -> FopDiagram:
     of the k-th chain map over the composite below it; its k-th
     horizontal is the quasibijection part of that composite. Idempotent:
     locally order-preserving chains reflect onto themselves."""
-    return _ladder(chain, *_lift(chain, chain._t.identity[chain.bottom]))
+    return _ladder_to(chain, *_reflect(chain._t, chain.ids, chain.objects))
 
 
-def _lift(chain: Chain, s0: int):
+def _reflect(t: _Ids, ids: tuple, objects: tuple):
+    """reflect_chain on ids: the reflected chain's map ids and objects
+    and the unit's horizontals' ids."""
+    return _lift(t, ids, objects, t.identity[objects[-1]])
+
+
+def _lift(t: _Ids, ids: tuple, objects: tuple, s0: int):
     """The lift loop of opfibration_lift, reflect_chain and top_face,
-    without their preconditions, from the bottom horizontal with id s0:
-    the target chain and the horizontals' ids. Each step pushes the
-    step's map onto the composite so far: the relative op part of the map
-    over that composite is the step's target map, and the quasibijection
-    part of the pushed composite is the step's horizontal."""
-    t = chain._t
+    without their preconditions, from the bottom horizontal with id s0
+    on the chain with these map ids and objects: the target chain's map
+    ids and objects and the horizontals' ids. Each step pushes the step's
+    map onto the composite so far: the relative op part of the map over
+    that composite is the step's target map, and the quasibijection part
+    of the pushed composite is the step's horizontal."""
     composite, pi, eta_rel = t.composite, t.pi, t.eta_rel
     horizontals = [s0]
     new_maps = []
     pushed = s0
-    for hk in reversed(chain.ids):
+    for hk in reversed(ids):
         new_maps.append(eta_rel[hk, pushed])
         pushed = composite[hk, pushed]
         horizontals.append(pi[pushed])
-    return _checked_ladder(
-        chain, tuple(reversed(new_maps)), tuple(reversed(horizontals))
+    return _checked_target(
+        t, objects, tuple(reversed(new_maps)), tuple(reversed(horizontals))
     )
 
 
@@ -484,7 +532,7 @@ def compose_ladders(first: FopDiagram, second: FopDiagram) -> FopDiagram:
     source, target = first.source, second.target
     composite = source._t.composite
     hids = tuple(map(composite.__getitem__, zip(first.hids, second.hids)))
-    _check_horizontals(source, target, hids)
+    _check_horizontals(source._t, source.objects, target.objects, hids)
     return _ladder(source, target, hids)
 
 
@@ -520,7 +568,7 @@ def beta(n: int, chain: Chain, mode: str = "production") -> FopDiagram:
         if ladder.target != top_face(top_face(chain)):
             raise IntegrityError("beta ladder missed the double top face")
         objects = chain.objects
-        above = _chain(chain, chain.ids[:-2], objects[-3], objects[:-2])
+        above = _chain(chain, chain.ids[:-2], objects[:-2])
         for k in range(n + 1):
             pushed = inst.compose(
                 pita_general(inst, above.down_composite(k)).eta, sigma0
@@ -560,31 +608,52 @@ def verify_strict_identities(
             witness.update(extra)
         rep.add(tag, witness, "differs", "equal chains")
 
-    def simplicial(n, c):
+    # the sweep runs on (ids, objects) pairs, which within one instance
+    # are equal exactly when their chains are. The faces of a level-n
+    # chain are chains of level n - 1, whose top faces were computed
+    # there: tops keeps them by (ids, bottom) for one level only, and
+    # tops_below is the level below's
+    t = _ids(inst)
+    tops_below = tops = {}
+
+    def top_of_face(x):
+        key = x[0], x[1][-1]
+        top = tops_below.get(key)
+        if top is None:
+            top = tops_below[key] = _top_face(t, *x)
+        return top
+
+    def simplicial(n, c, keep):
+        x = c.ids, c.objects
         rep.count("top-face-not-locally-op")
-        top = top_face(c)
-        if not top.locally_op:
+        top = _top_face(t, *x)
+        if keep:
+            tops[x[0], c.bottom] = top
+        if not _locally_op(t, _down_composites(t, *top)):
             bad("top-face-not-locally-op", c)
+        # each face of c is computed where the sweep first uses it, so
+        # that a face that raises does so after the same checks counted
+        faces = _Memo(lambda i: _face(t, i, *x))
         for j in range(n):
             for i in range(j):
                 rep.count("face-face")
-                if face(i, face(j, c)) != face(j - 1, face(i, c)):
+                if _face(t, i, *faces[j]) != _face(t, j - 1, *faces[i]):
                     bad("face-face", c, {"i": i, "j": j})
         for i in range(n - 1):
             rep.count("face-top-face")
-            if face(i, top) != top_face(face(i, c)):
+            if _face(t, i, *top) != top_of_face(faces[i]):
                 bad("face-top-face", c, {"i": i})
         for j in range(n + 1):
-            d = degeneracy(j, c)
+            d = _degeneracy(t, j, *x)
             for i in range(n + 1):
                 rep.count("face-degeneracy")
-                got = face(i, d)
+                got = _face(t, i, *d)
                 if i in (j, j + 1):
-                    expect = c
+                    expect = x
                 elif i < j:
-                    expect = degeneracy(j - 1, face(i, c))
+                    expect = _degeneracy(t, j - 1, *faces[i])
                 else:
-                    expect = degeneracy(j, face(i - 1, c))
+                    expect = _degeneracy(t, j, *faces[i - 1])
                 if got != expect:
                     bad("face-degeneracy", c, {"i": i, "j": j})
             tag = (
@@ -593,50 +662,54 @@ def verify_strict_identities(
                 else "degeneracy-top-face"
             )
             rep.count(tag)
-            expect = c if j == n else degeneracy(j, top)
-            if top_face(d) != expect:
+            expect = x if j == n else _degeneracy(t, j, *top)
+            if _top_face(t, *d) != expect:
                 bad(tag, c, {"j": j})
             for i in range(j + 1):
                 rep.count("degeneracy-degeneracy")
-                if degeneracy(i, d) != degeneracy(j + 1, degeneracy(i, c)):
+                if _degeneracy(t, i, *d) != _degeneracy(
+                    t, j + 1, *_degeneracy(t, i, *x)
+                ):
                     bad("degeneracy-degeneracy", c, {"i": i, "j": j})
 
     # reflection on arbitrary chains: idempotence, the unit ladder, and
     # naturality along every conjugating ladder of quasibijections. The
     # ladders of a sweep share few targets and bottom lifts, so each is
-    # computed once: reflected by target chain, lifts by (rc, sigma0).
+    # computed once: reflected by target chain, lifts by (reflected
+    # chain, bottom), and each object's quasibijections are read once.
     reflected = {}
     lifts = {}
-    composite = _ids(inst).composite
+    composite = t.composite
+    quasi = _Memo(lambda X: list(map(t.id, quasibijections(inst, X, X))))
 
     def reflection(n, c):
+        ids, objects = c.ids, c.objects
         rep.count("reflection-not-locally-op")
-        unit = reflect_chain(c)
-        rc = unit.target
-        if not rc.locally_op:
+        rids, robjects, unit = _reflect(t, ids, objects)
+        if not _locally_op(t, _down_composites(t, rids, robjects)):
             bad("reflection-not-locally-op", c)
-        if reflect_chain(rc).target != rc:
+        if _reflect(t, rids, robjects)[:2] != (rids, robjects):
             bad("reflection-idempotent", c)
-        if unit.source != c or not unit.is_valid():
+        down = c._down
+        if not _is_valid(t, ids, down, rids, robjects, unit):
             bad("reflection-unit-invalid", c)
-        perms = [quasibijections(inst, X, X) for X in c.objects]
-        for ladder in _conjugate_ladders(c, perms):
+        perms = [quasi[X] for X in objects]
+        for tids, tobjects, sig in _conjugate_ladders(t, ids, objects, perms):
             # the horizontals come from quasibijections(): only the
             # squares are left to decide
-            if not ladder._squares_hold():
+            if not _squares_hold(t, ids, down, tids, tobjects, sig):
                 continue
             rep.count("reflection-naturality")
-            sig = ladder.hids
-            target, key = ladder.target, (rc, sig[-1])
+            target, key = (tids, tobjects[-1]), (rids, robjects[-1], sig[-1])
             if target not in reflected:
-                reflected[target] = reflect_chain(target)
+                reflected[target] = _reflect(t, tids, tobjects)
             if key not in lifts:
-                lifts[key] = opfibration_lift(rc, ladder.bottom)
+                lifts[key] = _opfibration_lift(t, rids, robjects, sig[-1])
             unit2, lifted = reflected[target], lifts[key]
-            mismatch = lifted.target != unit2.target
+            mismatch = lifted[:2] != unit2[:2]
             for j in range(n + 1):
-                if composite[unit.hids[j], lifted.hids[j]] != composite[
-                    sig[j], unit2.hids[j]
+                if composite[unit[j], lifted[2][j]] != composite[
+                    sig[j], unit2[2][j]
                 ]:
                     mismatch = True
             if mismatch:
@@ -644,7 +717,7 @@ def verify_strict_identities(
                     "reflection-naturality",
                     c,
                     {"horizontals": [
-                        finmap_to_json(s) for s in ladder.horizontals
+                        finmap_to_json(t.maps[s]) for s in sig
                     ]},
                 )
 
@@ -657,9 +730,10 @@ def verify_strict_identities(
         )
 
     for n in range(1, maxlen + 1):
+        tops_below, tops = tops, {}
         for c in enumerate_p(inst, n, bound):
             with guard(c):
-                simplicial(n, c)
+                simplicial(n, c, n < maxlen)
     for n in range(1, min(maxlen, 2) + 1):
         for c in _all_chains(inst, n, bound, locally_op=False):
             with guard(c):
@@ -684,11 +758,26 @@ def verify_beta_coherence(
         f"beta-coherence[{inst.name}, bound={bound}]",
         max_violations=max_violations,
     )
+    levels = max(maxlen, 3) - 2
+    # the next level's equations ask again for the production cells
+    # below the top level, so this call keeps them; each top-level cell,
+    # beta(levels, .), is asked for once, and a cell that raises is not
+    # kept
+    kept = {}
+
+    def cell(m, chain):
+        if m == levels:
+            return beta(m, chain)
+        key = m, chain.ids, chain.bottom
+        ladder = kept.get(key)
+        if ladder is None:
+            ladder = kept[key] = beta(m, chain)
+        return ladder
 
     def w(chain):
         return {"chain": chain_to_json(chain)}
 
-    for m in range(max(maxlen, 3) - 2):
+    for m in range(levels):
         for c in enumerate_p(inst, m + 2, bound):
             rep.count(f"beta-{m}-construction")
             with rep.guard(f"beta-{m}-construction", w(c), "agreement"):
@@ -708,10 +797,10 @@ def verify_beta_coherence(
                             finmap_to_json(direct_r),
                         )
                 lhs = compose_ladders(
-                    beta(m, face(m + 1, c)), beta(m, top_face(c))
+                    cell(m, face(m + 1, c)), cell(m, top_face(c))
                 )
                 rhs = compose_ladders(
-                    beta(m, face(m + 2, c)), ladder_top_face(beta(m + 1, c))
+                    cell(m, face(m + 2, c)), ladder_top_face(cell(m + 1, c))
                 )
                 if lhs != rhs:
                     rep.add(f"coherence-{m}", w(c), "differs", "equal ladders")
@@ -726,8 +815,8 @@ def verify_beta_coherence(
             rep.count("beta-at-bottom-degeneracy")
             trivial = "the identity ladder"
             with rep.guard("beta-at-bottom-degeneracy", w(c), trivial):
-                cell = beta(m, degeneracy(m + 1, c))
-                if cell != identity_ladder(cell.source):
+                ladder = cell(m, degeneracy(m + 1, c))
+                if ladder != identity_ladder(ladder.source):
                     rep.add(
                         "beta-at-bottom-degeneracy", w(c),
                         "a nontrivial ladder", trivial,
@@ -795,36 +884,45 @@ def verify_opfibration(
     return rep
 
 
-def _conjugate_ladders(chain: Chain, perms):
-    """Every ladder out of the chain whose horizontals are drawn from
-    perms, one list per object: each map of the target chain is the
-    conjugate of the source map by the two horizontals at its ends.
-    Tuples with a conjugate outside the instance's homs are skipped;
+def _conjugate_ladders(t: _Ids, ids: tuple, objects: tuple, perms):
+    """Every ladder out of the chain with these map ids and objects whose
+    horizontals are drawn from perms, one list of ids per object: each
+    map of the target chain is the conjugate of the source map by the two
+    horizontals at its ends. Each ladder comes as _checked_target returns
+    it. Tuples with a conjugate outside the instance's homs are skipped;
     validity of the ladder is left to the caller."""
-    t = chain._t
-    objects = chain.objects
     homs = [t.hom[X, Y] for X, Y in zip(objects, objects[1:])]
-    composite = t.composite
-    drawn = [[(s, t.inverse[s]) for s in map(t.id, p)] for p in perms]
-    for pairs in itertools.product(*drawn):
+    composite, inverse = t.composite, t.inverse
+    # every inverse is asked for before the first ladder, so that one
+    # that raises does so before any ladder is counted
+    for p in perms:
+        for s in p:
+            inverse[s]
+    for sig in itertools.product(*perms):
         maps = []
-        for j, f in enumerate(chain.ids):
-            g = composite[pairs[j][1], composite[f, pairs[j + 1][0]]]
+        for j, f in enumerate(ids):
+            g = composite[inverse[sig[j]], composite[f, sig[j + 1]]]
             if g not in homs[j]:
                 break
             maps.append(g)
         else:
-            sig = tuple(s for s, _ in pairs)
-            yield _ladder(chain, *_checked_ladder(chain, tuple(maps), sig))
+            yield _checked_target(t, objects, tuple(maps), sig)
 
 
 def _lift_candidates(chain: Chain, sigma0: FinMap):
     """All valid ladders out of the chain with the given bottom, by brute
     force over quasibijection tuples."""
-    inst = chain.inst
-    perms = [quasibijections(inst, X, X) for X in chain.objects[:-1]]
+    inst, t = chain.inst, chain._t
+    perms = [
+        list(map(t.id, quasibijections(inst, X, X)))
+        for X in chain.objects[:-1]
+    ]
+    perms.append([t.id(sigma0)])
+    ladders = (
+        _ladder_to(chain, *target)
+        for target in _conjugate_ladders(t, chain.ids, chain.objects, perms)
+    )
     return [
-        ladder
-        for ladder in _conjugate_ladders(chain, perms + [[sigma0]])
+        ladder for ladder in ladders
         if ladder.target.locally_op and ladder.is_valid()
     ]

@@ -1,8 +1,20 @@
-"""Hypothesis strategies for maps between finite ordinals."""
+"""Hypothesis strategies for maps between finite ordinals, and the
+bijections and identity test that only the tests use."""
+
+import itertools
 
 from hypothesis import strategies as st
 
 from pita.finskel import FinMap
+
+
+def enumerate_bijections(n: int):
+    for perm in itertools.permutations(range(1, n + 1)):
+        yield FinMap(n, n, perm)
+
+
+def is_identity(f: FinMap) -> bool:
+    return f.dom == f.cod and f.values == tuple(range(1, f.dom + 1))
 
 
 @st.composite

@@ -18,7 +18,6 @@ from pita.factorisation import verify_eta_identities
 from pita.finskel import (
     FinMap,
     compose,
-    enumerate_bijections,
     enumerate_maps,
     fibre_map,
     identity,
@@ -36,6 +35,7 @@ from pita.nerve import (
     verify_strict_identities,
 )
 from pita.opcat import verify_axioms
+from strategies import enumerate_bijections
 
 FIN = make_fin()
 SURJ = make_fin_surj()

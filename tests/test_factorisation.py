@@ -29,7 +29,6 @@ from pita.factorisation import (
 from pita.finskel import (
     FinMap,
     compose,
-    enumerate_bijections,
     enumerate_maps,
     identity,
     inverse,
@@ -43,7 +42,7 @@ from reference import (
     splitting_reference,
     unary_splitting_reference,
 )
-from strategies import composable_pairs
+from strategies import composable_pairs, enumerate_bijections
 from test_differential import BASES, MUTANTS
 from test_opcat import _all_squares
 

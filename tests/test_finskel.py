@@ -8,7 +8,6 @@ from pita.errors import CompositionError, ShapeError
 from pita.finskel import (
     FinMap,
     compose,
-    enumerate_bijections,
     enumerate_maps,
     enumerate_surjections,
     fibre,
@@ -19,13 +18,18 @@ from pita.finskel import (
     identity,
     inverse,
     is_bijective,
-    is_identity,
     is_order_preserving,
     is_surjective,
     ordinal_sum,
     pita,
 )
-from strategies import composable_pairs, composable_triples, finmaps
+from strategies import (
+    composable_pairs,
+    composable_triples,
+    enumerate_bijections,
+    finmaps,
+    is_identity,
+)
 
 
 def brute_force_pita(f):

@@ -397,7 +397,7 @@ def test_strict_identities_fin_surj_bound_3():
 
 
 def test_strict_sweep_lifts_each_naturality_target_once(monkeypatch):
-    calls = {"_lift": [], "opfibration_lift": [], "is_quasibijection": []}
+    calls = {"_lift": [], "_opfibration_lift": [], "is_quasibijection": []}
 
     def counting(name):
         original = getattr(nerve, name)
@@ -414,15 +414,18 @@ def test_strict_sweep_lifts_each_naturality_target_once(monkeypatch):
     inst = make_fin_surj()
     rep = verify_strict_identities(inst, 3, 4)
     assert rep.checks == 50_968
-    # one lift per top face and per reflection asked for; 25,054 when
-    # every naturality ladder reflected its target and lifted its bottom
-    # afresh
-    assert len(calls["_lift"]) == 7_468
+    # one lift per top face and per reflection asked for: the top faces of
+    # the 826 chains and of their 3,938 degeneracies, then 418 on the
+    # arbitrary chains. The top face of a face is the level below's, kept
+    # for one level: 7,468 lifts when each was lifted again, and 25,054
+    # when every naturality ladder also reflected its target and lifted
+    # its bottom afresh
+    assert len(calls["_lift"]) == 5_182
     # one opfibration lift per distinct (reflected chain, bottom): 37 on
     # 2-chains and 15 on 1-chains
-    lifts = calls["opfibration_lift"]
+    lifts = calls["_opfibration_lift"]
     assert len(lifts) == len(set(lifts)) == 52
-    assert sum(c.length == 2 for c, _ in lifts) == 37
+    assert sum(len(ids) == 2 for _, ids, _, _ in lifts) == 37
     # the quasibijection test is asked once per map, and only of the unit
     # ladders' horizontals and of the lifts' bottoms: the 9 permutations
     # of 1, 2 and 3 points. The naturality ladders' horizontals, drawn
@@ -433,7 +436,7 @@ def test_strict_sweep_lifts_each_naturality_target_once(monkeypatch):
     ]
     assert len(units) == 122
     asked = {s for unit in units for s in unit.horizontals}
-    asked |= {sigma0 for _, sigma0 in lifts}
+    asked |= {t.maps[s0] for t, _, _, s0 in lifts}
     assert len(asked) == 9
     questions = [f for f, _ in calls["is_quasibijection"]]
     assert len(questions) == len(set(questions)) == 9

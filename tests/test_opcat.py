@@ -26,7 +26,6 @@ from pita.errors import IntegrityError, ShapeError
 from pita.finskel import (
     FinMap,
     compose,
-    enumerate_bijections,
     fibre_map,
     finmap_from_json,
     finmap_to_json,
@@ -43,7 +42,7 @@ from pita.opcat import (
     quasibijections,
     verify_axioms,
 )
-from strategies import composable_pairs, finmaps
+from strategies import composable_pairs, enumerate_bijections, finmaps
 from test_differential import BASES, MUTANTS
 
 # the instance whose composites and fibre maps are finskel's, for squares
