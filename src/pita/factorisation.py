@@ -241,7 +241,7 @@ def verify_eta_identities(
         f"splitting[{inst.name}, bound={bound}]",
         max_violations=max_violations,
     )
-    with rep.guard("splitting-error", None, "a closed universe"):
+    with rep.guard("splitting-error", lambda: None, "a closed universe"):
         _sweep_splitting(rep, universe(inst, bound))
     return rep
 

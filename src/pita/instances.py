@@ -15,7 +15,7 @@ from __future__ import annotations
 from . import finskel
 from .errors import ShapeError
 from .finskel import FinMap
-from .opcat import OperadicInstance, Report
+from .opcat import OperadicInstance
 
 
 class _FinMapInstance(OperadicInstance):
@@ -99,126 +99,3 @@ def make_instance(name: str) -> OperadicInstance:
     except KeyError:
         raise ShapeError(f"unknown instance {name!r}") from None
 
-
-# ------------------------------------------------------------ weak blow-up
-
-
-def _op_map_with_fibres(sizes, cod: int) -> FinMap:
-    values = []
-    for i, s in enumerate(sizes, 1):
-        values.extend([i] * s)
-    return FinMap(sum(sizes), cod, values)
-
-
-def _families(inst, fibres, bound):
-    """All choices (F_i, f_i) with f_i a morphism fibre_i -> F_i and the
-    total size of the F_i at most the bound."""
-    objs = inst.objects(bound)
-
-    def build(i, budget, acc):
-        if i == len(fibres):
-            yield tuple(acc)
-            return
-        for F in objs:
-            if F > budget:
-                continue
-            for f in inst.hom(fibres[i], F):
-                acc.append((F, f))
-                yield from build(i + 1, budget - F, acc)
-                acc.pop()
-
-    yield from build(0, bound, [])
-
-
-def weak_blowup_report(inst, bound: int, max_violations: int = 50) -> Report:
-    """For every op map h and every family of morphisms out of its fibres,
-    check that exactly one factorisation h = compose(f, g) exists with g op,
-    the fibres of g the chosen targets, and the fibre maps of f over g the
-    chosen family. The witness factorisation is built explicitly and the
-    uniqueness half is a bounded search."""
-    rep = Report(
-        f"weak-blowup[{inst.name}, bound={bound}]",
-        max_violations=max_violations,
-    )
-    objs = inst.objects(bound)
-    for T in objs:
-        for R in objs:
-            for h in inst.hom(T, R):
-                if not finskel.is_order_preserving(h):
-                    continue
-                fibres = [inst.fibre(h, i) for i in range(1, R + 1)]
-                for family in _families(inst, fibres, bound):
-                    targets = [F for F, _ in family]
-                    maps = [f for _, f in family]
-                    S = sum(targets)
-                    if S not in objs:
-                        continue
-                    g = _op_map_with_fibres(targets, R)
-                    values = [0] * T
-                    for i in range(1, R + 1):
-                        eps_h = finskel.fibre(h, i)
-                        eps_g = finskel.fibre(g, i)
-                        fi = maps[i - 1]
-                        for j in range(1, eps_h.dom + 1):
-                            values[eps_h(j) - 1] = eps_g(fi(j))
-                    f = FinMap(T, S, values)
-                    rep.count("blowup-existence")
-                    ok = (
-                        f in inst.hom(T, S)
-                        and g in inst.hom(S, R)
-                        and inst.compose(f, g) == h
-                        and all(
-                            inst.fibre(g, i) == targets[i - 1]
-                            for i in range(1, R + 1)
-                        )
-                        and all(
-                            inst.fibre_morphism(f, g, i) == maps[i - 1]
-                            for i in range(1, R + 1)
-                        )
-                    )
-                    if not ok:
-                        rep.add(
-                            "blowup-existence",
-                            {
-                                "h": finskel.finmap_to_json(h),
-                                "targets": targets,
-                            },
-                            "constructed factorisation invalid",
-                            "a valid factorisation",
-                        )
-                        continue
-                    # uniqueness: g is pinned by its fibres, f by the
-                    # fibre maps; scan for impostors
-                    g_candidates = [
-                        g2
-                        for g2 in inst.hom(S, R)
-                        if finskel.is_order_preserving(g2)
-                        and all(
-                            inst.fibre(g2, i) == targets[i - 1]
-                            for i in range(1, R + 1)
-                        )
-                    ]
-                    f_candidates = [
-                        f2
-                        for f2 in inst.hom(T, S)
-                        if inst.compose(f2, g) == h
-                        and all(
-                            inst.fibre_morphism(f2, g, i) == maps[i - 1]
-                            for i in range(1, R + 1)
-                        )
-                    ]
-                    rep.count("blowup-uniqueness")
-                    if len(g_candidates) != 1 or len(f_candidates) != 1:
-                        rep.add(
-                            "blowup-uniqueness",
-                            {
-                                "h": finskel.finmap_to_json(h),
-                                "targets": targets,
-                            },
-                            {
-                                "g_matches": len(g_candidates),
-                                "f_matches": len(f_candidates),
-                            },
-                            {"g_matches": 1, "f_matches": 1},
-                        )
-    return rep

@@ -27,7 +27,8 @@ integer id, in the order met, composites and fibre maps that leave the
 instance's homs included. The interner asks the instance once per id
 pair for a composite and for whether every fibre map of sigma over g is
 op, and once per id for the quasibijection test; it memoises splits,
-relative op parts, inverses and identities by id too. An answer that
+relative op parts, inverses and identities by id too, and each object's
+quasibijections. An answer that
 raises is not kept, so it raises again where it is asked again. Chains
 and ladders store ids only, and compare and hash on them; their maps and
 horizontals are read from the interner when asked. FinMaps come in only
@@ -57,7 +58,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import finskel
 from .errors import IntegrityError, ShapeError
@@ -68,7 +69,6 @@ from .opcat import (
     Report,
     _fibrewise_op,
     is_quasibijection,
-    quasibijections,
 )
 
 
@@ -106,6 +106,13 @@ class _Ids:
         )
         self.quasibijective = _Memo(
             lambda k: is_quasibijection(maps[k], ask())
+        )
+        # the quasibijections of X to itself, in hom order
+        self.quasibijections = _Memo(
+            lambda X: tuple(
+                k for k in map(self.id, ask().hom(X, X))
+                if self.quasibijective[k]
+            )
         )
         self.hom = _Memo(lambda XY: frozenset(map(self.id, ask().hom(*XY))))
         self.pi = _Memo(lambda k: self.id(pita_general(ask(), maps[k]).pi))
@@ -338,7 +345,7 @@ def _is_valid(t: _Ids, ids, down, target_ids, target_objects, hids) -> bool:
 
 def _squares_hold(t: _Ids, ids, down, target_ids, target_objects, hids):
     """_is_valid without the quasibijection test, for ladders whose
-    horizontals were drawn from quasibijections()."""
+    horizontals were drawn from _Ids.quasibijections."""
     composite = t.composite
     n = len(ids)
     for j in range(n):
@@ -495,13 +502,10 @@ def reflect_chain(chain: Chain) -> FopDiagram:
     of the k-th chain map over the composite below it; its k-th
     horizontal is the quasibijection part of that composite. Idempotent:
     locally order-preserving chains reflect onto themselves."""
-    return _ladder_to(chain, *_reflect(chain._t, chain.ids, chain.objects))
-
-
-def _reflect(t: _Ids, ids: tuple, objects: tuple):
-    """reflect_chain on ids: the reflected chain's map ids and objects
-    and the unit's horizontals' ids."""
-    return _lift(t, ids, objects, t.identity[objects[-1]])
+    t = chain._t
+    return _ladder_to(
+        chain, *_lift(t, chain.ids, chain.objects, t.identity[chain.bottom])
+    )
 
 
 def _lift(t: _Ids, ids: tuple, objects: tuple, s0: int):
@@ -675,34 +679,35 @@ def verify_strict_identities(
     # reflection on arbitrary chains: idempotence, the unit ladder, and
     # naturality along every conjugating ladder of quasibijections. The
     # ladders of a sweep share few targets and bottom lifts, so each is
-    # computed once: reflected by target chain, lifts by (reflected
-    # chain, bottom), and each object's quasibijections are read once.
+    # computed once: reflected by target chain and lifts by (reflected
+    # chain, bottom). Every chain here reflects through the identity on
+    # c's bottom, which the ladders out of c share.
     reflected = {}
     lifts = {}
     composite = t.composite
-    quasi = _Memo(lambda X: list(map(t.id, quasibijections(inst, X, X))))
 
     def reflection(n, c):
         ids, objects = c.ids, c.objects
+        one = t.identity[c.bottom]
         rep.count("reflection-not-locally-op")
-        rids, robjects, unit = _reflect(t, ids, objects)
+        rids, robjects, unit = _lift(t, ids, objects, one)
         if not _locally_op(t, _down_composites(t, rids, robjects)):
             bad("reflection-not-locally-op", c)
-        if _reflect(t, rids, robjects)[:2] != (rids, robjects):
+        if _lift(t, rids, robjects, one)[:2] != (rids, robjects):
             bad("reflection-idempotent", c)
         down = c._down
         if not _is_valid(t, ids, down, rids, robjects, unit):
             bad("reflection-unit-invalid", c)
-        perms = [quasi[X] for X in objects]
+        perms = [t.quasibijections[X] for X in objects]
         for tids, tobjects, sig in _conjugate_ladders(t, ids, objects, perms):
-            # the horizontals come from quasibijections(): only the
-            # squares are left to decide
+            # the horizontals are quasibijections: only the squares are
+            # left to decide
             if not _squares_hold(t, ids, down, tids, tobjects, sig):
                 continue
             rep.count("reflection-naturality")
             target, key = (tids, tobjects[-1]), (rids, robjects[-1], sig[-1])
             if target not in reflected:
-                reflected[target] = _reflect(t, tids, tobjects)
+                reflected[target] = _lift(t, tids, tobjects, one)
             if key not in lifts:
                 lifts[key] = _opfibration_lift(t, rids, robjects, sig[-1])
             unit2, lifted = reflected[target], lifts[key]
@@ -725,7 +730,7 @@ def verify_strict_identities(
         # a broken instance can make the chain operators raise; that is
         # a witness against the instance, and the sweep runs on
         return rep.guard(
-            "strict-identities-error", {"chain": chain_to_json(c)},
+            "strict-identities-error", lambda: {"chain": chain_to_json(c)},
             "equal chains",
         )
 
@@ -780,14 +785,17 @@ def verify_beta_coherence(
     for m in range(levels):
         for c in enumerate_p(inst, m + 2, bound):
             rep.count(f"beta-{m}-construction")
-            with rep.guard(f"beta-{m}-construction", w(c), "agreement"):
+            witness = partial(w, c)
+            with rep.guard(f"beta-{m}-construction", witness, "agreement"):
                 beta(m, c, mode="oracle")
 
         for c in enumerate_p(inst, m + 3, bound):
             if m == 0:
                 rep.count("coherence-0-direct")
             rep.count(f"coherence-{m}")
-            with rep.guard(f"coherence-{m}-error", w(c), "composable cells"):
+            with rep.guard(
+                f"coherence-{m}-error", partial(w, c), "composable cells"
+            ):
                 if m == 0:
                     direct_l, direct_r = _scalar_coherence_0(c)
                     if direct_l != direct_r:
@@ -814,7 +822,8 @@ def verify_beta_coherence(
         for c in enumerate_p(inst, m + 1, bound):
             rep.count("beta-at-bottom-degeneracy")
             trivial = "the identity ladder"
-            with rep.guard("beta-at-bottom-degeneracy", w(c), trivial):
+            witness = partial(w, c)
+            with rep.guard("beta-at-bottom-degeneracy", witness, trivial):
                 ladder = cell(m, degeneracy(m + 1, c))
                 if ladder != identity_ladder(ladder.source):
                     rep.add(
@@ -851,34 +860,40 @@ def verify_opfibration(
         f"opfibration[{inst.name}, n={n}, bound={bound}]",
         max_violations=max_violations,
     )
+    t = _ids(inst)
+    quasi = t.quasibijections
+
+    def witness(chain, s0):
+        sigma0 = finmap_to_json(t.maps[s0])
+        return {"chain": chain_to_json(chain), "sigma0": sigma0}
+
     for chain in enumerate_p(inst, n, bound):
-        bottoms = quasibijections(inst, chain.bottom, chain.bottom)
-        one = finskel.identity(chain.bottom)
+        ids, objects = chain.ids, chain.objects
+        bottoms = quasi[chain.bottom]
+        one = t.identity[chain.bottom]
         if one not in bottoms:
-            bottoms.insert(0, one)
-        for sigma0 in bottoms:
+            bottoms = (one, *bottoms)
+        for s0 in bottoms:
             rep.count("opfibration-lift-invalid")
-            witness = {
-                "chain": chain_to_json(chain), "sigma0": finmap_to_json(sigma0),
-            }
-            with rep.guard(
-                "opfibration-lift-error", witness, "a valid ladder"
-            ):
+            w = partial(witness, chain, s0)
+            with rep.guard("opfibration-lift-error", w, "a valid ladder"):
                 # all three are made before any add, so a lift that is
                 # invalid and whose candidates raise reports only the error
-                lift = opfibration_lift(chain, sigma0)
-                valid = lift.is_valid() and lift.target.locally_op
-                found = _lift_candidates(chain, sigma0)
+                lift = _opfibration_lift(t, ids, objects, s0)
+                valid = _valid_lift(t, chain, lift)
+                perms = [quasi[X] for X in objects[:-1]] + [(s0,)]
+                ladders = _conjugate_ladders(t, ids, objects, perms)
+                found = [x for x in ladders if _valid_lift(t, chain, x)]
                 if not valid:
                     rep.add(
-                        "opfibration-lift-invalid", witness,
+                        "opfibration-lift-invalid", w(),
                         "an invalid ladder", "a valid ladder",
                     )
                 if len(found) != 1:
-                    rep.add("opfibration-lift-count", witness, len(found), 1)
+                    rep.add("opfibration-lift-count", w(), len(found), 1)
                 elif found[0] != lift:
                     rep.add(
-                        "opfibration-lift-mismatch", witness,
+                        "opfibration-lift-mismatch", w(),
                         "a different ladder", "the constructed lift",
                     )
     return rep
@@ -909,20 +924,11 @@ def _conjugate_ladders(t: _Ids, ids: tuple, objects: tuple, perms):
             yield _checked_target(t, objects, tuple(maps), sig)
 
 
-def _lift_candidates(chain: Chain, sigma0: FinMap):
-    """All valid ladders out of the chain with the given bottom, by brute
-    force over quasibijection tuples."""
-    inst, t = chain.inst, chain._t
-    perms = [
-        list(map(t.id, quasibijections(inst, X, X)))
-        for X in chain.objects[:-1]
-    ]
-    perms.append([t.id(sigma0)])
-    ladders = (
-        _ladder_to(chain, *target)
-        for target in _conjugate_ladders(t, chain.ids, chain.objects, perms)
+def _valid_lift(t: _Ids, chain: Chain, target) -> bool:
+    """Whether the ladder out of chain with this target, an (ids,
+    objects, horizontals) triple as _checked_target returns it, is valid
+    and lands on a locally order-preserving chain."""
+    tids, tobjects, hids = target
+    return _locally_op(t, _down_composites(t, tids, tobjects)) and _is_valid(
+        t, chain.ids, chain._down, tids, tobjects, hids
     )
-    return [
-        ladder for ladder in ladders
-        if ladder.target.locally_op and ladder.is_valid()
-    ]

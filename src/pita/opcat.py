@@ -79,7 +79,8 @@ class Report:
     sweep: past the cap add drops the violation and sets truncated, and
     the sweep runs on and counts every check. A check site that a
     broken instance can make raise runs inside guard, which turns the
-    raise into one violation of the site's error tag.
+    raise into one violation of the site's error tag; its witness is
+    made only then.
     """
 
     title: str
@@ -111,12 +112,12 @@ class Report:
     @contextmanager
     def guard(self, axiom: str, witness, rhs):
         """A PitaError raised inside is one violation of axiom, its text
-        as lhs, and the sweep runs on; any other exception is a fault of
-        the program and propagates."""
+        as lhs and witness() as its witness, and the sweep runs on; any
+        other exception is a fault of the program and propagates."""
         try:
             yield
         except PitaError as exc:
-            self.add(axiom, witness, str(exc), rhs)
+            self.add(axiom, witness(), str(exc), rhs)
 
     def to_json(self) -> dict:
         return {
@@ -596,7 +597,7 @@ def verify_axioms(
     # (g, f), the fibre map of [h over g;f at i] over [g over f at i] at j
     # equals the fibre map of h over g at epsilon(j)
     if u.vectorised:
-        with rep.guard("axioms-error", None, "a closed universe"):
+        with rep.guard("axioms-error", lambda: None, "a closed universe"):
             u.table.sweep_iterated_fibre_maps(rep)
         return rep
 

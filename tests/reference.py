@@ -1,6 +1,7 @@
 """An independent reference for the pair and triple sites of the
 splitting sweep (verify_eta_identities), for every site of the axiom
-sweep (verify_axioms), and for the nerve's chain operators.
+sweep (verify_axioms), for the weak blow-up axiom, and for the nerve's
+chain operators.
 
 For the splitting sweep it recomputes the six pair sites, the unit
 squares and the relative-part cocycle on plain value tuples (dom, cod,
@@ -14,6 +15,14 @@ found by its own search.
 Nothing comes from pita.finskel, from the Universe or from the sweeps' own
 definitions, so an equation that both routes of a sweep share and get
 wrong shows up as a difference from this module.
+
+The weak blow-up axiom has no sweep in pita; it is checked only here, by
+its definition. Over every op h and every family of morphisms out of the
+fibres of h, the oracle builds no factorisation: it tries every pair
+(f, g) over h through the instance's hom, compose, fibre and
+fibre_morphism, and counts the pairs that answer the family. That the
+instance's fibre maps are finskel's is verify_axioms' check, not this
+one's.
 
 The chain operators face, degeneracy, top_face and the lift behind
 reflect_chain and opfibration_lift, the ladder operators, production
@@ -40,6 +49,7 @@ their values.
 Composition is diagrammatic: compose(x, y) applies x first.
 """
 
+import itertools
 from collections import Counter
 
 from pita.errors import ShapeError
@@ -380,6 +390,59 @@ def axioms_reference(inst, bound: int) -> dict:
                     check(
                         "fibre-of-fibre-map", {**where, "i": i, "j": j},
                         lhs == rhs, lhs, rhs,
+                    )
+    return findings.result()
+
+
+# ------------------------------------------------------------ weak blow-up
+
+
+def blowup_reference(inst, bound: int) -> dict:
+    """Per tag, the check count and the violation list of the weak
+    blow-up axiom below the bound: for every op morphism h: T -> R and
+    every family of morphisms f_i out of the fibres of h whose targets
+    F_i sum to at most the bound, exactly one pair (f in hom(T, S), g in
+    hom(S, R)) has g op, compose(f, g) == h, fibre(g, i) == F_i and
+    fibre_morphism(f, g, i) == f_i. The pairs are found by search over
+    all of hom(T, S) x hom(S, R), each described by what it says of the
+    family, and every family counts once under blowup-existence (at
+    least one pair) and once under blowup-uniqueness (at most one)."""
+    objs = list(inst.objects(bound))
+    check = (findings := _Findings()).check
+    for T in objs:
+        for R in objs:
+            for h in (h for h in inst.hom(T, R) if _is_op(_key(h))):
+                points = range(1, R + 1)
+                pairs = Counter(
+                    tuple(
+                        (inst.fibre(g, i), _key(inst.fibre_morphism(f, g, i)))
+                        for i in points
+                    )
+                    for S in objs
+                    for g in inst.hom(S, R)
+                    if _is_op(_key(g))
+                    for f in inst.hom(T, S)
+                    if _key(inst.compose(f, g)) == _key(h)
+                )
+                choices = [
+                    [(F, _key(f)) for F in objs for f in inst.hom(fib, F)]
+                    for fib in (inst.fibre(h, i) for i in points)
+                ]
+                for family in itertools.product(*choices):
+                    if sum(F for F, _ in family) > bound:
+                        continue
+                    found = pairs[family]
+                    where = {
+                        "h": _json(_key(h)),
+                        "family": [[F, _json(f)] for F, f in family],
+                    }
+                    check(
+                        "blowup-existence", where, found >= 1, found,
+                        "at least one pair",
+                    )
+                    check(
+                        "blowup-uniqueness", where, found <= 1, found,
+                        "at most one pair",
                     )
     return findings.result()
 

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from helpers import CorruptFibreMap, RemoveHom
+from helpers import CorruptFibreMap, RemoveHom, WidenFibreMap, Wrapper
 from pita.errors import ShapeError
 from pita.finskel import (
     FinMap,
@@ -19,8 +19,9 @@ from pita.instances import (
     make_fin_surj,
     make_instance,
     make_op,
-    weak_blowup_report,
 )
+from pita.opcat import verify_axioms
+from reference import blowup_reference
 from strategies import composable_pairs
 
 
@@ -138,28 +139,80 @@ def test_registry():
 # ------------------------------------------------------------ blow-up
 
 
+def _blowup_failures(inst, bound):
+    """Per tag of blowup_reference, (families checked, families failing)."""
+    return {
+        tag: (n, len(found))
+        for tag, (n, found) in blowup_reference(inst, bound).items()
+    }
+
+
+def _blowup(families, existence=0, uniqueness=0):
+    return {
+        "blowup-existence": (families, existence),
+        "blowup-uniqueness": (families, uniqueness),
+    }
+
+
+BLOWUP_FAMILIES_AT_3 = {"fin": 626, "fin-surj": 25, "op": 428}
+
+
 @pytest.mark.parametrize("factory", [make_fin, make_fin_surj, make_op])
 def test_weak_blowup_holds_at_bound_3(factory):
-    rep = weak_blowup_report(factory(), 3)
-    assert rep.ok, rep.violations[:3]
-    assert rep.checks > 0
-    assert weak_blowup_report(factory(), 2).ok
+    inst = factory()
+    families = BLOWUP_FAMILIES_AT_3[inst.name]
+    assert _blowup_failures(inst, 3) == _blowup(families)
+    assert all(not found for _, found in blowup_reference(inst, 2).values())
 
 
 def test_weak_blowup_fails_with_a_missing_map():
     # removing [2,1,3] from hom(3,3) of fin breaks existence: blowing up
     # h=[1,1,2] along the family ([2,1] over the first fibre, id over the
-    # second) constructs exactly that map, while the family maps themselves
+    # second) needs exactly that map as f, while the family maps themselves
     # live in hom(2,2) and hom(1,1) and survive the removal
     broken = RemoveHom(make_fin(), 3, 3, FinMap(3, 3, (2, 1, 3)))
-    rep = weak_blowup_report(broken, 3)
-    assert not rep.ok
-    assert any(v["axiom"] == "blowup-existence" for v in rep.violations)
+    assert _blowup_failures(broken, 3) == _blowup(620, existence=4)
+
+
+def test_weak_blowup_holds_under_permuted_fibre_maps():
+    # CorruptFibreMap permutes the domain of every fibre map, so exactly
+    # one f still matches each family and the axiom holds; that these
+    # fibre maps are not finskel's is verify_axioms' finding
+    broken = CorruptFibreMap(make_fin())
+    assert _blowup_failures(broken, 2) == _blowup(39)
+    assert not verify_axioms(broken, 2).ok
 
 
 def test_weak_blowup_fails_with_corrupted_fibre_maps():
-    rep = weak_blowup_report(CorruptFibreMap(make_fin()), 2)
-    assert not rep.ok
+    # a widened fibre map ends one point too high, so 38 of the 39
+    # families find no pair; on op, the permuted fibre maps of the
+    # order-preserving f that the identity family needs are not order-
+    # preserving, so 3 families find none
+    widened = WidenFibreMap(make_fin())
+    assert _blowup_failures(widened, 2) == _blowup(39, existence=38)
+    permuted = CorruptFibreMap(make_op())
+    assert _blowup_failures(permuted, 2) == _blowup(36, existence=3)
+
+
+class ConstantFibreMap(Wrapper):
+    """Sends every fibre map to the constant map onto the first point, so
+    pairs that differ only inside a fibre answer the same family."""
+
+    def fibre_morphism(self, g, f, i):
+        fm = self._base.fibre_morphism(g, f, i)
+        return FinMap(fm.dom, fm.cod, (1,) * fm.dom)
+
+
+@pytest.mark.parametrize(
+    "factory, families, existence",
+    [(make_fin, 39, 12), (make_op, 36, 9)],
+    ids=["fin", "op"],
+)
+def test_weak_blowup_uniqueness_fails_with_constant_fibre_maps(
+    factory, families, existence
+):
+    broken = ConstantFibreMap(factory())
+    assert _blowup_failures(broken, 2) == _blowup(families, existence, 6)
 
 
 @pytest.mark.parametrize("factory", [make_fin, make_fin_surj, make_op])

@@ -78,7 +78,7 @@ def test_report_mechanics():
 def test_a_pita_error_inside_the_guard_is_one_violation():
     rep = Report("demo")
     rep.count("law", 2)
-    with rep.guard("law-error", {"x": 1}, "a lawful instance"):
+    with rep.guard("law-error", lambda: {"x": 1}, "a lawful instance"):
         rep.count("law")
         raise ShapeError("map 0 does not end at object 1")
     rep.count("law", 3)
@@ -97,7 +97,7 @@ def test_a_program_fault_inside_the_guard_propagates():
     # fault of the program and must not be reported as the instance's
     rep = Report("demo")
     with pytest.raises(TypeError):
-        with rep.guard("law-error", None, "a lawful instance"):
+        with rep.guard("law-error", lambda: None, "a lawful instance"):
             raise TypeError("unsupported operand")
     assert rep.violations == []
 
