@@ -10,15 +10,13 @@ numpy gathers, one chunk per middle morphism.
 The splitting sweeps evaluate the identities defined in factorisation on
 id arrays; only the iterated fibre-map equation is written out here.
 
-Layout. Every lookup by pair reads a dense table indexed by the two ids,
-a * (n + 1) + b: CAB, the composites, RAB, the relative op parts, and
-FMAB, the fibre maps, with the map over point i at
-(a * (n + 1) + b) * bound + i - 1. Each is built once from the padded
-lists of the universe (see opcat.Universe), as values[pair_index], so
-the -1 padding carries over: pair -1, the last row and the last column
-read -1, and so does an id -1 in either place, because a * (n + 1) + b
-then lands in the last column (b = -1 ends row a - 1) or is negative and
-wraps round onto the last row or column. One lookup is one numpy gather.
+Layout. The table keeps the universe's lists by cell a * (n + 1) + b
+as they are (see opcat.Universe): CAB, the composites, RAB, the
+relative op parts, and FMAB, the fibre maps, with the map over point i
+at (a * (n + 1) + b) * bound + i - 1. The -1 padding comes with them: a
+pair that does not compose, the last row and the last column read -1,
+and so does an id -1 in either place, because numpy wraps a negative
+index as Python does. One lookup is one numpy gather.
 
 The pair screen. The pair sweep of verify_axioms compares the
 instance's composites and fibre maps with finskel's, by value. Here that
@@ -58,7 +56,7 @@ import numpy as np
 
 from .errors import IntegrityError
 from .factorisation import _COCYCLE, _cocycle_sides, _pair_sites, _unit_square
-from .opcat import default_threads
+from .opcat import _by_pair, default_threads
 
 
 # pairs per chunk of the pair screen
@@ -70,8 +68,8 @@ def _array(values) -> np.ndarray:
 
 
 class _BufferedLookups:
-    """Lookups (a, b) -> values[a * (n + 1) + b] in the table's dense
-    arrays for one worker thread, through buffers of size elements that
+    """Lookups (a, b) -> values[a * (n + 1) + b] in the table's arrays
+    for one worker thread, through buffers of size elements that
     it keeps across chunks. The keys of a lookup go to a scratch buffer,
     and the k-th lookup since start() writes its values into the k-th
     result buffer, so every value looked up in a chunk stays live to its
@@ -105,13 +103,6 @@ class _BufferedLookups:
         return lookup
 
 
-def _dense(universe, values, width: int = 1) -> np.ndarray:
-    """The per-pair values of the universe, width to a pair and padded as
-    its lists are, laid out by cell a * (n + 1) + b: values[pair_index]."""
-    cells = np.array(universe.pair_index, dtype=np.intp)
-    return _array(values).reshape(-1, width)[cells].ravel()
-
-
 class MapTable:
     def __init__(self, universe):
         self.universe = universe
@@ -128,8 +119,8 @@ class MapTable:
         self.pa = _array(universe.pair_first)
         self.pb = _array(universe.pair_second)
         self.pairs = len(self.pa)
-        self.CAB = _dense(universe, universe.composites)
-        self.FMAB = _dense(universe, universe.fibre_maps, bound)
+        self.CAB = _array(universe.composites)
+        self.FMAB = _array(universe.fibre_maps)
 
         # fibre sizes; the value and rank of every point
         self.FS = np.zeros((n, bound), dtype=np.int16)
@@ -150,7 +141,7 @@ class MapTable:
         self.universe.require_closed()
         pis, etas, _ = self.universe.splits
         self.PI, self.ETA = _array(pis), _array(etas)
-        self.RAB = _dense(self.universe, self.universe.relative_parts)
+        self.RAB = _array(self.universe.relative_parts)
 
     def pairs_to_recheck(self):
         """The pairs of the pair sweep of verify_axioms that finskel must
@@ -311,16 +302,16 @@ class MapTable:
         of all composable pairs at once, site by site."""
         self.ensure_pita()
         json_of = self.universe.json_of
-        pa, pb, stride, CAB = self.pa, self.pb, self.n + 1, self.CAB
+        pa, pb, stride = self.pa, self.pb, self.n + 1
+        C = _by_pair(stride, self.CAB)
         # the composite and relative part of each pair
-        AB, ER = CAB[pa * stride + pb], self.RAB[pa * stride + pb]
+        AB, ER = C(pa, pb), self.RAB[pa * stride + pb]
 
         def where(p):
             return {"f": json_of(pa[p]), "g": json_of(pb[p])}
 
         for tag, applies, lhs, rhs in _pair_sites(
-            lambda a, b: CAB.take(a * stride + b),
-            self.PI, self.ETA, self.ID, self.OP, pa, pb, AB, ER,
+            C, self.PI, self.ETA, self.ID, self.OP, pa, pb, AB, ER
         ):
             applies = np.broadcast_to(applies, pa.shape)
             report.count(tag, int(applies.sum()))
@@ -331,7 +322,7 @@ class MapTable:
         Q = top * stride + side
         # the universe is closed, so only a pair that does not compose
         # has composite -1
-        if (CAB[Q] < 0).any():
+        if (self.CAB[Q] < 0).any():
             raise IntegrityError("unit square is not composable")
         F = self.FMAB.reshape(-1, self.bound)[Q]
         valid = np.arange(self.bound)[None, :] < self.COD[ER][:, None]

@@ -178,12 +178,12 @@ def omega(
 # ------------------------------------------------ the splitting identities
 
 # Both routes of verify_eta_identities evaluate these. They read ids
-# through C(x, y), the composite of x then y, R(x, y), the relative op
-# part of x over y (opcat._by_pair on the loop route, a take from the
-# dense tables of _tables on the other), and PI, ETA (the splits), ID
-# (the identity on the domain) and OP (order-preserving) indexed by id.
-# Only indexing, ==, != and & occur, so they run on single ids and on
-# broadcast numpy id arrays.
+# through C(x, y), the composite of x then y, and R(x, y), the relative
+# op part of x over y, each a lookup by cell x * (n + 1) + y
+# (opcat._by_pair, on the universe's lists or the table's arrays), and
+# PI, ETA (the splits), ID (the identity on the domain) and OP
+# (order-preserving) indexed by id. Only indexing, ==, != and & occur,
+# so they run on single ids and on broadcast numpy id arrays.
 
 
 def _pair_sites(C, PI, ETA, ID, OP, a, b, c, er):
@@ -278,13 +278,12 @@ def _sweep_splitting(rep: Report, u) -> None:
         table.sweep_relative_part_cocycle(rep)
         return
 
-    rel = u.relative_parts
-    first, second, composites = u.pair_first, u.pair_second, u.composites
-    op = u.order_preserving
-    C = _by_pair(u.pair_index, n + 1, composites)
-    R = _by_pair(u.pair_index, n + 1, rel)
-    for p, (a, b) in enumerate(zip(first, second)):
-        c, er = composites[p], rel[p]
+    rel, composites, op = u.relative_parts, u.composites, u.order_preserving
+    first, second, stride = u.pair_first, u.pair_second, n + 1
+    C, R = _by_pair(stride, composites), _by_pair(stride, rel)
+    for a, b in zip(first, second):
+        cell = a * stride + b
+        c, er = composites[cell], rel[cell]
         where = {"f": json_of(a), "g": json_of(b)}
         for tag, applies, lhs, rhs in _pair_sites(
             C, pis, etas, ids, op, a, b, c, er
@@ -293,8 +292,11 @@ def _sweep_splitting(rep: Report, u) -> None:
                 rep.count(tag)
                 if lhs != rhs:
                     rep.add(tag, where, json_of(lhs), json_of(rhs))
-        q = u.pair(*_unit_square(pis, c, er))
-        if q < 0:
+        top, side = _unit_square(pis, c, er)
+        q = top * stride + side
+        # the universe is closed, so only a pair that does not compose
+        # has composite -1
+        if composites[q] < 0:
             raise IntegrityError("unit square is not composable")
         rep.count("unit-square-not-fop", maps[er].cod)
         for i in range(maps[er].cod):

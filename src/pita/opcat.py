@@ -195,10 +195,6 @@ def _require_square(sigma, tau, f, g, inst: OperadicInstance) -> None:
         raise ShapeError("square does not commute")
 
 
-def quasibijections(inst: OperadicInstance, X: int, Y: int):
-    return [q for q in inst.hom(X, Y) if is_quasibijection(q, inst)]
-
-
 # ------------------------------------------------------------ the verifier
 
 
@@ -258,16 +254,18 @@ class Universe:
     and relative op parts of the splitting calculus are derived from these
     lists on first use (splits, relative_parts).
 
-    Layout: pair p is (pair_first[p], pair_second[p]), the first applied
-    first; pairs run through a in id order, then b in id order. The flat
-    (n + 1) x (n + 1) pair_index has pair_index[a * (n + 1) + b] == p, -1
-    where a, b do not compose, and a last row and column of -1. The lists
-    by pair, composites and relative_parts, end in one -1. The fibre maps
-    of pair p over i = 1, 2, ... sit at p * bound + i - 1, -1 past the
-    codomain (no object below the bound has more than bound points), and
-    end in a block of bound -1s. A negative index lands in the padding,
-    so -1 in reads -1 out with no branch (_by_pair). The table route lays
-    the same lists out by (a, b) in numpy, padding included (see _tables).
+    Layout: composites and relative_parts are indexed by the cell
+    a * (n + 1) + b of the pair (a, b), a applied first, and fibre_maps
+    holds the fibre map of (a, b) over point i at cell * bound + i - 1
+    (no object below the bound has more than bound points). Every other
+    entry is -1: the cells of pairs that do not compose, the points past
+    a codomain, and a last row and column. So an id of -1 in either
+    place reads -1 too: a * (n + 1) - 1 ends row a - 1, and a negative
+    cell wraps onto the last row or column. Lookups need no branch
+    (_by_pair), and the table route wraps the same lists as numpy arrays,
+    which wrap negative indices alike (see _tables). The composable pairs,
+    in the order the sweeps visit them, are (pair_first[p],
+    pair_second[p]): a in id order, then b in id order.
     """
 
     def __init__(self, inst: OperadicInstance, bound: int):
@@ -305,32 +303,28 @@ class Universe:
             all(_is_point(F, inst) for F in fibres) for fibres in self.fibres
         ]
 
-        stride = n + 1
-        self.pair_index = pair_index = [-1] * (stride * stride)
         first: list = []
         second: list = []
         for (T, S), gs in self.homs.items():
             for a in gs:
                 for b in self.out_of[S]:
-                    pair_index[a * stride + b] = len(first)
                     first.append(a)
                     second.append(b)
         self.pair_first, self.pair_second = first, second
 
-        w = bound
-        self.composites = []
-        self.fibre_maps = fms = [-1] * ((len(first) + 1) * w)
+        stride, w = n + 1, bound
+        self.composites = cs = [-1] * (stride * stride)
+        self.fibre_maps = fms = [-1] * (stride * stride * w)
         self.strays = 0
-        for p, (a, b) in enumerate(zip(first, second)):
+        for a, b in zip(first, second):
             g, f = maps[a], maps[b]
-            c = index.get(inst.compose(g, f), -1)
-            self.composites.append(c)
+            cell = a * stride + b
+            cs[cell] = c = index.get(inst.compose(g, f), -1)
             self.strays += c < 0
             for i in range(1, f.cod + 1):
                 k = index.get(inst.fibre_morphism(g, f, i), -1)
-                fms[p * w + i - 1] = k
+                fms[cell * w + i - 1] = k
                 self.strays += k < 0
-        self.composites.append(-1)
 
     @property
     def triples(self) -> int:
@@ -381,29 +375,25 @@ class Universe:
         """The JSON form of the morphism with id k, None for -1."""
         return finmap_to_json(self.maps[k]) if k >= 0 else None
 
-    def pair(self, a: int, b: int) -> int:
-        """Id of the pair (a, b), -1 when either is -1 or they do not
-        compose."""
-        return self.pair_index[a * (self.n + 1) + b]
-
     @cached_property
     def relative_parts(self) -> list:
-        """Id of the relative op part of every composable pair p = (a, b),
-        compose(compose(inverse(pi(a;b)), a), pi(b)), computed on first
-        use and ending in -1. IntegrityError when the instance left its
-        homs on the way."""
+        """Id of the relative op part of every composable pair (a, b),
+        compose(compose(inverse(pi(a;b)), a), pi(b)), by cell, computed
+        on first use. IntegrityError when the instance left its homs on
+        the way."""
         self.require_closed()
         pis, _, inverses = self.splits
-        compose = _by_pair(self.pair_index, self.n + 1, self.composites)
-        rel = [
-            compose(compose(inverses[pis[c]], a), pis[b])
-            for a, b, c in zip(
-                self.pair_first, self.pair_second, self.composites
+        stride, composites = self.n + 1, self.composites
+        compose = _by_pair(stride, composites)
+        rel = [-1] * len(composites)
+        for a, b in zip(self.pair_first, self.pair_second):
+            cell = a * stride + b
+            rel[cell] = compose(
+                compose(inverses[pis[composites[cell]]], a), pis[b]
             )
-        ]
-        if -1 in rel:
-            raise IntegrityError("relative splitting left the universe")
-        return rel + [-1]
+            if rel[cell] < 0:
+                raise IntegrityError("relative splitting left the universe")
+        return rel
 
     @cached_property
     def table(self):
@@ -413,10 +403,11 @@ class Universe:
         return MapTable(self)
 
 
-def _by_pair(index, stride: int, values):
-    """(a, b) -> values[pair of (a, b)] on the padded lists of Universe,
-    so -1 where a, b do not compose or either is -1."""
-    return lambda a, b: values[index[a * stride + b]]
+def _by_pair(stride: int, values):
+    """(a, b) -> values[a * stride + b] on the lists of Universe or the
+    arrays of MapTable, so -1 where a, b do not compose or either is
+    -1."""
+    return lambda a, b: values[a * stride + b]
 
 
 # Universes by instance object, then bound. Weak keys let an instance and
@@ -541,7 +532,8 @@ def verify_axioms(
     # pair sweep: the instance's composites, fibre sizes and fibre maps
     # against the finskel reference computed on the handles; the table
     # route counts at once the pairs its screen finds to be finskel's
-    w, fms = u.bound, u.fibre_maps
+    w, stride = u.bound, u.n + 1
+    composites, fms = u.composites, u.fibre_maps
     fibres, inclusions = u.fibres, u.inclusions
     json_of = u.json_of
 
@@ -555,7 +547,8 @@ def verify_axioms(
         pairs, size_checks, fibre_checks = range(len(u.pair_first)), 0, 0
     for p in pairs:
         g, f = u.pair_first[p], u.pair_second[p]
-        c, expected = u.composites[p], finskel.compose(maps[g], maps[f])
+        cell = g * stride + f
+        c, expected = composites[cell], finskel.compose(maps[g], maps[f])
         if c < 0 or maps[c] != expected:
             rep.add(
                 "cardinality-not-functorial",
@@ -569,7 +562,7 @@ def verify_axioms(
                     "cardinality-fibre-size", {"f": json_of(f), "i": i + 1},
                     fibres[f][i], len(eps),
                 )
-            fm = fms[p * w + i]
+            fm = fms[cell * w + i]
             expected = finskel.fibre_map(maps[g], maps[f], i + 1)
             if fm < 0 or maps[fm] != expected:
                 rep.add(
@@ -601,18 +594,18 @@ def verify_axioms(
             u.table.sweep_iterated_fibre_maps(rep)
         return rep
 
-    pair = u.pair
     checks = 0
-    for p, (g, f) in enumerate(zip(u.pair_first, u.pair_second)):
-        hs, gf = u.into[maps[g].dom], u.composites[p]
+    for g, f in zip(u.pair_first, u.pair_second):
+        hs, gf = u.into[maps[g].dom], composites[g * stride + f]
         for i, eps in enumerate(inclusions[f]):
             checks += len(hs) * len(eps)
+            B = fms[(g * stride + f) * w + i]
             for h in hs:
-                # the pair (h over g;f at i, g over f at i)
-                AB = pair(fms[pair(h, gf) * w + i], fms[p * w + i])
-                hg = pair(h, g)
+                # the cell of (h over g;f at i, g over f at i)
+                AB = fms[(h * stride + gf) * w + i] * stride + B
+                HG = (h * stride + g) * w - 1
                 for j, e in enumerate(eps):
-                    lhs, rhs = fms[AB * w + j], fms[hg * w + e - 1]
+                    lhs, rhs = fms[AB * w + j], fms[HG + e]
                     if lhs != rhs:
                         rep.add(
                             "iterated-fibre-map",

@@ -1,11 +1,13 @@
 """Hypothesis strategies for maps between finite ordinals, and the
-bijections and identity test that only the tests use."""
+bijections, identity test and quasibijection lists that only the tests
+use."""
 
 import itertools
 
 from hypothesis import strategies as st
 
 from pita.finskel import FinMap
+from pita.opcat import is_quasibijection
 
 
 def enumerate_bijections(n: int):
@@ -15,6 +17,11 @@ def enumerate_bijections(n: int):
 
 def is_identity(f: FinMap) -> bool:
     return f.dom == f.cod and f.values == tuple(range(1, f.dom + 1))
+
+
+def quasibijections(inst, X: int, Y: int):
+    """The quasibijections of inst from X to Y, in hom order."""
+    return [q for q in inst.hom(X, Y) if is_quasibijection(q, inst)]
 
 
 @st.composite

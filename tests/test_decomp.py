@@ -39,10 +39,11 @@ from pita.finskel import (
 from pita.instances import make_fin, make_fin_surj
 from pita import nerve
 from pita.nerve import Chain, degeneracy, enumerate_p
-from pita.opcat import Report, quasibijections
+from pita.opcat import Report
 
 import reference
 from helpers import CompositeOutsideHoms, CorruptFibre, CorruptFibreMap, Wrapper
+from strategies import quasibijections
 from test_nerve import REFERENCE_CASES, _agreement, _case
 
 SURJ = make_fin_surj()

@@ -483,7 +483,7 @@ def test_buffered_lookups_read_what_by_pair_reads(swap):
     )
     lookups = _tables._BufferedLookups(table, size)
     values = (table.CAB, table.RAB)
-    plain = [lambda a, b, v=v: v[a * stride + b] for v in values]
+    plain = [opcat._by_pair(stride, v) for v in values]
     buffered = [lookups.by_pair(v) for v in values]
     if swap:
         plain.reverse()

@@ -29,8 +29,7 @@ from pita.nerve import (
     verify_opfibration,
     verify_strict_identities,
 )
-from pita.opcat import quasibijections
-from strategies import composable_pairs
+from strategies import composable_pairs, quasibijections
 from test_differential import BASES, MUTANTS
 
 FIN = make_fin()

@@ -39,10 +39,14 @@ from pita.opcat import (
     Report,
     is_fop_square,
     is_quasibijection,
-    quasibijections,
     verify_axioms,
 )
-from strategies import composable_pairs, enumerate_bijections, finmaps
+from strategies import (
+    composable_pairs,
+    enumerate_bijections,
+    finmaps,
+    quasibijections,
+)
 from test_differential import BASES, MUTANTS
 
 # the instance whose composites and fibre maps are finskel's, for squares
@@ -407,8 +411,12 @@ def test_pair_screen_rechecks_exactly_the_pairs_finskel_rejects(make, bound):
 
     rechecked, sizes, fibres = [], 0, 0
     for p, (g, f) in enumerate(zip(u.pair_first, u.pair_second)):
-        answers = [(u.composites[p], compose(maps[g], maps[f]))] + [
-            (u.fibre_maps[p * bound + i - 1], fibre_map(maps[g], maps[f], i))
+        cell = g * (u.n + 1) + f
+        answers = [(u.composites[cell], compose(maps[g], maps[f]))] + [
+            (
+                u.fibre_maps[cell * bound + i - 1],
+                fibre_map(maps[g], maps[f], i),
+            )
             for i in range(1, maps[f].cod + 1)
         ]
         if all(k >= 0 and maps[k] == value for k, value in answers) and all(
@@ -461,47 +469,39 @@ def test_universe_asks_each_fibre_once():
     assert inst.calls["fibre"] == 154
 
 
-def test_minus_one_reads_minus_one_on_the_padded_layout():
-    # every cell a * (n + 1) + b of the dense tables, a and b in 0 .. n
-    # (n is past the last id: the padding row and column), reads what the
-    # universe's padded lists read at pair u.pair(a, b), on fin b3 and
-    # under two mutants; an id -1 in either place reads -1 in the lists
-    # and in the tables alike
+def test_one_layout_reads_minus_one_off_the_composable_pairs():
+    # the table's arrays are the universe's lists by cell a * (n + 1) + b,
+    # element for element, on fin b3 and under two mutants. Through
+    # _by_pair, every (a, b) that does not compose, the padding row and
+    # column (a or b is n) and an id -1 in either place read -1, and so
+    # does the fibre map over every point, on the list and on the array
+    # alike
+    from pita.opcat import _by_pair
+
     for wrap in (None, ShrinkComposite, WidenFibreMap):
         inst = make_fin() if wrap is None else wrap(make_fin())
         u = opcat.Universe(inst, 3)
-        n, w = u.n, u.bound
+        n = u.n
         table = u.table
-        tables = [(table.CAB, u.composites, 1), (table.FMAB, u.fibre_maps, w)]
+        layouts = [(table.CAB, u.composites), (table.FMAB, u.fibre_maps)]
         if wrap is ShrinkComposite:
             # its relative parts leave the universe, so there is no RAB
             with pytest.raises(IntegrityError):
                 table.ensure_pita()
         else:
             table.ensure_pita()
-            tables.append((table.RAB, u.relative_parts, 1))
-        pairs = set()
-        for a in range(n + 1):
-            for b in range(n + 1):
-                p = u.pair(a, b)
-                pairs.add(p)
-                if n in (a, b):
-                    assert p == -1
-                cell = a * (n + 1) + b
-                for array, values, width in tables:
-                    assert array[cell * width:(cell + 1) * width].tolist() == [
-                        values[p * width + i] for i in range(width)
-                    ]
-        assert pairs == set(range(-1, len(u.pair_first)))
-        minus_one = [(a, -1) for a in (-1, 0, n - 1)] + [(-1, 0), (-1, n - 1)]
-        for array, values, width in tables:
-            assert values[-width:] == [-1] * width
-            for a, b in minus_one:
-                assert u.pair(a, b) == -1
-                cell = a * (n + 1) + b
-                assert array.take(
-                    range(cell * width, (cell + 1) * width), mode="wrap"
-                ).tolist() == [-1] * width
+            layouts.append((table.RAB, u.relative_parts))
+        composable = set(zip(u.pair_first, u.pair_second))
+        ids = range(-1, n + 1)
+        off = [(a, b) for a in ids for b in ids if (a, b) not in composable]
+        for array, values in layouts:
+            assert array.tolist() == values
+            # the fibre map over point i + 1 of cell k is at k * width + i
+            width = len(values) // (n + 1) ** 2
+            for i in range(width):
+                for layout in (values, array):
+                    lookup = _by_pair(n + 1, layout[i::width])
+                    assert all(lookup(a, b) == -1 for a, b in off)
 
 
 def test_a_wrapper_never_sees_the_universe_of_its_base():
@@ -559,16 +559,16 @@ def test_references_outside_the_homs_are_reported_as_finmaps(
 
 
 def test_bound_three_sweeps_do_not_import_numpy():
-    # the bound-3 routes stay pure Python, which keeps numpy's memory out
-    # of the default suite
+    # the bound-3 routes stay pure Python on fin and fin-surj, the default
+    # suite's instances, which keeps numpy's memory out of it
     code = (
         "import sys\n"
         "from pita.factorisation import verify_eta_identities\n"
-        "from pita.instances import make_fin\n"
+        "from pita.instances import make_fin, make_fin_surj\n"
         "from pita.opcat import verify_axioms\n"
-        "fin = make_fin()\n"
-        "assert verify_axioms(fin, 3).ok\n"
-        "assert verify_eta_identities(fin, 3).ok\n"
+        "for inst in (make_fin(), make_fin_surj()):\n"
+        "    assert verify_axioms(inst, 3).ok\n"
+        "    assert verify_eta_identities(inst, 3).ok\n"
         "print('numpy' in sys.modules)\n"
     )
     src = str(Path(opcat.__file__).resolve().parents[1])
