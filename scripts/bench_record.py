@@ -15,6 +15,12 @@ holds each side's runs, median and quartiles, the change/parent ratio of
 the medians and the pairs the change won (ties count for neither side);
 beside them the check counts of the reports a sample ran, the attempted
 and failed operations, and the machine the runs were made on.
+
+The end-to-end times are scaled by perfbench's meter thread, which
+shares the CPUs with the sample. So each run also keeps its thread
+count and the median over its samples of the raw wall_s, cpu_s and
+reference_s (the meter's reading), and each side the spread of those
+medians over its runs.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MACHINE = ("nproc", "cpu_model", "python", "numpy")
+# per-sample times the worker measures, before any speed adjustment
+RAW = ("wall_s", "cpu_s", "reference_s")
 
 
 def load_runs(runs_dir: Path) -> dict[str, list[tuple[Path, dict]]]:
@@ -73,21 +81,28 @@ def checks_of(record: dict) -> dict:
 def side(runs: list[tuple[Path, dict]]) -> dict:
     records = [r for _, r in runs]
     checks = {json.dumps(checks_of(r), sort_keys=True) for r in records}
+    per_run = [
+        {
+            "file": path.name,
+            "seed": r["seed"],
+            "loadavg_before": r["loadavg_before"],
+            "pita_threads": r["pita_threads"],
+            "samples": len(r["samples"]),
+            **{
+                key: statistics.median(s[key] for s in r["samples"])
+                for key in RAW
+            },
+            "attempted": r["result"]["attempted"],
+            "failed": r["result"]["failed"],
+            "correct": r["result"]["correct"],
+        }
+        for path, r in runs
+    ]
     return {
         "source_sha256": sorted({r["source_sha256"] for r in records}),
         "commit": sorted({str(r["commit"]) for r in records}),
-        "runs": [
-            {
-                "file": path.name,
-                "seed": r["seed"],
-                "loadavg_before": r["loadavg_before"],
-                "samples": len(r["samples"]),
-                "attempted": r["result"]["attempted"],
-                "failed": r["result"]["failed"],
-                "correct": r["result"]["correct"],
-            }
-            for path, r in runs
-        ],
+        "runs": per_run,
+        "raw": {key: spread([run[key] for run in per_run]) for key in RAW},
         "checks": [json.loads(c) for c in sorted(checks)],
     }
 
@@ -151,6 +166,12 @@ def main(argv=None) -> int:
             for name, m in s["metrics"].items()
         )
         print(f"{w}: {line}")
+        raw = ", ".join(
+            f"{key} {s['parent']['raw'][key]['median']:.4g} -> "
+            f"{s['change']['raw'][key]['median']:.4g}"
+            for key in RAW
+        )
+        print(f"{w} (raw): {raw}")
     return 0
 
 

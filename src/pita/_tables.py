@@ -39,7 +39,12 @@ to take at, one of fibre-map ids and one of comparisons. The cocycle
 reads C and R through _BufferedLookups, which give each lookup of a
 chunk its own result buffer. The sweeps' speed then does not depend on
 how the allocator serves large blocks: with glibc's mmap threshold
-pinned at 128 KB, fresh temporaries made them about 3x slower.
+pinned at 128 KB, fresh temporaries made them about 3x slower. A buffer
+holds the largest block, the most maps out of one object times the most
+maps into one: 120,714 elements at fin bound 4, so each worker thread
+holds about 2.4 MiB for the kernel's four buffers and about 3.7 MiB for
+the cocycle's keys and six results. There is one worker per available
+CPU unless PITA_THREADS sets the count (see opcat.default_threads).
 
 The universe asked the instance (not the raw finite-set functions), so a
 deliberately corrupted instance poisons the tables and the sweeps still
@@ -196,7 +201,7 @@ class MapTable:
         return recheck, sizes, fibres
 
     def _merge(self, report, tag, chunk):
-        """Run chunk(g) for every middle id g on PITA_THREADS workers,
+        """Run chunk(g) for every middle id g on default_threads() workers,
         then, in chunk order, count its checks under tag and report its
         hits. A chunk returns its check count and its hits, each
         (ids, extra, lhs, rhs): the ids of the witness morphisms by

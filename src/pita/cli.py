@@ -19,7 +19,9 @@ output to a single JSON document with deterministic key and term
 ordering, so repeated runs are byte-identical.  PITA_THREADS is the one
 thread setting: it caps the worker threads of the numpy triple sweeps
 that ``axioms`` runs above 300,000 composable triples (fin, bound 4).
-Set to anything but a positive integer it is a usage error.
+Unset, it is the number of CPUs the process may run on; 1 runs them
+serially, and the output is the same either way.  Set to anything but a
+positive integer it is a usage error.
 ``--timings`` on a sweep writes to stderr the effective PITA_THREADS
 once, then a line per report with its title, the seconds it took and its
 checks by axiom; stdout is the same with and without it.

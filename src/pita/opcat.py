@@ -225,8 +225,14 @@ def equivalence_classes(items: list, related) -> list[list]:
 
 
 def default_threads() -> int:
-    """PITA_THREADS, 1 when unset; ValueError unless a positive integer."""
-    value = os.environ.get("PITA_THREADS", "1")
+    """PITA_THREADS; ValueError unless a positive integer. Unset, the
+    number of CPUs this process may run on (os.cpu_count(), or 1, where
+    os.sched_getaffinity does not exist)."""
+    value = os.environ.get("PITA_THREADS")
+    if value is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     if not value.strip().isdecimal() or int(value) < 1:
         raise ValueError(
             f"PITA_THREADS must be a positive integer, not {value!r}"

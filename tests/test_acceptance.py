@@ -226,3 +226,17 @@ def test_criterion_10_coherence_at_bound_4_and_on_op():
             rep = verify_beta_coherence(inst, bound)
             assert rep.ok, (inst.name, rep.violations[:2])
             assert rep.checks == checks, inst.name
+
+
+def test_criterion_11_axioms_and_splitting_at_bound_5():
+    with _Budget("criterion 11 (axioms and splitting at bound 5)", 30.0):
+        for inst, axioms, splitting in (
+            (make_op(), 57_538_902, 12_792_224),
+            (make_fin_surj(), 51_390_866, 11_503_577),
+        ):
+            rep = verify_axioms(inst, 5)
+            assert rep.ok, (inst.name, rep.violations[:2])
+            assert rep.checks == axioms, inst.name
+            rep = verify_eta_identities(inst, 5)
+            assert rep.ok, (inst.name, rep.violations[:2])
+            assert rep.checks == splitting, inst.name

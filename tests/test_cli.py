@@ -281,6 +281,18 @@ def test_good_thread_setting_runs(capsys, monkeypatch):
     assert "result ok=true" in out
 
 
+def test_unset_thread_setting_uses_every_available_cpu(capsys, monkeypatch):
+    argv = ["axioms", "--bound", "2", "--timings"]
+    monkeypatch.setenv("PITA_THREADS", "1")
+    _, serial_out, _ = _run(capsys, argv)
+    monkeypatch.delenv("PITA_THREADS")
+    code, out, err = _run(capsys, argv)
+    assert code == 0
+    cpus = len(os.sched_getaffinity(0))
+    assert err.splitlines()[0] == f"timings: PITA_THREADS={cpus}"
+    assert out == serial_out
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     code, _, _ = _run(capsys, [])
     assert code == 2

@@ -522,6 +522,28 @@ def test_pita_threads_does_not_change_the_table_sweeps(monkeypatch):
     assert len(axioms["violations"]) == 82
 
 
+def test_unset_pita_threads_does_not_change_the_table_sweeps(monkeypatch):
+    # unset, the triple sweeps run on every available CPU
+    monkeypatch.setattr(opcat, "_TRIPLE_LOOP_CUTOFF", 0)
+    runs = {}
+    for threads in (None, "1"):
+        if threads is None:
+            monkeypatch.delenv("PITA_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("PITA_THREADS", threads)
+        inst = CorruptFibreMap(make_fin())
+        runs[threads] = [
+            (rep.to_json(), rep.by_axiom)
+            for rep in (
+                verify_axioms(inst, 3, max_violations=10**6),
+                verify_eta_identities(inst, 3, max_violations=10**6),
+            )
+        ]
+    assert runs[None] == runs["1"]
+    (axioms, _), _ = runs["1"]
+    assert axioms["violations"]
+
+
 @ROUTES
 @pytest.mark.parametrize(
     "mutant",

@@ -368,6 +368,19 @@ def test_table_route_caps_in_sweep_order_on_any_thread_count(monkeypatch):
     assert run(10**6, "2").to_json() == full.to_json()
 
 
+def test_unset_pita_threads_is_every_cpu_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("PITA_THREADS", raising=False)
+    assert opcat.default_threads() == len(os.sched_getaffinity(0))
+    # where the affinity mask cannot be read, the CPU count, at least 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert opcat.default_threads() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert opcat.default_threads() == 1
+    monkeypatch.setenv("PITA_THREADS", "5")
+    assert opcat.default_threads() == 5
+
+
 # the six mutants of the pair sweep's order test below, each a wrapper
 # of a base instance
 PAIR_MUTANTS = {
